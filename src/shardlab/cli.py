@@ -3,7 +3,8 @@
 Every output embeds the effective config in its header and depends only on the
 configured seeds, so re-running a config reproduces the files byte for byte.
 Decode failures are scenario data, not process errors: the exit code is 0 for
-a completed run, 2 for a config problem, 3 for infeasible strict scenarios.
+a completed run, 2 for a config problem, 3 for infeasible strict scenarios. Any
+other exception is a fault in the program and propagates.
 """
 
 from __future__ import annotations
@@ -87,7 +88,7 @@ def shard_capture(beta: int, gamma, N: int, K: int) -> int:
     shard's N/K members suffices: floor(beta*K/(gamma*N)), capped at K."""
     g = Fraction(str(gamma)) if isinstance(gamma, float) else Fraction(gamma)
     if not 0 < g <= 1:
-        raise ValueError("gamma must lie in (0, 1]")
+        raise ConfigError("gamma must lie in (0, 1]")
     return min(K, int(Fraction(beta * K) / (g * N)))
 
 
@@ -125,22 +126,33 @@ def _grid(params: dict, key: str, default) -> list[int]:
     return list(value) if isinstance(value, list) else [value]
 
 
+def _from_params(factory, *args, **kwargs):
+    """Build a library object from config values; its ValueError is a config error."""
+    try:
+        return factory(*args, **kwargs)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+
+
 def _simulation_scenario(config: dict, scenario: str, out_path: Path) -> None:
     params = config.get("params", {})
-    field = PrimeField(_scalar(params, "p", DEFAULT_MODULUS))
+    field = _from_params(PrimeField, _scalar(params, "p", DEFAULT_MODULUS))
     N = _scalar(params, "N")
     K = _scalar(params, "K")
     d = _scalar(params, "d")
     beta = _scalar(params, "beta", 0)
-    enc = EncodingParams.default(K, N, d, field)
+    enc = _from_params(EncodingParams.default, K, N, d, field)
+    if N <= enc.composed_degree:
+        raise ConfigError(f"N={N} cannot determine a degree-{enc.composed_degree} polynomial")
     epochs = config.get("epochs", 1)
     seeds = config.get("seeds", [0])
 
     adversary = None
     if scenario == "garbage_attack":
-        if beta < 1:
-            raise ConfigError("garbage_attack needs beta >= 1")
-        adversary = AdversaryConfig(
+        if not 1 <= beta <= N:
+            raise ConfigError("garbage_attack needs 1 <= beta <= N")
+        adversary = _from_params(
+            AdversaryConfig,
             adversarial_nodes=frozenset(range(N - beta + 1, N + 1)),
             broadcast_strategy="garbage",
         )
@@ -154,9 +166,12 @@ def _simulation_scenario(config: dict, scenario: str, out_path: Path) -> None:
         )
         if beta_prime < 1:
             raise ConfigError("discrepancy_attack captures no shard; raise beta or beta_prime")
-        if beta < beta_prime:
-            raise ConfigError("beta must be at least beta_prime")
-        adversary = AdversaryConfig(
+        if not beta_prime <= beta <= N:
+            raise ConfigError("discrepancy_attack needs beta_prime <= beta <= N")
+        if beta_prime > K:
+            raise ConfigError("beta_prime cannot exceed K")
+        adversary = _from_params(
+            AdversaryConfig,
             adversarial_nodes=frozenset(range(N - beta + 1, N + 1)),
             adversarial_producers=tuple(range(1, beta_prime + 1)),
             v=v,
@@ -176,17 +191,20 @@ def _simulation_scenario(config: dict, scenario: str, out_path: Path) -> None:
 
 def _threshold_sweep(config: dict, out_path: Path, strict: bool) -> bool:
     params = config.get("params", {})
-    field = PrimeField(_scalar(params, "p", DEFAULT_MODULUS))
+    field = _from_params(PrimeField, _scalar(params, "p", DEFAULT_MODULUS))
+    v, beta_prime = _scalar(params, "v", 2), _scalar(params, "beta_prime", 1)
+    d, K, beta = _scalar(params, "d"), _scalar(params, "K"), _scalar(params, "beta", 0)
     lo, hi = params.get("N_range", [1, 1])
-    rows = empirical_threshold(
-        v=_scalar(params, "v", 2),
-        beta_prime=_scalar(params, "beta_prime", 1),
-        d=_scalar(params, "d"),
-        K=_scalar(params, "K"),
-        beta=_scalar(params, "beta", 0),
-        N_range=range(lo, hi + 1),
-        field=field,
-    )
+    if lo > hi:
+        raise ConfigError(f"N_range [{lo}, {hi}] is reversed; give [lo, hi] with lo <= hi")
+    if min(v, d, K) < 1 or beta < 0 or not 0 <= beta_prime <= K:
+        raise ConfigError("threshold_sweep needs v, d, K >= 1, beta >= 0, 0 <= beta_prime <= K")
+    if lo < 2 * beta:
+        raise ConfigError(f"N_range starts at {lo}, below 2*beta = {2 * beta}")
+    if K + hi - 2 * beta > field.modulus:
+        # shard k sits at k and retained node n at K+n; beyond p they repeat
+        raise ConfigError(f"GF({field.modulus}) has too few points for K={K} and N={hi}")
+    rows = empirical_threshold(v, beta_prime, d, K, beta, range(lo, hi + 1), field)
     with out_path.open("w") as out:
         out.write("# config: " + json.dumps(config, sort_keys=True) + "\n")
         sweep_to_csv(rows, out)
@@ -236,9 +254,6 @@ def run(config: dict | str | Path, out_dir: str | None = None) -> int:
         print(f"wrote {out_path}")
         return 0
     except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 

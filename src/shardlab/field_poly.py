@@ -12,7 +12,9 @@ from typing import Iterable, Sequence
 # probability ~N/p, small enough for fast native arithmetic.
 DEFAULT_MODULUS = 2**31 - 1
 
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# Smallest strong pseudoprime to every base above: the test is exact below it.
+_MR_EXACT_BELOW = 3317044064679887385961981
 
 
 class DuplicateAbscissa(ValueError):
@@ -20,7 +22,15 @@ class DuplicateAbscissa(ValueError):
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin; exact for all n < 3.3e24."""
+    """Deterministic Miller-Rabin; exact for all n < 3317044064679887385961981.
+
+    Raises ValueError at or above that bound, where it could not be exact.
+    """
+    if n >= _MR_EXACT_BELOW:
+        raise ValueError(
+            f"cannot decide whether {n} is prime: the test is exact only below "
+            f"{_MR_EXACT_BELOW}"
+        )
     if n < 2:
         return False
     for q in _MR_WITNESSES:
@@ -374,10 +384,6 @@ class Matrix:
             out.append(FieldElement(acc % p, self.field))
         return tuple(out)
 
-    def take_columns(self, cols: Sequence[int]) -> "Matrix":
-        return Matrix(self.field, ([row[j] for j in cols] for row in self.rows),
-                      ncols=len(cols))
-
     def __eq__(self, other) -> bool:
         return (isinstance(other, Matrix) and self.field == other.field
                 and self.ncols == other.ncols and self.rows == other.rows)
@@ -434,31 +440,36 @@ def _rref(rows: list[list[int]], ncols: int, p: int) -> tuple[list[list[int]], l
     return rows, pivots
 
 
+def row_reduce(m: Matrix) -> tuple[list[list[int]], list[int]]:
+    """Reduced row echelon form of m as plain int rows, and its pivot columns."""
+    return _rref([[e.value for e in row] for row in m.rows], m.ncols, m.field.modulus)
+
+
 def matrix_rank(m: Matrix) -> int:
     """Rank over the matrix's field, by exact Gaussian elimination."""
-    rows = [[e.value for e in row] for row in m.rows]
-    _, pivots = _rref(rows, m.ncols, m.field.modulus)
-    return len(pivots)
+    return len(row_reduce(m)[1])
+
+
+def nullspace_vector(m: Matrix, red: list[list[int]], pivots: list[int],
+                     free: int) -> tuple[FieldElement, ...]:
+    """The x with m @ x = 0, 1 at free column `free` and 0 at the other free columns,
+    read off `red, pivots = row_reduce(m)` and re-verified by multiplication."""
+    p = m.field.modulus
+    vec = [0] * m.ncols
+    vec[free] = 1
+    for i, c in enumerate(pivots):
+        vec[c] = -red[i][free] % p
+    v = tuple(FieldElement(x, m.field) for x in vec)
+    if any(e.value for e in m.mul_vec(v)):
+        raise AssertionError("nullspace vector failed verification")
+    return v
 
 
 def nullspace_basis(m: Matrix) -> list[tuple[FieldElement, ...]]:
-    """Basis of {x : m @ x = 0}; each vector is re-verified by multiplication."""
-    p = m.field.modulus
-    rows = [[e.value for e in row] for row in m.rows]
-    red, pivots = _rref(rows, m.ncols, p)
+    """Basis of {x : m @ x = 0}, one vector per free column."""
+    red, pivots = row_reduce(m)
     pivot_set = set(pivots)
-    free = [c for c in range(m.ncols) if c not in pivot_set]
-    basis = []
-    for f in free:
-        vec = [0] * m.ncols
-        vec[f] = 1
-        for i, c in enumerate(pivots):
-            vec[c] = -red[i][f] % p
-        v = tuple(FieldElement(x, m.field) for x in vec)
-        if any(e.value for e in m.mul_vec(v)):
-            raise AssertionError("nullspace vector failed verification")
-        basis.append(v)
-    return basis
+    return [nullspace_vector(m, red, pivots, f) for f in range(m.ncols) if f not in pivot_set]
 
 
 def solve_linear(m: Matrix, rhs: Sequence[FieldElement]) -> list[FieldElement] | None:

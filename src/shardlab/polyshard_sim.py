@@ -247,7 +247,8 @@ def run_epoch(
     views = {node.node: view_for(node.node) for node in sim.nodes}
     for k in producers:
         delivered = {views[n][k - 1].value for n in views}
-        assert len(delivered) <= adversary.v, "injection cap violated"
+        if len(delivered) > adversary.v:
+            raise AssertionError("injection cap violated")
 
     # 2. each honest node encodes its view and verifies against its coded chain
     results: dict[int, FieldElement | None] = {}

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .adversary import InfeasiblePartition
-from .field_poly import FieldElement, Matrix, PrimeField, matrix_rank, nullspace_basis, vandermonde
+from .field_poly import FieldElement, Matrix, PrimeField, nullspace_vector, row_reduce, vandermonde
 from .lcc import VersionTuple, all_version_tuples
 
 
@@ -249,30 +249,23 @@ class RankReport:
 def unique_decodability(sys: SystemMatrices, K: int, beta_prime: int) -> RankReport:
     """Rank test: outputs are unique iff no column relation touches the output block.
 
-    When they are not unique, returns a verified witness: a nullspace vector of
-    the full system whose output block is nonzero, i.e. two explanations of the
-    same broadcasts that disagree on the honest outputs.
+    One left-to-right reduction of D answers all of it, as the output (Z) columns
+    come last: rank(D) is the pivot count, the pivots left of Z are the rank of D
+    without the Z columns, and Z is unique iff every Z column is a pivot. If not,
+    the witness is the verified nullspace vector of the first free Z column: two
+    explanations of the same broadcasts that disagree on the honest outputs.
     """
     z_width = K - beta_prime
     if z_width != sys.z_width:
         raise ValueError("K and beta_prime do not match the system's output block")
     lam_cols = sys.n_tuples * sys.block_width
-    rank_full = matrix_rank(sys.D)
-    rank_reduced = matrix_rank(sys.D.take_columns(range(lam_cols)))
-    unique = rank_full == rank_reduced + z_width
-    witness = None
-    if not unique:
-        for vec in nullspace_basis(sys.D):
-            if any(x.value for x in vec[-z_width:]):
-                witness = vec
-                break
-        if witness is None:
-            raise AssertionError("rank deficit without a nonzero output-block witness")
+    red, pivots = row_reduce(sys.D)
+    free_z = next((c for c in range(lam_cols, sys.D.ncols) if c not in pivots), None)
     return RankReport(
-        rank_D=rank_full,
-        rank_D_without_Z_columns=rank_reduced,
-        unique_Z=unique,
-        witness=witness,
+        rank_D=len(pivots),
+        rank_D_without_Z_columns=sum(c < lam_cols for c in pivots),
+        unique_Z=free_z is None,
+        witness=None if free_z is None else nullspace_vector(sys.D, red, pivots, free_z),
     )
 
 

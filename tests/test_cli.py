@@ -2,7 +2,12 @@ import json
 
 import pytest
 
-from shardlab import empirical_threshold, known_behavior_upper_bound, recovery_threshold
+from shardlab import (
+    DegreeOverflow,
+    empirical_threshold,
+    known_behavior_upper_bound,
+    recovery_threshold,
+)
 from shardlab.cli import ConfigError, main, run, shard_capture, validate_config
 from shardlab.field_poly import DEFAULT_MODULUS, PrimeField
 
@@ -58,6 +63,55 @@ class TestConfigValidation:
     def test_composite_modulus_is_config_error(self, tmp_path):
         path, _ = write_config(tmp_path, params={"N": 12, "K": 3, "d": 2, "p": 91})
         assert run(path) == 2
+
+    @pytest.mark.parametrize(
+        "scenario, params",
+        [
+            pytest.param("honest_epoch", {"N": 12, "K": 3, "d": 2, "p": 318665857834031151167461},
+                         id="strong-pseudoprime-p"),
+            pytest.param("honest_epoch", {"N": 12, "K": 3, "d": 2, "p": 3317044064679887385961981},
+                         id="p-at-primality-bound"),
+            pytest.param("honest_epoch", {"N": 4, "K": 3, "d": 2}, id="N-below-d(K-1)+1"),
+            pytest.param("garbage_attack", {"N": 12, "K": 3, "d": 2, "beta": 13},
+                         id="beta-above-N"),
+            pytest.param("discrepancy_attack",
+                         {"N": 12, "K": 3, "d": 2, "beta": 5, "beta_prime": 4, "v": 2},
+                         id="beta_prime-above-K"),
+            pytest.param("discrepancy_attack",
+                         {"N": 12, "K": 3, "d": 2, "beta": 13, "beta_prime": 1, "v": 2},
+                         id="attack-beta-above-N"),
+            pytest.param("threshold_sweep",
+                         {"K": 3, "d": 2, "beta": 1, "beta_prime": 1, "v": 2,
+                          "N_range": [12, 5]},
+                         id="reversed-N_range"),
+            pytest.param("threshold_sweep",
+                         {"K": 3, "d": 0, "beta": 1, "beta_prime": 1, "v": 2,
+                          "N_range": [5, 8]},
+                         id="sweep-d-zero"),
+            pytest.param("threshold_sweep",
+                         {"K": 3, "d": 2, "beta": 3, "beta_prime": 1, "v": 2,
+                          "N_range": [5, 8]},
+                         id="N_range-below-2beta"),
+            pytest.param("threshold_sweep",
+                         {"K": 3, "d": 2, "beta": 1, "beta_prime": 1, "v": 2,
+                          "N_range": [8, 10], "p": 7},
+                         id="field-too-small-for-sweep"),
+        ],
+    )
+    def test_bad_params_are_config_errors(self, tmp_path, scenario, params):
+        path, _ = write_config(tmp_path, scenario=scenario, params=params)
+        assert run(path, out_dir=tmp_path) == 2
+        written = {p.name for p in tmp_path.iterdir()} - {path.name}
+        assert not written
+
+    def test_program_fault_is_not_a_config_error(self, tmp_path, monkeypatch):
+        def faulty_epoch(*args, **kwargs):
+            raise DegreeOverflow("composition exceeded its declared degree")
+
+        monkeypatch.setattr("shardlab.cli.run_epoch", faulty_epoch)
+        path, _ = write_config(tmp_path)
+        with pytest.raises(DegreeOverflow):
+            run(path, out_dir=tmp_path)
 
 
 class TestSimulationScenarios:

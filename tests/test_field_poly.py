@@ -47,6 +47,23 @@ class TestPrimality:
         with pytest.raises(ValueError):
             PrimeField(91)
 
+    def test_strong_pseudoprime_to_bases_up_to_37(self):
+        n = 318665857834031151167461
+        assert n == 399165290221 * 798330580441
+        assert not is_prime(n)
+        with pytest.raises(ValueError, match="must be prime"):
+            PrimeField(n)
+
+    def test_refuses_at_exactness_bound(self):
+        # strong pseudoprime to every base up to 41: no answer here is exact
+        n = 3317044064679887385961981
+        assert n == 1287836182261 * 2575672364521
+        with pytest.raises(ValueError, match="exact only below"):
+            is_prime(n)
+        with pytest.raises(ValueError, match="exact only below"):
+            PrimeField(n)
+        assert is_prime(2**61 - 1)
+
 
 class TestFieldAxioms:
     @given(a=elements, b=elements, c=elements)

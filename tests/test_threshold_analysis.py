@@ -9,6 +9,7 @@ from shardlab import (
     BroadcastSet,
     InfeasiblePartition,
     InsufficientEvaluations,
+    Matrix,
     VersionAssignment,
     build_coded_poly,
     build_system,
@@ -214,6 +215,45 @@ class TestUniqueDecodability:
             known_behavior_decode(
                 BroadcastSet(entries), assignment, analysis.block_width - 1, 1, enc
             )
+
+
+def three_elimination_verdict(sys_m):
+    """rank(D), rank(D_lambda), uniqueness and witness by three separate eliminations."""
+    D = sys_m.D
+    lam_cols = sys_m.n_tuples * sys_m.block_width
+    rank_full = matrix_rank(D)
+    rank_reduced = matrix_rank(
+        Matrix(D.field, (row[:lam_cols] for row in D.rows), ncols=lam_cols)
+    )
+    witness = next(
+        (vec for vec in nullspace_basis(D) if any(x.value for x in vec[lam_cols:])), None
+    )
+    return rank_full, rank_reduced, rank_full == rank_reduced + sys_m.z_width, witness
+
+
+class TestOneEliminationVerdict:
+    # every (v, beta', d, K, beta) the rank tests in this suite build systems for
+    @pytest.mark.parametrize(
+        "config",
+        [(1, 1, 1, 3, 0), (1, 1, 2, 3, 0), (1, 1, 2, 3, 1), (1, 1, 2, 4, 0),
+         (2, 1, 2, 3, 1), (2, 2, 2, 3, 2)],
+    )
+    def test_matches_three_eliminations(self, field, config):
+        threshold = recovery_threshold(*config)
+        beta = config[-1]
+        verdicts = set()
+        for N in range(max(2 * beta, threshold - 3), threshold + 2):
+            try:
+                params = proof_params(*config, N, field)
+            except InfeasiblePartition:
+                continue
+            sys_m = build_system(params)
+            report = unique_decodability(sys_m, params.K, params.beta_prime)
+            assert (
+                report.rank_D, report.rank_D_without_Z_columns, report.unique_Z, report.witness
+            ) == three_elimination_verdict(sys_m), N
+            verdicts.add(report.unique_Z)
+        assert verdicts == {False, True}
 
 
 class TestBounds:
