@@ -105,7 +105,7 @@ def rs_decode(b: BroadcastSet, degree_bound: int, max_errors: int) -> DecodeOutc
         row = [(-y * powers[j]) % p for j in range(e)]
         row += powers[:qn]
         rows.append(row)
-        rhs.append(field(y * pow(x, e, p)))
+        rhs.append(y * powers[e] % p)
     solution = solve_linear(Matrix(field, rows, ncols=e + qn), rhs)
     if solution is None:
         return _failure("no error locator explains the broadcast values")

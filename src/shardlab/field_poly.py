@@ -6,6 +6,7 @@ decoders built on top never need a numerical tolerance.
 
 from __future__ import annotations
 
+from itertools import zip_longest
 from typing import Iterable, Sequence
 
 # Mersenne prime: large enough that random-instance degeneracies have
@@ -63,12 +64,16 @@ class PrimeField:
             raise ValueError(f"field modulus must be prime, got {modulus}")
         self.modulus = modulus
 
-    def __call__(self, value: "int | FieldElement") -> "FieldElement":
+    def residue(self, value: "int | FieldElement") -> int:
+        """The canonical residue in [0, p) of an int or of an element of this field."""
         if isinstance(value, FieldElement):
             if value.field.modulus != self.modulus:
                 raise ValueError("element belongs to a different field")
-            return value
-        return FieldElement(int(value) % self.modulus, self)
+            return value.value
+        return int(value) % self.modulus
+
+    def __call__(self, value: "int | FieldElement") -> "FieldElement":
+        return FieldElement(self.residue(value), self)
 
     @property
     def zero(self) -> "FieldElement":
@@ -95,7 +100,7 @@ class PrimeField:
 
 
 class FieldElement:
-    """Residue in [0, p). Immutable; hashable; mixes with plain ints."""
+    """Residue in [0, p). Immutable; hashable; mixes with ints, equals only its own."""
 
     __slots__ = ("value", "field")
 
@@ -104,12 +109,8 @@ class FieldElement:
         self.field = field
 
     def _other(self, other) -> int | None:
-        if isinstance(other, FieldElement):
-            if other.field.modulus != self.field.modulus:
-                raise ValueError("elements of different fields")
-            return other.value
-        if isinstance(other, int):
-            return other % self.field.modulus
+        if isinstance(other, (FieldElement, int)):
+            return self.field.residue(other)
         return None
 
     def __add__(self, other):
@@ -171,7 +172,8 @@ class FieldElement:
         if isinstance(other, FieldElement):
             return self.value == other.value and self.field.modulus == other.field.modulus
         if isinstance(other, int):
-            return self.value == other % self.field.modulus
+            # no reduction: equal objects must hash equal, and hash(7) != hash(0)
+            return self.value == other
         return NotImplemented
 
     def __hash__(self) -> int:
@@ -185,13 +187,13 @@ class FieldElement:
 
 
 class Polynomial:
-    """Univariate polynomial, coefficients ascending, no trailing zeros stored."""
+    """Univariate polynomial; `coeffs` holds int residues, ascending, no trailing zeros."""
 
     __slots__ = ("field", "coeffs")
 
     def __init__(self, field: PrimeField, coeffs: Iterable[int | FieldElement] = ()):
-        cs = [field(c) for c in coeffs]
-        while cs and cs[-1].value == 0:
+        cs = [field.residue(c) for c in coeffs]
+        while cs and not cs[-1]:
             cs.pop()
         self.field = field
         self.coeffs = tuple(cs)
@@ -214,50 +216,49 @@ class Polynomial:
         return not self.coeffs
 
     def coefficient(self, i: int) -> FieldElement:
-        return self.coeffs[i] if i < len(self.coeffs) else self.field.zero
+        return FieldElement(self.coeffs[i] if i < len(self.coeffs) else 0, self.field)
+
+    def _coeffs_of(self, other: "Polynomial") -> tuple[int, ...]:
+        if other.field != self.field:
+            raise ValueError("element belongs to a different field")
+        return other.coeffs
 
     def __call__(self, point: FieldElement) -> FieldElement:
         p = self.field.modulus
-        x = self.field(point).value
+        x = self.field.residue(point)
         acc = 0
         for c in reversed(self.coeffs):
-            acc = (acc * x + c.value) % p
+            acc = (acc * x + c) % p
         return FieldElement(acc, self.field)
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
         if not isinstance(other, Polynomial):
             return NotImplemented
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Polynomial(
-            self.field,
-            (self.coefficient(i) + other.coefficient(i) for i in range(n)),
-        )
+        pairs = zip_longest(self.coeffs, self._coeffs_of(other), fillvalue=0)
+        return Polynomial(self.field, (a + b for a, b in pairs))
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         if not isinstance(other, Polynomial):
             return NotImplemented
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Polynomial(
-            self.field,
-            (self.coefficient(i) - other.coefficient(i) for i in range(n)),
-        )
+        pairs = zip_longest(self.coeffs, self._coeffs_of(other), fillvalue=0)
+        return Polynomial(self.field, (a - b for a, b in pairs))
 
     def __neg__(self) -> "Polynomial":
         return Polynomial(self.field, (-c for c in self.coeffs))
 
     def __mul__(self, other):
         if isinstance(other, Polynomial):
+            ocoeffs = self._coeffs_of(other)
             if self.is_zero or other.is_zero:
                 return Polynomial.zero(self.field)
             p = self.field.modulus
-            out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
+            out = [0] * (len(self.coeffs) + len(ocoeffs) - 1)
             for i, a in enumerate(self.coeffs):
-                av = a.value
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] = (out[i + j] + av * b.value) % p
+                for j, b in enumerate(ocoeffs):
+                    out[i + j] = (out[i + j] + a * b) % p
             return Polynomial(self.field, out)
         if isinstance(other, (FieldElement, int)):
-            s = self.field(other)
+            s = self.field.residue(other)
             return Polynomial(self.field, (c * s for c in self.coeffs))
         return NotImplemented
 
@@ -279,19 +280,20 @@ class Polynomial:
     def __divmod__(self, other: "Polynomial"):
         if not isinstance(other, Polynomial):
             return NotImplemented
-        if other.is_zero:
+        dcoeffs = self._coeffs_of(other)
+        if not dcoeffs:
             raise ZeroDivisionError("polynomial division by zero")
+        p = self.field.modulus
         rem = list(self.coeffs)
-        dcoeffs = other.coeffs
         dd = len(dcoeffs) - 1
-        inv_lead = dcoeffs[-1].inverse()
-        quot = [self.field.zero] * max(0, len(rem) - dd)
+        inv_lead = pow(dcoeffs[-1], p - 2, p)
+        quot = [0] * max(0, len(rem) - dd)
         for i in range(len(rem) - 1, dd - 1, -1):
-            c = rem[i] * inv_lead
-            if c.value:
+            c = rem[i] * inv_lead % p
+            if c:
                 quot[i - dd] = c
                 for j, d in enumerate(dcoeffs):
-                    rem[i - dd + j] = rem[i - dd + j] - c * d
+                    rem[i - dd + j] = (rem[i - dd + j] - c * d) % p
         return Polynomial(self.field, quot), Polynomial(self.field, rem)
 
     def __floordiv__(self, other):
@@ -308,10 +310,10 @@ class Polynomial:
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash(tuple(c.value for c in self.coeffs))
+        return hash(self.coeffs)
 
     def __repr__(self) -> str:
-        return f"Polynomial({self.field!r}, {[c.value for c in self.coeffs]})"
+        return f"Polynomial({self.field!r}, {list(self.coeffs)})"
 
 
 def poly_eval(poly: Polynomial, point: FieldElement) -> FieldElement:
@@ -324,8 +326,8 @@ def lagrange_interpolate(points: Sequence[tuple[FieldElement, FieldElement]]) ->
     if not points:
         raise ValueError("at least one interpolation point is required")
     field = points[0][0].field
-    xs = [field(x) for x, _ in points]
-    if len({x.value for x in xs}) != len(xs):
+    xs = [field.residue(x) for x, _ in points]
+    if len(set(xs)) != len(xs):
         raise DuplicateAbscissa("interpolation points must have distinct x values")
     ys = [field(y) for _, y in points]
     # master = prod (z - x_i); per-point numerators by synthetic division
@@ -341,13 +343,13 @@ def lagrange_interpolate(points: Sequence[tuple[FieldElement, FieldElement]]) ->
 
 
 class Matrix:
-    """Immutable row-major matrix of field elements."""
+    """Immutable row-major matrix; `rows` holds int residues, indexing gives elements."""
 
     __slots__ = ("field", "nrows", "ncols", "rows")
 
     def __init__(self, field: PrimeField, rows: Iterable[Sequence[int | FieldElement]],
                  ncols: int | None = None):
-        rs = tuple(tuple(field(x) for x in row) for row in rows)
+        rs = tuple(tuple(map(field.residue, row)) for row in rows)
         if rs:
             widths = {len(r) for r in rs}
             if len(widths) != 1:
@@ -369,28 +371,24 @@ class Matrix:
 
     def __getitem__(self, ij: tuple[int, int]) -> FieldElement:
         i, j = ij
-        return self.rows[i][j]
+        return FieldElement(self.rows[i][j], self.field)
 
-    def mul_vec(self, vec: Sequence[FieldElement]) -> tuple[FieldElement, ...]:
+    def mul_vec(self, vec: Sequence[int | FieldElement]) -> tuple[FieldElement, ...]:
         if len(vec) != self.ncols:
             raise ValueError("vector length does not match column count")
         p = self.field.modulus
-        vals = [self.field(v).value for v in vec]
-        out = []
-        for row in self.rows:
-            acc = 0
-            for a, b in zip(row, vals):
-                acc += a.value * b
-            out.append(FieldElement(acc % p, self.field))
-        return tuple(out)
+        vals = [self.field.residue(v) for v in vec]
+        return tuple(
+            FieldElement(sum(a * b for a, b in zip(row, vals)) % p, self.field)
+            for row in self.rows
+        )
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, Matrix) and self.field == other.field
                 and self.ncols == other.ncols and self.rows == other.rows)
 
     def __hash__(self) -> int:
-        return hash((self.nrows, self.ncols,
-                     tuple(c.value for row in self.rows for c in row)))
+        return hash((self.ncols, self.rows))
 
     def __repr__(self) -> str:
         return f"Matrix({self.nrows}x{self.ncols} over {self.field!r})"
@@ -408,7 +406,7 @@ def vandermonde(xs: Sequence[FieldElement], degree: int,
     p = field.modulus
     rows = []
     for x in xs:
-        v = field(x).value
+        v = field.residue(x)
         row = [1] * (degree + 1)
         acc = 1
         for j in range(degree - 1, -1, -1):
@@ -419,11 +417,11 @@ def vandermonde(xs: Sequence[FieldElement], degree: int,
 
 
 def _rref(rows: list[list[int]], ncols: int, p: int) -> tuple[list[list[int]], list[int]]:
-    """Reduced row echelon form over GF(p) on plain int rows; returns (rows, pivot cols)."""
+    """Reduced row echelon form over GF(p) of residue rows; returns (rows, pivot cols)."""
     pivots: list[int] = []
     r = 0
     for c in range(ncols):
-        pivot = next((i for i in range(r, len(rows)) if rows[i][c] % p), None)
+        pivot = next((i for i in range(r, len(rows)) if rows[i][c]), None)
         if pivot is None:
             continue
         rows[r], rows[pivot] = rows[pivot], rows[r]
@@ -442,7 +440,7 @@ def _rref(rows: list[list[int]], ncols: int, p: int) -> tuple[list[list[int]], l
 
 def row_reduce(m: Matrix) -> tuple[list[list[int]], list[int]]:
     """Reduced row echelon form of m as plain int rows, and its pivot columns."""
-    return _rref([[e.value for e in row] for row in m.rows], m.ncols, m.field.modulus)
+    return _rref([list(row) for row in m.rows], m.ncols, m.field.modulus)
 
 
 def matrix_rank(m: Matrix) -> int:
@@ -459,10 +457,9 @@ def nullspace_vector(m: Matrix, red: list[list[int]], pivots: list[int],
     vec[free] = 1
     for i, c in enumerate(pivots):
         vec[c] = -red[i][free] % p
-    v = tuple(FieldElement(x, m.field) for x in vec)
-    if any(e.value for e in m.mul_vec(v)):
+    if any(m.mul_vec(vec)):
         raise AssertionError("nullspace vector failed verification")
-    return v
+    return tuple(FieldElement(x, m.field) for x in vec)
 
 
 def nullspace_basis(m: Matrix) -> list[tuple[FieldElement, ...]]:
@@ -472,14 +469,12 @@ def nullspace_basis(m: Matrix) -> list[tuple[FieldElement, ...]]:
     return [nullspace_vector(m, red, pivots, f) for f in range(m.ncols) if f not in pivot_set]
 
 
-def solve_linear(m: Matrix, rhs: Sequence[FieldElement]) -> list[FieldElement] | None:
+def solve_linear(m: Matrix, rhs: Sequence[int | FieldElement]) -> list[FieldElement] | None:
     """One solution of m @ x = rhs (free variables zeroed), or None if inconsistent."""
     if len(rhs) != m.nrows:
         raise ValueError("rhs length does not match row count")
-    p = m.field.modulus
-    rows = [[e.value for e in row] + [m.field(b).value]
-            for row, b in zip(m.rows, rhs)]
-    red, pivots = _rref(rows, m.ncols + 1, p)
+    rows = [[*row, m.field.residue(b)] for row, b in zip(m.rows, rhs)]
+    red, pivots = _rref(rows, m.ncols + 1, m.field.modulus)
     if pivots and pivots[-1] == m.ncols:
         return None
     sol = [0] * m.ncols

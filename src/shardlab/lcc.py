@@ -81,15 +81,15 @@ def lagrange_basis(params: EncodingParams, k: int, z: FieldElement) -> FieldElem
     if not 1 <= k <= params.K:
         raise ValueError(f"shard index {k} out of range 1..{params.K}")
     field = params.field
-    omega_k = params.omegas[k - 1]
-    num = field.one
-    den = field.one
+    p = field.modulus
+    x = field.residue(z)
+    omega_k = params.omegas[k - 1].value
+    num = den = 1
     for j, omega_j in enumerate(params.omegas, start=1):
-        if j == k:
-            continue
-        num = num * (z - omega_j)
-        den = den * (omega_k - omega_j)
-    return num / den
+        if j != k:
+            num = num * (x - omega_j.value) % p
+            den = den * (omega_k - omega_j.value) % p
+    return FieldElement(num * pow(den, p - 2, p) % p, field)
 
 
 def encode_at_node(received: ReceivedProposals, params: EncodingParams, n: int) -> FieldElement:
@@ -99,10 +99,8 @@ def encode_at_node(received: ReceivedProposals, params: EncodingParams, n: int) 
     if len(received) != params.K:
         raise ValueError("a view must contain exactly one payload per shard")
     alpha = params.alphas[n - 1]
-    acc = params.field.zero
-    for k in range(1, params.K + 1):
-        acc = acc + received[k - 1] * lagrange_basis(params, k, alpha)
-    return acc
+    return params.field(sum(params.field.residue(x) * lagrange_basis(params, k, alpha).value
+                            for k, x in enumerate(received, start=1)))
 
 
 def build_coded_poly(view: ReceivedProposals, params: EncodingParams) -> Polynomial:

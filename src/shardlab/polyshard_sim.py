@@ -111,6 +111,8 @@ class EpochReport:
 
     recovered_values holds the decoded per-shard verification values (as plain
     residues) when the epoch decoded, for checking against direct evaluation.
+    messages files honest proposals under broadcast, unlike CommLoad; the totals
+    agree, less N per silent node.
     """
 
     epoch: int
@@ -226,25 +228,21 @@ def run_epoch(
             sim.chains[k - 1].history(), adversary.v, rng,
             fn=fn, valid_first=adversary.valid_first,
         )
-    assignment = None
-    default_tuple = (1,) * len(producers)
-    if producers:
-        assignment = assign_versions(honest_ids, adversary, cap=None, rng=rng)
+    node_tuples = (assign_versions(honest_ids, adversary, cap=None, rng=rng).node_tuples
+                   if producers else {})
 
-    def view_for(node_id: int) -> tuple[FieldElement, ...]:
-        if assignment is not None and node_id in assignment.node_tuples:
-            tup = assignment.node_tuples[node_id]
-        else:
-            tup = default_tuple
-        view = []
-        for k in range(1, params.K + 1):
-            if k in producers:
-                view.append(versions[k][tup[producers.index(k)] - 1])
-            else:
-                view.append(base[k - 1])
-        return tuple(view)
+    def view_of(tup: tuple[int, ...]) -> tuple[FieldElement, ...]:
+        return tuple(
+            versions[k][tup[producers.index(k)] - 1] if k in producers else base[k - 1]
+            for k in range(1, params.K + 1)
+        )
 
-    views = {node.node: view_for(node.node) for node in sim.nodes}
+    # version 1 of every captured shard: the view of nodes outside the assignment
+    first_view = view_of((1,) * len(producers))
+    views = {
+        node.node: view_of(node_tuples[node.node]) if node.node in node_tuples else first_view
+        for node in sim.nodes
+    }
     for k in producers:
         delivered = {views[n][k - 1].value for n in views}
         if len(delivered) > adversary.v:
@@ -262,12 +260,8 @@ def run_epoch(
     if adv_nodes:
         target_poly = None
         if adversary.broadcast_strategy == "honest_looking":
-            view0 = tuple(
-                versions[k][0] if k in producers else base[k - 1]
-                for k in range(1, params.K + 1)
-            )
             target_poly = compose_verification(
-                build_coded_poly(view0, params), sim.history_polys, fn
+                build_coded_poly(first_view, params), sim.history_polys, fn
             )
         corrupted = corrupt_results(
             [(n, params.alphas[n - 1]) for n in sorted(adv_nodes)],
@@ -304,14 +298,10 @@ def run_epoch(
         h = recover_outputs(outcome.poly, params)
         recovered_values = [value.value for value in h]
         bits = accept_bits(h, sim.accept_set)
-        canonical = _canonical_blocks(sim, outcome.poly, base, versions, views, producers)
+        canonical = _canonical_blocks(sim, outcome.poly, first_view, views, producers)
         _append_epoch(sim, canonical, bits, views)
     elif sim.failure_policy == "append_own_view":
-        canonical = [
-            versions[k][0] if k in producers else base[k - 1]
-            for k in range(1, params.K + 1)
-        ]
-        _append_epoch(sim, canonical, [1] * params.K, views)
+        _append_epoch(sim, first_view, [1] * params.K, views)
     else:
         stalled = True
 
@@ -342,14 +332,16 @@ def run_epoch(
     )
 
 
-def _canonical_blocks(sim, decoded_poly, base, versions, views, producers):
+def _canonical_blocks(sim, decoded_poly, first_view, views, producers):
     """Blocks the network as a whole accepted, identified from the decoded polynomial.
 
     Under an attack that still decodes (a dominant version absorbing the rest
     as errors), the decoded polynomial singles out one realized version tuple.
+    `first_view` (version 1 of every captured shard) is the answer without
+    producers, and the bookkeeping fallback when no realized view matches.
     """
     if not producers:
-        return list(base)
+        return first_view
     params, fn = sim.params, sim.fn
     realized = {views[n] for n in views}
     for view in realized:
@@ -357,12 +349,8 @@ def _canonical_blocks(sim, decoded_poly, base, versions, views, producers):
             build_coded_poly(view, params), sim.history_polys, fn
         )
         if composed == decoded_poly:
-            return list(view)
-    # freak alignment with no realized view; keep first versions for bookkeeping
-    return [
-        versions[k][0] if k in producers else base[k - 1]
-        for k in range(1, params.K + 1)
-    ]
+            return view
+    return first_view
 
 
 def _append_epoch(sim, canonical, bits, views):
@@ -390,7 +378,8 @@ def _append_epoch(sim, canonical, bits, views):
 
 @dataclass(frozen=True)
 class CommLoad:
-    """Delivery counts: unicast = proposal deliveries, broadcast = result deliveries."""
+    """Delivery counts: unicast = proposal deliveries, broadcast = result deliveries
+    (EpochReport.messages instead counts honest proposals as broadcast)."""
 
     unicast: int
     broadcast: int

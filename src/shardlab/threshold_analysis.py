@@ -186,9 +186,9 @@ def build_system(params: AnalysisParams) -> SystemMatrices:
     z_width = params.K - params.beta_prime
     degree = width - 1
 
-    def lam_row(*placements: tuple[int, Sequence[FieldElement], int]) -> list:
+    def lam_row(*placements: tuple[int, Sequence[int], int]) -> list[int]:
         """Zero row over the coefficient columns with Vandermonde segments placed."""
-        row: list = [0] * lam_cols
+        row = [0] * lam_cols
         for block_index, coeffs, sign in placements:
             for j, c in enumerate(coeffs):
                 row[block_index * width + j] = c if sign > 0 else -c
@@ -223,7 +223,7 @@ def build_system(params: AnalysisParams) -> SystemMatrices:
     d_rows = [row + [0] * z_width for row in a_rows + b_rows + c_rows]
     for idx, van_row in enumerate(van_h):
         tie = [0] * z_width
-        tie[idx] = -field.one
+        tie[idx] = -1
         d_rows.append(lam_row((0, van_row, 1)) + tie)
     D = Matrix(field, d_rows, ncols=lam_cols + z_width)
     return SystemMatrices(

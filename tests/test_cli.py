@@ -1,6 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import shardlab
 
 from shardlab import (
     DegreeOverflow,
@@ -269,3 +275,18 @@ class TestMain:
 
     def test_bad_config_exit_code(self, tmp_path):
         assert main(["--config", str(tmp_path / "missing.json")]) == 2
+
+
+def test_python_m_shardlab_exits_two_without_warnings(tmp_path):
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"scenario": "nope"}')
+    src = str(Path(shardlab.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "shardlab", "--config", str(bad)],
+        capture_output=True, text=True, env=env, cwd=tmp_path,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("config error:")
+    assert "Warning" not in proc.stderr

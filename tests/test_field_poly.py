@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from shardlab import (
     DuplicateAbscissa,
+    FieldElement,
     Matrix,
     Polynomial,
     PrimeField,
@@ -226,3 +227,154 @@ class TestRankNullspace:
     def test_solve_inconsistent(self, gf7):
         m = Matrix(gf7, [[1, 0], [1, 0]])
         assert solve_linear(m, [gf7(1), gf7(2)]) is None
+
+
+any_ints = st.integers(min_value=-300, max_value=300)  # inside and outside [0, 97)
+coeff_lists = st.lists(st.one_of(elements, any_ints), max_size=7)
+
+
+def is_residue_tuple(values, p):
+    return isinstance(values, tuple) and all(type(v) is int and 0 <= v < p for v in values)
+
+
+def fe_strip(cs):
+    """Schoolbook canonical form: FieldElement list without trailing zeros, as residues."""
+    cs = [GF97(c) for c in cs]
+    while cs and not cs[-1]:
+        cs.pop()
+    return tuple(c.value for c in cs)
+
+
+def fe_eval(cs, x):
+    return sum((GF97(c) * GF97(x) ** i for i, c in enumerate(cs)), GF97.zero)
+
+
+def fe_divmod(a, b):
+    """Long division written on FieldElements alone."""
+    rem = [GF97(c) for c in fe_strip(a)]
+    div = [GF97(c) for c in fe_strip(b)]
+    quot = [GF97.zero] * max(0, len(rem) - len(div) + 1)
+    while len(rem) >= len(div):
+        shift = len(rem) - len(div)
+        c = rem[-1] / div[-1]
+        quot[shift] = c
+        for j, d in enumerate(div):
+            rem[shift + j] = rem[shift + j] - c * d
+        rem = [GF97(v) for v in fe_strip(rem)]
+    return fe_strip(quot), fe_strip(rem)
+
+
+class TestEqualityAndHash:
+    @given(a=any_ints, b=any_ints)
+    def test_equal_objects_hash_equal(self, a, b):
+        for x, y in ((GF97(a), b), (a, GF97(b)), (GF97(a), GF97(b))):
+            if x == y:
+                assert hash(x) == hash(y)
+
+    def test_int_equals_only_its_canonical_residue(self, gf7):
+        assert gf7(3) == 3 and 3 == gf7(3)
+        assert gf7(0) != 7 and gf7(6) != -1
+        assert gf7(0) in {0} and gf7(0) not in {7}
+        table = {gf7(3): "x"}
+        assert table.get(3) == "x" and table.get(10) is None
+
+
+class TestKernelOracle:
+    """Polynomial and Matrix arithmetic against schoolbook FieldElement computations."""
+
+    @given(a=coeff_lists, b=coeff_lists)
+    def test_add_sub_mul(self, a, b):
+        pa, pb = Polynomial(GF97, a), Polynomial(GF97, b)
+        n = max(len(a), len(b))
+        fa = [GF97(c) for c in a] + [GF97.zero] * (n - len(a))
+        fb = [GF97(c) for c in b] + [GF97.zero] * (n - len(b))
+        assert (pa + pb).coeffs == fe_strip([x + y for x, y in zip(fa, fb)])
+        assert (pa - pb).coeffs == fe_strip([x - y for x, y in zip(fa, fb)])
+        prod = [GF97.zero] * (len(a) + len(b))
+        for i, x in enumerate(a):
+            for j, y in enumerate(b):
+                prod[i + j] = prod[i + j] + GF97(x) * GF97(y)
+        assert (pa * pb).coeffs == fe_strip(prod)
+
+    @given(a=coeff_lists, b=coeff_lists.filter(lambda cs: any(GF97(c) for c in cs)))
+    def test_divmod(self, a, b):
+        q, r = divmod(Polynomial(GF97, a), Polynomial(GF97, b))
+        assert (q.coeffs, r.coeffs) == fe_divmod(a, b)
+
+    @given(cs=coeff_lists, x=st.one_of(elements, any_ints))
+    def test_evaluation(self, cs, x):
+        assert Polynomial(GF97, cs)(x) == fe_eval(cs, x)
+
+    @given(xs=st.lists(residues, min_size=1, max_size=6, unique=True),
+           ys=st.lists(elements, min_size=6, max_size=6))
+    @settings(max_examples=50)
+    def test_lagrange_interpolate(self, xs, ys):
+        points = [(GF97(x), y) for x, y in zip(xs, ys)]
+        poly = lagrange_interpolate(points)
+        assert poly.is_zero or poly.degree < len(points)
+        for z in range(97):
+            expected = GF97.zero
+            for i, (xi, yi) in enumerate(points):
+                term = yi
+                for j, (xj, _) in enumerate(points):
+                    if j != i:
+                        term = term * (GF97(z) - xj) / (xi - xj)
+                expected = expected + term
+            assert poly(GF97(z)) == expected
+
+    @given(rows=st.lists(st.lists(st.one_of(elements, any_ints), min_size=3, max_size=3),
+                         max_size=4),
+           vec=st.lists(st.one_of(elements, any_ints), min_size=3, max_size=3))
+    def test_mul_vec(self, rows, vec):
+        out = Matrix(GF97, rows, ncols=3).mul_vec(vec)
+        assert out == tuple(
+            sum((GF97(a) * GF97(b) for a, b in zip(row, vec)), GF97.zero) for row in rows
+        )
+
+
+class TestKernelBoundary:
+    """Residues inside Polynomial and Matrix, FieldElements at every accessor."""
+
+    def test_residue_conversion(self, gf7, gf97):
+        assert gf7.residue(10) == 3 and gf7.residue(-1) == 6
+        assert gf7.residue(gf7(5)) == 5
+        with pytest.raises(ValueError, match="different field"):
+            gf7.residue(gf97(5))
+
+    @given(a=coeff_lists, b=coeff_lists.filter(lambda cs: any(GF97(c) for c in cs)),
+           x=st.one_of(elements, any_ints))
+    def test_polynomials_hold_residues(self, a, b, x):
+        pa, pb = Polynomial(GF97, a), Polynomial(GF97, b)
+        for poly in (pa, pa + pb, pa - pb, -pa, pa * pb, pa * x, pa**2, *divmod(pa, pb)):
+            assert is_residue_tuple(poly.coeffs, 97)
+        for value in (pa.coefficient(0), pa.coefficient(10), pa(x)):
+            assert isinstance(value, FieldElement) and value.field == GF97
+
+    @given(rows=st.lists(st.lists(st.one_of(elements, any_ints), min_size=2, max_size=2),
+                         min_size=1, max_size=3))
+    def test_matrices_hold_residues(self, rows):
+        m = Matrix(GF97, rows)
+        assert isinstance(m.rows, tuple)
+        assert all(is_residue_tuple(row, 97) for row in m.rows)
+        assert isinstance(m[0, 1], FieldElement) and m[0, 1].field == GF97
+        assert all(isinstance(v, FieldElement) for v in m.mul_vec([1, GF97(2)]))
+        sol = solve_linear(m, [0] * m.nrows)
+        assert all(isinstance(v, FieldElement) and v.field == GF97 for v in sol)
+
+    def test_interpolant_and_vandermonde_hold_residues(self, gf97):
+        poly = lagrange_interpolate([(gf97(1), gf97(5)), (gf97(2), gf97(90)), (gf97(4), 3)])
+        assert is_residue_tuple(poly.coeffs, 97)
+        assert all(is_residue_tuple(row, 97) for row in vandermonde([gf97(3), gf97(96)], 4).rows)
+
+    def test_foreign_field_rejected(self, gf7, gf97):
+        poly = Polynomial(gf97, [1, 2])
+        m = Matrix(gf97, [[1, 2], [3, 4]])
+        for build in (
+            lambda: Polynomial(gf97, [1, gf7(1)]),
+            lambda: Matrix(gf97, [[1, gf7(1)]]),
+            lambda: poly(gf7(3)),
+            lambda: m.mul_vec([gf97(1), gf7(1)]),
+            lambda: solve_linear(m, [gf97(1), gf7(1)]),
+        ):
+            with pytest.raises(ValueError, match="different field"):
+                build()

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shardlab import (
     AdversaryConfig,
@@ -215,6 +217,33 @@ class TestCommLoad:
         r10, r20, r40, r80 = (ratio(n) for n in (10, 20, 40, 80))
         assert r40 - r20 == 2 * (r20 - r10)
         assert r80 - r40 == 2 * (r40 - r20)
+
+    @given(
+        K=st.integers(min_value=1, max_value=4),
+        extra=st.integers(min_value=0, max_value=4),
+        n_silent=st.integers(min_value=0, max_value=3),
+        captured=st.integers(min_value=0, max_value=2),
+        seed=st.integers(min_value=0, max_value=99),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_epoch_messages_total_matches_comm_load(self, field, K, extra, n_silent,
+                                                   captured, seed):
+        # the report files honest proposals under broadcast, comm_load under
+        # unicast: only the totals agree, less N per silent node
+        N = 2 * K - 1 + extra + n_silent
+        captured = min(captured, n_silent, K)
+        adversary = None
+        if n_silent:
+            adversary = AdversaryConfig(
+                adversarial_nodes=frozenset(range(N - n_silent + 1, N + 1)),
+                adversarial_producers=tuple(range(1, captured + 1)),
+                v=2,
+                broadcast_strategy="silent",
+            )
+        sim = make_sim(field, K=K, N=N)
+        report = run_epoch(sim, adversary, rng=seed)
+        total = comm_load(sim.params).total
+        assert sum(report.messages.values()) == total - n_silent * N
 
     def test_unknown_mitigation(self, field):
         with pytest.raises(ValueError):
