@@ -105,6 +105,8 @@ def forge_versions(
     if not history:
         raise ValueError("shard history must include at least the genesis block")
     field = history[0].field
+    if v > field.modulus:
+        raise ValueError(f"cannot forge {v} distinct versions in GF({field.modulus})")
     blocks: list[FieldElement] = []
     if valid_first:
         if fn is None or fn.valid_block is None:

@@ -79,6 +79,17 @@ CONFIG_SCHEMA = {
 }
 
 
+def _is_json_integer(checker, instance) -> bool:
+    # JSON Schema counts 20.0 as an integer; the scenarios need a Python int
+    return isinstance(instance, int) and not isinstance(instance, bool)
+
+
+_Validator = jsonschema.validators.validator_for(CONFIG_SCHEMA)
+_ConfigValidator = jsonschema.validators.extend(
+    _Validator, type_checker=_Validator.TYPE_CHECKER.redefine("integer", _is_json_integer)
+)
+
+
 class ConfigError(ValueError):
     """The configuration cannot be used to run a scenario."""
 
@@ -107,7 +118,7 @@ def load_config(path: str | Path) -> dict:
 
 def validate_config(config: dict) -> None:
     try:
-        jsonschema.validate(config, CONFIG_SCHEMA)
+        jsonschema.validate(config, CONFIG_SCHEMA, cls=_ConfigValidator)
     except jsonschema.ValidationError as exc:
         raise ConfigError(f"config rejected: {exc.message}") from exc
 
@@ -158,6 +169,8 @@ def _simulation_scenario(config: dict, scenario: str, out_path: Path) -> None:
         )
     elif scenario == "discrepancy_attack":
         v = _scalar(params, "v", 2)
+        if v > field.modulus:
+            raise ConfigError(f"v={v} distinct block versions do not fit in GF({field.modulus})")
         gamma = params.get("gamma")
         beta_prime = (
             _scalar(params, "beta_prime", None)

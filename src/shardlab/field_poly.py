@@ -305,8 +305,6 @@ class Polynomial:
     def __eq__(self, other) -> bool:
         if isinstance(other, Polynomial):
             return self.field == other.field and self.coeffs == other.coeffs
-        if isinstance(other, (FieldElement, int)):
-            return self == Polynomial(self.field, (other,))
         return NotImplemented
 
     def __hash__(self) -> int:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 from .field_poly import (
@@ -59,6 +60,12 @@ class EncodingParams:
     def field(self) -> PrimeField:
         return self.omegas[0].field
 
+    @cached_property
+    def lagrange_matrix(self) -> tuple[tuple[int, ...], ...]:
+        """N x K residues: row n-1 holds every shard's basis value at alpha_n."""
+        return tuple(tuple(lagrange_basis(self, k, alpha).value for k in range(1, self.K + 1))
+                     for alpha in self.alphas)
+
     @property
     def composed_degree(self) -> int:
         """Degree bound d(K-1) of a verification polynomial composed with coded blocks."""
@@ -93,14 +100,13 @@ def lagrange_basis(params: EncodingParams, k: int, z: FieldElement) -> FieldElem
 
 
 def encode_at_node(received: ReceivedProposals, params: EncodingParams, n: int) -> FieldElement:
-    """Coded block at node n: sum of received payloads weighted by basis values at alpha_n."""
+    """Coded block at node n: row n of the Lagrange matrix times the received payloads."""
     if not 1 <= n <= params.N:
         raise ValueError(f"node index {n} out of range 1..{params.N}")
     if len(received) != params.K:
         raise ValueError("a view must contain exactly one payload per shard")
-    alpha = params.alphas[n - 1]
-    return params.field(sum(params.field.residue(x) * lagrange_basis(params, k, alpha).value
-                            for k, x in enumerate(received, start=1)))
+    row, residue = params.lagrange_matrix[n - 1], params.field.residue
+    return params.field(sum(residue(x) * w for x, w in zip(received, row)))
 
 
 def build_coded_poly(view: ReceivedProposals, params: EncodingParams) -> Polynomial:

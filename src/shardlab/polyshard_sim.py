@@ -83,26 +83,16 @@ class ShardChain:
 
 class NodeState:
     """One node: its evaluation point, its coded chain, and (driver bookkeeping)
-    the accepted-block tuples its coded entries are evaluations of."""
+    the id of the accepted-block history its coded entries are evaluations of."""
 
-    __slots__ = ("node", "alpha", "role", "coded_chain", "chain_basis")
+    __slots__ = ("node", "alpha", "role", "coded_chain", "chain")
 
-    def __init__(self, node: int, alpha: FieldElement, coded_genesis: FieldElement,
-                 genesis_basis: tuple[int, ...]):
+    def __init__(self, node: int, alpha: FieldElement, coded_genesis: FieldElement):
         self.node = node
         self.alpha = alpha
         self.role = "honest"
         self.coded_chain: list[FieldElement] = [coded_genesis]
-        self.chain_basis: list[tuple[int, ...]] = [genesis_basis]
-
-    def fingerprint(self) -> tuple[tuple[int, ...], ...]:
-        """Identity of the chain the node is on: one block tuple per epoch.
-
-        Two nodes share a fingerprint iff their coded entries are evaluations
-        of the same accepted-block polynomials, which is what diverges under
-        an attack; the raw entries differ between nodes by construction.
-        """
-        return tuple(self.chain_basis)
+        self.chain = 0  # every node starts on the genesis chain
 
 
 @dataclass
@@ -166,20 +156,22 @@ class Simulation:
         self.epoch = 0
         # genesis block of shard k is the public constant k
         self.chains = [ShardChain(k, field(k)) for k in range(1, params.K + 1)]
-        genesis_blocks = tuple(c.genesis for c in self.chains)
-        p0 = build_coded_poly(genesis_blocks, params)
-        self.history_polys: list[Polynomial] = [p0]
-        genesis_basis = tuple(b.value for b in genesis_blocks)
+        genesis = tuple(c.genesis for c in self.chains)
+        self.history_polys: list[Polynomial] = [build_coded_poly(genesis, params)]
         self.nodes = [
-            NodeState(n, params.alphas[n - 1], p0(params.alphas[n - 1]), genesis_basis)
+            NodeState(n, params.alphas[n - 1], encode_at_node(genesis, params, n))
             for n in range(1, params.N + 1)
         ]
+        # (parent chain id, appended block residues) -> chain id; 0 is genesis.
+        # Two nodes share an id iff their coded entries are evaluations of the
+        # same accepted-block polynomials, which is what diverges under attack.
+        self.chain_ids: dict[tuple[int, tuple[int, ...]], int] = {}
 
     def honest_nodes(self) -> list[NodeState]:
         return [node for node in self.nodes if node.role == "honest"]
 
     def chain_divergence(self) -> int:
-        return len({node.fingerprint() for node in self.honest_nodes()})
+        return len({node.chain for node in self.honest_nodes()})
 
 
 def propose_blocks(
@@ -360,20 +352,16 @@ def _append_epoch(sim, canonical, bits, views):
     the decode silently diverges; adversarial nodes track the canonical chain.
     """
     params = sim.params
-    accepted = [b * x for b, x in zip(bits, canonical)]
+    accepted = tuple(b * x for b, x in zip(bits, canonical))
     for chain, block in zip(sim.chains, accepted):
         chain.blocks.append(block)
-    p_t = build_coded_poly(tuple(accepted), params)
-    sim.history_polys.append(p_t)
-    canonical_basis = tuple(b.value for b in accepted)
+    sim.history_polys.append(build_coded_poly(accepted, params))
     for node in sim.nodes:
-        if node.role == "honest":
-            masked = tuple(b * x for b, x in zip(bits, views[node.node]))
-            node.coded_chain.append(encode_at_node(masked, params, node.node))
-            node.chain_basis.append(tuple(b.value for b in masked))
-        else:
-            node.coded_chain.append(p_t(node.alpha))
-            node.chain_basis.append(canonical_basis)
+        view = views[node.node] if node.role == "honest" else canonical
+        masked = tuple(b * x for b, x in zip(bits, view))
+        node.coded_chain.append(encode_at_node(masked, params, node.node))
+        key = (node.chain, tuple(b.value for b in masked))
+        node.chain = sim.chain_ids.setdefault(key, len(sim.chain_ids) + 1)
 
 
 @dataclass(frozen=True)

@@ -56,6 +56,11 @@ class TestForgeVersions:
         assert fn.evaluate(blocks[0], history) == field.zero
         assert blocks[0] != blocks[1]
 
+    def test_more_versions_than_field_elements_rejected(self, gf7, rng):
+        assert len({b.value for b in forge_versions((gf7(1),), 7, rng)}) == 7
+        with pytest.raises(ValueError, match="distinct versions"):
+            forge_versions((gf7(1),), 8, rng)
+
     def test_distinctness_over_seeds(self, field):
         for seed in range(100):
             blocks = forge_versions((field(1),), 3, random.Random(seed))

@@ -86,6 +86,9 @@ class TestConfigValidation:
             pytest.param("discrepancy_attack",
                          {"N": 12, "K": 3, "d": 2, "beta": 13, "beta_prime": 1, "v": 2},
                          id="attack-beta-above-N"),
+            pytest.param("discrepancy_attack",
+                         {"N": 10, "K": 3, "d": 2, "beta": 2, "beta_prime": 1, "v": 40, "p": 31},
+                         id="v-above-p"),
             pytest.param("threshold_sweep",
                          {"K": 3, "d": 2, "beta": 1, "beta_prime": 1, "v": 2,
                           "N_range": [12, 5]},
@@ -109,6 +112,26 @@ class TestConfigValidation:
         assert run(path, out_dir=tmp_path) == 2
         written = {p.name for p in tmp_path.iterdir()} - {path.name}
         assert not written
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            pytest.param({"params": {"N": 20.0, "K": 3, "d": 2}}, id="N"),
+            pytest.param({"scenario": "threshold_sweep",
+                          "params": {"K": 3, "d": 2, "beta": 1, "beta_prime": 1, "v": 2,
+                                     "N_range": [20, 24.0]}},
+                         id="N_range"),
+            pytest.param({"epochs": 2.0}, id="epochs"),
+            pytest.param({"seeds": [1.0]}, id="seeds"),
+            pytest.param({"params": {"N": 12, "K": 3, "d": 2, "p": 31.0}}, id="p"),
+            pytest.param({"scenario": "bound_table", "params": {"K": [3.0]}}, id="K-list"),
+        ],
+    )
+    def test_integral_floats_are_config_errors(self, tmp_path, overrides):
+        # JSON Schema's "integer" admits 20.0; the scenarios need JSON integers
+        path, _ = write_config(tmp_path, **overrides)
+        assert run(path, out_dir=tmp_path) == 2
+        assert {p.name for p in tmp_path.iterdir()} == {path.name}
 
     def test_program_fault_is_not_a_config_error(self, tmp_path, monkeypatch):
         def faulty_epoch(*args, **kwargs):

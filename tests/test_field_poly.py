@@ -278,6 +278,15 @@ class TestEqualityAndHash:
         table = {gf7(3): "x"}
         assert table.get(3) == "x" and table.get(10) is None
 
+    @given(a=coeff_lists, b=coeff_lists, c=any_ints)
+    def test_polynomial_equals_only_polynomials(self, a, b, c):
+        pa, pb = Polynomial(GF97, a), Polynomial(GF97, b)
+        if pa == pb:
+            assert hash(pa) == hash(pb)
+        for poly in (pa, Polynomial(GF97, [c])):
+            assert poly != c and c != poly
+            assert poly != GF97(c) and GF97(c) != poly
+
 
 class TestKernelOracle:
     """Polynomial and Matrix arithmetic against schoolbook FieldElement computations."""

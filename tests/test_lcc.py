@@ -91,6 +91,22 @@ class TestEncodeAtNode:
             for n in range(1, 13):
                 assert encode_at_node(view, params, n) == poly_eval(poly, params.alphas[n - 1])
 
+    def test_matches_basis_sum_on_custom_layout(self, gf97, rng):
+        # the cached Lagrange matrix against the per-point basis it is built from
+        params = EncodingParams(K=4, N=5, omegas=tuple(map(gf97, (90, 3, 41, 17))),
+                                alphas=tuple(map(gf97, (0, 96, 55, 8, 23))), d=2)
+        for _ in range(10):
+            view = tuple(gf97.random(rng) for _ in range(4))
+            for n, alpha in enumerate(params.alphas, start=1):
+                expected = sum((lagrange_basis(params, k, alpha) * x
+                                for k, x in enumerate(view, start=1)), gf97.zero)
+                assert encode_at_node(view, params, n) == expected
+        for n in (0, -1, 6):
+            with pytest.raises(ValueError, match="out of range"):
+                encode_at_node(view, params, n)
+        with pytest.raises(ValueError, match="one payload per shard"):
+            encode_at_node(view[:3], params, 1)
+
     def test_linear_in_view(self, field, rng):
         params = EncodingParams.default(4, 6, 2, field)
         for _ in range(10):

@@ -17,6 +17,7 @@ from shardlab import (
     propose_blocks,
     run_epoch,
 )
+from shardlab import polyshard_sim
 from shardlab.polyshard_sim import history_power_check, power_check
 
 
@@ -191,6 +192,39 @@ class TestDivergence:
         run_epoch(sim, discrepancy_adversary({18, 19, 20}), rng=9)
         assert all(len(c.blocks) == 0 for c in sim.chains)
         assert sim.chain_divergence() == 1
+
+    @pytest.mark.parametrize("policy", ["stall", "append_own_view"])
+    def test_chain_ids_match_full_masked_histories(self, field, monkeypatch, policy):
+        # oracle: each node's whole history of masked block tuples, the chain
+        # identity the interned ids stand for, rebuilt beside the simulation
+        sim = make_sim(field, K=3, N=14, failure_policy=policy)
+        histories = {node.node: [] for node in sim.nodes}
+        append = polyshard_sim._append_epoch
+
+        def recording_append(sim, canonical, bits, views):
+            for node in sim.nodes:
+                view = views[node.node] if node.role == "honest" else canonical
+                histories[node.node].append(tuple((b * x).value for b, x in zip(bits, view)))
+            append(sim, canonical, bits, views)
+
+        monkeypatch.setattr(polyshard_sim, "_append_epoch", recording_append)
+        # adversaries come and go, so nodes switch roles between epochs
+        adversaries = [discrepancy_adversary({12, 13, 14}), None,
+                       discrepancy_adversary({1, 2, 3}, v=3), garbage_adversary({13, 14}),
+                       None, discrepancy_adversary({5, 9, 14}, producers=(2, 3))]
+        divergence = []
+        for t, adversary in enumerate(adversaries):
+            report = run_epoch(sim, adversary, rng=70 + t)
+            honest = [histories[node.node] for node in sim.honest_nodes()]
+            assert report.chain_divergence == len({tuple(h) for h in honest})
+            divergence.append(report.chain_divergence)
+            for node in sim.nodes:
+                assert len(node.coded_chain) == len(sim.history_polys)
+                if node.role == "adversarial" and not report.stalled:
+                    # adversarial nodes hold the canonical coded entry
+                    assert node.coded_chain[-1] == sim.history_polys[-1](node.alpha)
+        assert all(node.coded_chain[0] == sim.history_polys[0](node.alpha) for node in sim.nodes)
+        assert (max(divergence) > 1) == (policy == "append_own_view")
 
 
 class TestCommLoad:
