@@ -25,7 +25,7 @@ for t in range(3):
     epoch = run_epoch(sim, None, rng=t)
     print(f"epoch {epoch.epoch}: status={epoch.statuses[1]}, accept bits={epoch.accepted[1]}, "
           f"divergence={epoch.chain_divergence}")
-print(f"shard 1 chain after 3 epochs: {[b.value for b in sim.chains[0].history()]}")
+print(f"shard 1 chain after 3 epochs: {[b.value for b in sim.chains[0].history]}")
 
 print("\n--- five garbage broadcasters (at the tolerance) ---")
 sim = Simulation(params, fn)

@@ -111,7 +111,7 @@ def forge_versions(
     if valid_first:
         if fn is None or fn.valid_block is None:
             raise ValueError("valid_first forging needs a verification fn that can build valid blocks")
-        blocks.append(fn.valid_block(tuple(history)))
+        blocks.append(fn.valid_block(history))
     seen = {b.value for b in blocks}
     while len(blocks) < v:
         candidate = field.random(rng)
@@ -122,6 +122,19 @@ def forge_versions(
     return blocks
 
 
+def balanced_cells(items: Sequence, n_cells: int, cap: int | None = None) -> list[list]:
+    """Round-robin split of the items over n_cells cells, sizes within one of
+    each other; with a cap, feasible only when len(items) <= n_cells * cap."""
+    if cap is not None and len(items) > n_cells * cap:
+        raise InfeasiblePartition(
+            f"{len(items)} points cannot be spread over {n_cells} cells of at most {cap}"
+        )
+    cells: list[list] = [[] for _ in range(n_cells)]
+    for i, item in enumerate(items):
+        cells[i % n_cells].append(item)
+    return cells
+
+
 def assign_versions(
     nodes: Sequence[int],
     config: AdversaryConfig,
@@ -130,18 +143,14 @@ def assign_versions(
 ) -> VersionAssignment:
     """Assign a version tuple to every node per the configured strategy.
 
-    balanced: round-robin over all v^(producers) tuples, cell sizes within one
-    of each other; with a cap, feasible only when len(nodes) <= tuples * cap.
+    balanced: `balanced_cells` over all v^(producers) tuples, in tuple order.
     random: i.i.d. uniform tuples (needs rng). targeted: the explicit map.
     """
     tuples = all_version_tuples(config.v, config.beta_prime)
     strategy = config.assignment_strategy
     if strategy == "balanced":
-        if cap is not None and len(nodes) > len(tuples) * cap:
-            raise InfeasiblePartition(
-                f"{len(nodes)} nodes cannot be spread over {len(tuples)} cells of at most {cap}"
-            )
-        mapping = {node: tuples[i % len(tuples)] for i, node in enumerate(nodes)}
+        cells = balanced_cells(nodes, len(tuples), cap)
+        mapping = {node: t for t, cell in zip(tuples, cells) for node in cell}
     elif strategy == "random":
         if rng is None:
             raise ValueError("random strategy needs an rng")

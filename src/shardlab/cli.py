@@ -210,8 +210,9 @@ def _threshold_sweep(config: dict, out_path: Path, strict: bool) -> bool:
     lo, hi = params.get("N_range", [1, 1])
     if lo > hi:
         raise ConfigError(f"N_range [{lo}, {hi}] is reversed; give [lo, hi] with lo <= hi")
-    if min(v, d, K) < 1 or beta < 0 or not 0 <= beta_prime <= K:
-        raise ConfigError("threshold_sweep needs v, d, K >= 1, beta >= 0, 0 <= beta_prime <= K")
+    if min(v, d, K) < 1 or beta < 0 or not 0 <= beta_prime < K:
+        # beta_prime = K leaves no honest output, so every verdict would be vacuous
+        raise ConfigError("threshold_sweep needs v, d, K >= 1, beta >= 0, 0 <= beta_prime < K")
     if lo < 2 * beta:
         raise ConfigError(f"N_range starts at {lo}, below 2*beta = {2 * beta}")
     if K + hi - 2 * beta > field.modulus:

@@ -199,10 +199,6 @@ class Polynomial:
         self.coeffs = tuple(cs)
 
     @classmethod
-    def constant(cls, c: FieldElement) -> "Polynomial":
-        return cls(c.field, (c,))
-
-    @classmethod
     def zero(cls, field: PrimeField) -> "Polynomial":
         return cls(field, ())
 

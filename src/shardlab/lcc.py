@@ -61,10 +61,15 @@ class EncodingParams:
         return self.omegas[0].field
 
     @cached_property
+    def basis(self) -> tuple[Polynomial, ...]:
+        """L_1..L_K: L_k is 1 at omega_k and 0 at every other shard point."""
+        return tuple(lagrange_interpolate([(w, int(j == k)) for j, w in enumerate(self.omegas)])
+                     for k in range(self.K))
+
+    @cached_property
     def lagrange_matrix(self) -> tuple[tuple[int, ...], ...]:
         """N x K residues: row n-1 holds every shard's basis value at alpha_n."""
-        return tuple(tuple(lagrange_basis(self, k, alpha).value for k in range(1, self.K + 1))
-                     for alpha in self.alphas)
+        return tuple(tuple(L(alpha).value for L in self.basis) for alpha in self.alphas)
 
     @property
     def composed_degree(self) -> int:
@@ -87,16 +92,7 @@ def lagrange_basis(params: EncodingParams, k: int, z: FieldElement) -> FieldElem
     """Evaluate the k-th shard basis polynomial at z: 1 at omega_k, 0 at the others."""
     if not 1 <= k <= params.K:
         raise ValueError(f"shard index {k} out of range 1..{params.K}")
-    field = params.field
-    p = field.modulus
-    x = field.residue(z)
-    omega_k = params.omegas[k - 1].value
-    num = den = 1
-    for j, omega_j in enumerate(params.omegas, start=1):
-        if j != k:
-            num = num * (x - omega_j.value) % p
-            den = den * (omega_k - omega_j.value) % p
-    return FieldElement(num * pow(den, p - 2, p) % p, field)
+    return params.basis[k - 1](z)
 
 
 def encode_at_node(received: ReceivedProposals, params: EncodingParams, n: int) -> FieldElement:
@@ -113,17 +109,17 @@ def build_coded_poly(view: ReceivedProposals, params: EncodingParams) -> Polynom
     """The degree-(K-1) polynomial taking value view[k-1] at omega_k for every shard."""
     if len(view) != params.K:
         raise ValueError("a view must contain exactly one payload per shard")
-    return lagrange_interpolate(list(zip(params.omegas, view)))
+    return sum((L * x for L, x in zip(params.basis, view)), Polynomial.zero(params.field))
 
 
 def compose_verification(q: Polynomial, coded_history: Sequence[Polynomial], f) -> Polynomial:
-    """Symbolically compose the verification function with coded polynomials.
+    """Compose the verification function with coded polynomials: run f on them.
 
-    `f` must expose `degree` and `compose(q, history) -> Polynomial`. The result
-    is checked against the total-degree bound implied by the inputs; exceeding
-    it signals a verification function whose declared degree is wrong.
+    `f` must expose `degree` and an `evaluate(x, history)` that runs on
+    polynomials. The result is checked against the total-degree bound implied
+    by the inputs; exceeding it signals a wrongly declared degree.
     """
-    composed = f.compose(q, tuple(coded_history))
+    composed = f.evaluate(q, coded_history)
     input_degree = max(
         [q.degree or 0] + [h.degree or 0 for h in coded_history] or [0]
     )

@@ -32,14 +32,13 @@ from .lcc import EncodingParams, build_coded_poly, compose_verification, encode_
 class VerificationFn:
     """A total-degree-d check of a proposed block against its shard history.
 
-    `evaluate` works on field values, `compose` performs the same computation
-    symbolically on coded polynomials, and `valid_block`, when present,
-    constructs a block the check accepts for a given history.
+    `evaluate(x, history)` uses only `+ - * **`, so it runs on field values and,
+    composed, on coded `Polynomial`s; the history is the stored chain, read-only.
+    `valid_block`, when present, constructs a block the check accepts.
     """
 
     degree: int
-    evaluate: Callable[[FieldElement, Sequence[FieldElement]], FieldElement]
-    compose: Callable[[Polynomial, Sequence[Polynomial]], Polynomial]
+    evaluate: Callable[[FieldElement | Polynomial, Sequence], FieldElement | Polynomial]
     valid_block: Callable[[Sequence[FieldElement]], FieldElement] | None = None
 
 
@@ -48,7 +47,6 @@ def power_check(d: int) -> VerificationFn:
     return VerificationFn(
         degree=d,
         evaluate=lambda x, history: x**d,
-        compose=lambda q, history: q**d,
         valid_block=lambda history: history[0].field.zero,
     )
 
@@ -62,23 +60,18 @@ def history_power_check(d: int, a: FieldElement) -> VerificationFn:
     return VerificationFn(
         degree=d,
         evaluate=lambda x, history: (x - a * history[-1]) ** d,
-        compose=lambda q, history: (q - Polynomial.constant(a) * history[-1]) ** d,
         valid_block=lambda history: a * history[-1],
     )
 
 
 class ShardChain:
-    """One shard's accepted blocks; entry 0 is the public genesis constant."""
+    """One shard's accepted blocks; history[0] is the public genesis constant."""
 
-    __slots__ = ("shard", "genesis", "blocks")
+    __slots__ = ("shard", "history")
 
     def __init__(self, shard: int, genesis: FieldElement):
         self.shard = shard
-        self.genesis = genesis
-        self.blocks: list[FieldElement] = []
-
-    def history(self) -> tuple[FieldElement, ...]:
-        return (self.genesis, *self.blocks)
+        self.history: list[FieldElement] = [genesis]
 
 
 class NodeState:
@@ -156,7 +149,7 @@ class Simulation:
         self.epoch = 0
         # genesis block of shard k is the public constant k
         self.chains = [ShardChain(k, field(k)) for k in range(1, params.K + 1)]
-        genesis = tuple(c.genesis for c in self.chains)
+        genesis = tuple(c.history[0] for c in self.chains)
         self.history_polys: list[Polynomial] = [build_coded_poly(genesis, params)]
         self.nodes = [
             NodeState(n, params.alphas[n - 1], encode_at_node(genesis, params, n))
@@ -184,11 +177,11 @@ def propose_blocks(
     proposals = []
     for chain in chains:
         if chain.shard in invalid_shards:
-            proposals.append(chain.genesis.field.random(rng))
+            proposals.append(chain.history[0].field.random(rng))
         else:
             if fn.valid_block is None:
                 raise ValueError("verification fn cannot construct valid blocks")
-            proposals.append(fn.valid_block(chain.history()))
+            proposals.append(fn.valid_block(chain.history))
     return proposals
 
 
@@ -200,7 +193,8 @@ def run_epoch(
     """Advance the simulation by one epoch and report what every node saw.
 
     Delivery, encoding, broadcast corruption, decoding and appends happen in
-    node-index order; decode failure is recorded, never raised.
+    node-index order; decode failure is recorded, never raised. An adversary
+    index outside 1..N or 1..K raises ValueError before any state changes.
     """
     if isinstance(rng, int):
         rng = random.Random(rng)
@@ -208,6 +202,10 @@ def run_epoch(
     t = sim.epoch + 1
     producers = adversary.adversarial_producers if adversary else ()
     adv_nodes = adversary.adversarial_nodes if adversary else frozenset()
+    for kind, indices, top in (("node", adv_nodes, params.N), ("producer", producers, params.K)):
+        for index in sorted(indices):
+            if not 1 <= index <= top:
+                raise ValueError(f"adversarial {kind} {index} out of range 1..{top}")
     for node in sim.nodes:
         node.role = "adversarial" if node.node in adv_nodes else "honest"
     honest_ids = [node.node for node in sim.nodes if node.role == "honest"]
@@ -217,7 +215,7 @@ def run_epoch(
     versions: dict[int, list[FieldElement]] = {}
     for k in producers:
         versions[k] = forge_versions(
-            sim.chains[k - 1].history(), adversary.v, rng,
+            sim.chains[k - 1].history, adversary.v, rng,
             fn=fn, valid_first=adversary.valid_first,
         )
     node_tuples = (assign_versions(honest_ids, adversary, cap=None, rng=rng).node_tuples
@@ -245,7 +243,7 @@ def run_epoch(
     for node in sim.nodes:
         if node.role == "honest":
             coded = encode_at_node(views[node.node], params, node.node)
-            results[node.node] = fn.evaluate(coded, tuple(node.coded_chain))
+            results[node.node] = fn.evaluate(coded, node.coded_chain)
 
     # 3. adversarial nodes broadcast per strategy
     n_silent = 0
@@ -354,7 +352,7 @@ def _append_epoch(sim, canonical, bits, views):
     params = sim.params
     accepted = tuple(b * x for b, x in zip(bits, canonical))
     for chain, block in zip(sim.chains, accepted):
-        chain.blocks.append(block)
+        chain.history.append(block)
     sim.history_polys.append(build_coded_poly(accepted, params))
     for node in sim.nodes:
         view = views[node.node] if node.role == "honest" else canonical

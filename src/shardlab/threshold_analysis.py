@@ -14,7 +14,7 @@ import io
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .adversary import InfeasiblePartition
+from .adversary import InfeasiblePartition, balanced_cells
 from .field_poly import FieldElement, Matrix, PrimeField, nullspace_vector, row_reduce, vandermonde
 from .lcc import VersionTuple, all_version_tuples
 
@@ -92,8 +92,9 @@ def proof_params(
     cells: Sequence[Sequence[FieldElement]] | None = None,
 ) -> AnalysisParams:
     """Adversarial layout at N nodes: 2*beta evaluation rows dropped, the rest
-    spread round-robin over all version tuples with every cell held below
-    d(K-1)+1 (the size at which a cell would decode alone).
+    spread by `balanced_cells` (the simulation's balanced assignment) over all
+    version tuples with every cell held below d(K-1)+1 (the size at which a
+    cell would decode alone).
 
     Canonical points (shard k at k, node n at K+n) are used; pass `cells`
     to pin an explicit partition of the retained points instead.
@@ -112,15 +113,7 @@ def proof_params(
     # adversary actually splits the nodes over several version tuples
     cap = d * (K - 1) if n_tuples > 1 else None
     if cells is None:
-        if cap is not None and retained > n_tuples * cap:
-            raise InfeasiblePartition(
-                f"{retained} retained points cannot be spread over {n_tuples} "
-                f"cells of at most {cap}"
-            )
-        grouped: list[list[FieldElement]] = [[] for _ in range(n_tuples)]
-        for i, alpha in enumerate(alphas):
-            grouped[i % n_tuples].append(alpha)
-        cells = grouped
+        cells = balanced_cells(alphas, n_tuples, cap)
     else:
         if len(cells) != n_tuples:
             raise ValueError("explicit partition must have one cell per tuple")

@@ -61,12 +61,12 @@ def test_criterion_1_lcc_roundtrip():
             accept_set=_Everything(),  # keep the random blocks on the chains
             invalid_proposer_shards=frozenset(range(1, 6)),  # random proposals
         )
-        histories = [chain.history() for chain in sim.chains]
+        histories = [tuple(chain.history) for chain in sim.chains]
         epoch = run_epoch(sim, None, rng=seed)
         assert all(status == "recovered" for status in epoch.statuses.values())
         # direct, uncoded oracle: apply the check to each shard's own block
         direct = [
-            fn.evaluate(chain.blocks[-1], history).value
+            fn.evaluate(chain.history[-1], history).value
             for chain, history in zip(sim.chains, histories)
         ]
         assert epoch.recovered_values == direct

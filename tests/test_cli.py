@@ -105,6 +105,10 @@ class TestConfigValidation:
                          {"K": 3, "d": 2, "beta": 1, "beta_prime": 1, "v": 2,
                           "N_range": [8, 10], "p": 7},
                          id="field-too-small-for-sweep"),
+            pytest.param("threshold_sweep",
+                         {"v": 2, "beta_prime": 3, "d": 2, "K": 3, "beta": 1,
+                          "N_range": [4, 8]},
+                         id="sweep-beta_prime-equals-K"),
         ],
     )
     def test_bad_params_are_config_errors(self, tmp_path, scenario, params):

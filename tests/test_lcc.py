@@ -12,12 +12,27 @@ from shardlab import (
     lagrange_interpolate,
     poly_eval,
 )
-from shardlab.polyshard_sim import VerificationFn, power_check
+from shardlab.polyshard_sim import VerificationFn, history_power_check, power_check
 
 
 def three_shard_params(field, N=4, d=2):
     """Shard points 1, 2, 3 -- the layout used for hand-checkable expansions."""
     return EncodingParams.default(3, N, d, field)
+
+
+def product_basis(params, k, z):
+    """Oracle: L_k(z) = prod_{j != k} (z - omega_j) / (omega_k - omega_j), in elements."""
+    num = den = params.field.one
+    for j, omega_j in enumerate(params.omegas, start=1):
+        if j != k:
+            num *= z - omega_j
+            den *= params.omegas[k - 1] - omega_j
+    return num / den
+
+
+def interpolated_coded_poly(view, params):
+    """Oracle: a fresh interpolation through (omega_k, view[k-1]) for every shard."""
+    return lagrange_interpolate(list(zip(params.omegas, view)))
 
 
 class TestParams:
@@ -92,20 +107,30 @@ class TestEncodeAtNode:
                 assert encode_at_node(view, params, n) == poly_eval(poly, params.alphas[n - 1])
 
     def test_matches_basis_sum_on_custom_layout(self, gf97, rng):
-        # the cached Lagrange matrix against the per-point basis it is built from
-        params = EncodingParams(K=4, N=5, omegas=tuple(map(gf97, (90, 3, 41, 17))),
+        # the cached basis, the Lagrange matrix and the coded polynomial against
+        # the product formula and a fresh interpolation, on two layouts
+        custom = EncodingParams(K=4, N=5, omegas=tuple(map(gf97, (90, 3, 41, 17))),
                                 alphas=tuple(map(gf97, (0, 96, 55, 8, 23))), d=2)
-        for _ in range(10):
-            view = tuple(gf97.random(rng) for _ in range(4))
-            for n, alpha in enumerate(params.alphas, start=1):
-                expected = sum((lagrange_basis(params, k, alpha) * x
-                                for k, x in enumerate(view, start=1)), gf97.zero)
-                assert encode_at_node(view, params, n) == expected
-        for n in (0, -1, 6):
-            with pytest.raises(ValueError, match="out of range"):
-                encode_at_node(view, params, n)
-        with pytest.raises(ValueError, match="one payload per shard"):
-            encode_at_node(view[:3], params, 1)
+        for params in (EncodingParams.default(4, 5, 2, gf97), custom):
+            for k in range(1, 5):
+                for z in params.omegas + params.alphas + (gf97.random(rng),):
+                    assert lagrange_basis(params, k, z) == product_basis(params, k, z)
+            assert params.lagrange_matrix == tuple(
+                tuple(product_basis(params, k, alpha).value for k in range(1, 5))
+                for alpha in params.alphas
+            )
+            for _ in range(10):
+                view = tuple(gf97.random(rng) for _ in range(4))
+                assert build_coded_poly(view, params) == interpolated_coded_poly(view, params)
+                for n, alpha in enumerate(params.alphas, start=1):
+                    expected = sum((product_basis(params, k, alpha) * x
+                                    for k, x in enumerate(view, start=1)), gf97.zero)
+                    assert encode_at_node(view, params, n) == expected
+            for n in (0, -1, 6):
+                with pytest.raises(ValueError, match="out of range"):
+                    encode_at_node(view, params, n)
+            with pytest.raises(ValueError, match="one payload per shard"):
+                encode_at_node(view[:3], params, 1)
 
     def test_linear_in_view(self, field, rng):
         params = EncodingParams.default(4, 6, 2, field)
@@ -123,7 +148,7 @@ class TestBuildCodedPoly:
     def test_constant_view(self, gf97, rng):
         params = three_shard_params(gf97)
         c = gf97.random(rng)
-        assert build_coded_poly((c, c, c), params) == Polynomial.constant(c)
+        assert build_coded_poly((c, c, c), params) == Polynomial(gf97, [c])
 
     def test_roundtrip_at_shard_points(self, field, rng):
         params = EncodingParams.default(6, 8, 2, field)
@@ -164,12 +189,23 @@ class TestComposeVerification:
             for _ in range(20):
                 alpha = field.random(rng)
                 assert poly_eval(composed, alpha) == f.evaluate(poly_eval(q, alpha), ())
+        # with a coded history: the composition evaluated at every node point is
+        # the check a node runs on its own coded block and coded chain
+        params = EncodingParams.default(4, 9, 2, field)
+        views = [tuple(field.random(rng) for _ in range(4)) for _ in range(4)]
+        f = history_power_check(2, field(3))
+        composed = compose_verification(
+            build_coded_poly(views[-1], params), [build_coded_poly(v, params) for v in views[:-1]], f
+        )
+        assert composed.degree == f.degree * (params.K - 1)
+        for n, alpha in enumerate(params.alphas, start=1):
+            coded = [encode_at_node(v, params, n) for v in views]
+            assert composed(alpha) == f.evaluate(coded[-1], coded[:-1])
 
     def test_degree_overflow(self, gf97):
         lying = VerificationFn(
             degree=1,
             evaluate=lambda x, history: x * x,
-            compose=lambda q, history: q * q,
         )
         q = Polynomial(gf97, [1, 2])
         with pytest.raises(DegreeOverflow):

@@ -46,7 +46,7 @@ class TestVerificationFns:
         fn = history_power_check(2, field(3))
         q = Polynomial(field, [field.random(rng) for _ in range(5)])
         p_last = Polynomial(field, [field.random(rng) for _ in range(5)])
-        composed = fn.compose(q, (p_last,))
+        composed = fn.evaluate(q, (p_last,))
         assert composed.degree == 8
 
     def test_history_check_accepts_only_the_chain_extension(self, field, rng):
@@ -67,7 +67,7 @@ class TestProposeBlocks:
         fn = sim.fn
         proposals = propose_blocks(sim.chains, fn, rng)
         for chain, block in zip(sim.chains, proposals):
-            assert block == field(3) * chain.history()[-1]
+            assert block == field(3) * chain.history[-1]
 
     def test_first_epoch_uses_genesis(self, field, rng):
         sim = make_sim(field, K=3, N=8)
@@ -80,7 +80,7 @@ class TestProposeBlocks:
         fn = sim.fn
         rng = random.Random(2024)
         accepted = 0
-        history = sim.chains[0].history()
+        history = sim.chains[0].history
         for _ in range(10_000):
             block = propose_blocks(sim.chains, fn, rng, invalid_shards=frozenset({1}))[0]
             if fn.evaluate(block, history) in sim.accept_set:
@@ -100,8 +100,8 @@ class TestRunEpoch:
         assert report.chain_divergence == 1
         # oracle: verify each shard directly, no coding involved
         for k, chain in enumerate(sim.chains, 1):
-            history = chain.history()[:-1]
-            assert sim.fn.evaluate(chain.blocks[-1], history) == field.zero
+            history = chain.history[:-1]
+            assert sim.fn.evaluate(chain.history[-1], history) == field.zero
 
     def test_discrepancy_breaks_decoding(self, field):
         for seed in range(10):
@@ -142,12 +142,30 @@ class TestRunEpoch:
 
         assert runs() == runs()
 
+    @pytest.mark.parametrize("nodes, producers, bad", [
+        pytest.param({12}, (0,), "producer 0", id="producer-0"),
+        pytest.param({0}, (), "node 0", id="node-0"),
+        pytest.param({12}, (4,), "producer 4", id="producer-above-K"),
+        pytest.param({13}, (), "node 13", id="node-above-N"),
+    ])
+    def test_bad_adversary_index_raises_before_any_change(self, field, nodes, producers, bad):
+        sim = make_sim(field, K=3, N=12)
+        run_epoch(sim, garbage_adversary({11}), rng=1)
+        roles = [node.role for node in sim.nodes]
+        adversary = AdversaryConfig(adversarial_nodes=frozenset(nodes),
+                                    adversarial_producers=producers)
+        with pytest.raises(ValueError, match=f"adversarial {bad} out of range"):
+            run_epoch(sim, adversary, rng=2)
+        assert sim.epoch == 1
+        assert [node.role for node in sim.nodes] == roles
+        assert all(len(c.history) == 2 for c in sim.chains)
+
     def test_epoch_counter_and_chains(self, field):
         sim = make_sim(field, K=3, N=10)
         for t in range(1, 4):
             run_epoch(sim, None, rng=t)
             assert sim.epoch == t
-            assert all(len(c.blocks) == t for c in sim.chains)
+            assert all(len(c.history) == t + 1 for c in sim.chains)
             assert all(len(n.coded_chain) == t + 1 for n in sim.nodes)
 
 
@@ -164,7 +182,7 @@ class TestCodedChainSoundness:
             ]
             poly = lagrange_interpolate(pts)
             for k, chain in enumerate(sim.chains, 1):
-                expected = chain.history()[m]
+                expected = chain.history[m]
                 assert poly_eval(poly, sim.params.omegas[k - 1]) == expected
 
     def test_recovered_epochs_have_identical_bits(self, field):
@@ -190,7 +208,7 @@ class TestDivergence:
     def test_stall_policy_keeps_chains_aligned(self, field):
         sim = make_sim(field)
         run_epoch(sim, discrepancy_adversary({18, 19, 20}), rng=9)
-        assert all(len(c.blocks) == 0 for c in sim.chains)
+        assert all(len(c.history) == 1 for c in sim.chains)
         assert sim.chain_divergence() == 1
 
     @pytest.mark.parametrize("policy", ["stall", "append_own_view"])
