@@ -7,6 +7,7 @@ decoders built on top never need a numerical tolerance.
 from __future__ import annotations
 
 from itertools import zip_longest
+from operator import mul
 from typing import Iterable, Sequence
 
 # Mersenne prime: large enough that random-instance degeneracies have
@@ -343,7 +344,9 @@ class Matrix:
 
     def __init__(self, field: PrimeField, rows: Iterable[Sequence[int | FieldElement]],
                  ncols: int | None = None):
-        rs = tuple(tuple(map(field.residue, row)) for row in rows)
+        p, residue = field.modulus, field.residue
+        # plain ints, the common case, skip the residue call
+        rs = tuple(tuple(v % p if type(v) is int else residue(v) for v in row) for row in rows)
         if rs:
             widths = {len(r) for r in rs}
             if len(widths) != 1:
@@ -373,7 +376,7 @@ class Matrix:
         p = self.field.modulus
         vals = [self.field.residue(v) for v in vec]
         return tuple(
-            FieldElement(sum(a * b for a, b in zip(row, vals)) % p, self.field)
+            FieldElement(sum(map(mul, row, vals)) % p, self.field)
             for row in self.rows
         )
 

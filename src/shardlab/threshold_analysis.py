@@ -4,7 +4,16 @@ When captured producers deliver different block versions to different nodes,
 the broadcast results are evaluations of several composed polynomials. The
 unknowns are the coefficient block of each version tuple plus the honest
 outputs; decodability of the honest outputs is a rank condition on the block
-matrix assembled here, checked exactly over the prime field.
+matrix D assembled here, checked exactly over the prime field.
+
+The check follows the counting argument behind the recovery threshold. D's
+evaluation block A holds one Vandermonde block per version cell; on distinct
+points each has full row rank, so A pins rank(A) = sum(min(|cell|, width))
+coefficients and leaves ker A = {P_t = m_t * h_t}, with m_t the cell's
+vanishing polynomial and deg h_t < max(0, width - |cell|). The agreement and
+tie rows restricted to ker A form a smaller system R over the h_t and the
+outputs, and rank(D) = rank(A) + rank(R), with or without the output columns.
+Only R is eliminated; D is still built, to verify witnesses by multiplication.
 """
 
 from __future__ import annotations
@@ -12,10 +21,13 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Iterable, Sequence
 
 from .adversary import InfeasiblePartition, balanced_cells
-from .field_poly import FieldElement, Matrix, PrimeField, nullspace_vector, row_reduce, vandermonde
+from .field_poly import (
+    FieldElement, Matrix, Polynomial, PrimeField, nullspace_vector, row_reduce, vandermonde,
+)
 from .lcc import VersionTuple, all_version_tuples
 
 
@@ -45,6 +57,12 @@ class AnalysisParams:
             raise ValueError("cannot capture more producers than shards")
         if len(self.producers) != self.beta_prime:
             raise ValueError("producer list must have beta_prime entries")
+        if len(set(self.producers)) != len(self.producers):
+            raise ValueError(f"producers must be distinct, got {self.producers}")
+        if any(not 1 <= k <= self.K for k in self.producers):
+            raise ValueError(f"producers must lie in 1..K = 1..{self.K}, got {self.producers}")
+        if len(self.omegas) != self.K:
+            raise ValueError(f"omegas must hold K = {self.K} points, got {len(self.omegas)}")
         if len(self.partition) != self.v**self.beta_prime:
             raise ValueError("one cell per version tuple is required")
         retained = sum(len(cell) for cell in self.partition)
@@ -136,15 +154,20 @@ def proof_params(
 class SystemMatrices:
     """The decodability system: evaluation, consistency and output-tie blocks.
 
-    Columns: one width-(d(K-1)+1) block of composed-polynomial coefficients per
-    version tuple (descending degree, tuples in lexicographic order), then one
-    column per honest producer output.
+    Columns of D: one width-(d(K-1)+1) block of composed-polynomial coefficients
+    per version tuple (descending degree, tuples in lexicographic order), then one
+    column per honest producer output. R is D's B, C and tie rows on ker A: one
+    block of max(0, width - |cell|) descending coefficients of h_t per tuple,
+    where P_t = m_t * h_t, then the same output columns.
     """
 
     A: Matrix  # evaluations: block-diagonal, one Vandermonde block per cell
     B: Matrix  # tuple 1 vs tuple i agreement at honest shard points
     C: Matrix  # per-producer agreement between tuples sharing a version
     D: Matrix  # A, B, C stacked, plus the tie of tuple 1 to the output columns
+    R: Matrix  # B, C and tie rows restricted to ker A
+    rank_A: int  # sum of min(|cell|, width): the coefficients A pins
+    vanishing: tuple[Polynomial, ...]  # m_t, the vanishing polynomial of each cell
     n_tuples: int
     block_width: int
     z_width: int
@@ -169,64 +192,109 @@ def _c_row_blocks(tuples: Sequence[VersionTuple]) -> list[tuple[int, int, int]]:
     return rows
 
 
+def _vanishing(cell: Sequence[FieldElement], field: PrimeField) -> Polynomial:
+    """The monic polynomial whose roots are the cell's points."""
+    p = field.modulus
+    m = [1]  # ascending
+    for alpha in cell:
+        a = field.residue(alpha)
+        m = [(lo - a * hi) % p for lo, hi in zip([0, *m], [*m, 0])]
+    return Polynomial(field, m)
+
+
 def build_system(params: AnalysisParams) -> SystemMatrices:
-    """Assemble the block matrices for the layout, all Vandermonde rows descending."""
+    """Assemble the block matrices for the layout, all Vandermonde rows descending,
+    and R, the rows of D outside A restricted to ker A."""
     field = params.field
+    p = field.modulus
     width = params.block_width
     tuples = params.tuples
     n_tuples = len(tuples)
     lam_cols = n_tuples * width
     z_width = params.K - params.beta_prime
     degree = width - 1
+    van = vandermonde(params.omegas, degree, field).rows  # one row per shard point
+    vanishing = tuple(_vanishing(cell, field) for cell in params.partition)
+    m_at = [[m(omega).value for omega in params.omegas] for m in vanishing]
+    h_widths = [max(0, width - len(cell)) for cell in params.partition]
+    lam_offsets = [i * width for i in range(n_tuples)]
+    h_offsets = list(accumulate(h_widths, initial=0))
+    h_cols = h_offsets[-1]
 
-    def lam_row(*placements: tuple[int, Sequence[int], int]) -> list[int]:
-        """Zero row over the coefficient columns with Vandermonde segments placed."""
-        row = [0] * lam_cols
+    def place(offsets, ncols, *placements: tuple[int, Sequence[int], int]) -> list[int]:
+        """Zero row of ncols with each (block, coeffs, sign) segment at its block's offset."""
+        row = [0] * ncols
         for block_index, coeffs, sign in placements:
-            for j, c in enumerate(coeffs):
-                row[block_index * width + j] = c if sign > 0 else -c
+            start = offsets[block_index]
+            row[start:start + len(coeffs)] = coeffs if sign > 0 else [-c for c in coeffs]
         return row
+
+    def equation(k: int, *signed: tuple[int, int]) -> tuple[list[int], list[int]]:
+        """D's and R's coefficient rows of sum(sign * P_i(omega_k)) over (i, sign).
+
+        In R, P_i = m_i * h_i, so tuple i's segment is m_i(omega_k) times the
+        last len(h_i) entries of omega_k's Vandermonde row.
+        """
+        d_row = place(lam_offsets, lam_cols, *((i, van[k], s) for i, s in signed))
+        r_row = place(h_offsets, h_cols, *(
+            (i, [m_at[i][k] * c % p for c in van[k][width - h_widths[i]:]], s)
+            for i, s in signed
+        ))
+        return d_row, r_row
 
     # A: one Vandermonde block per version cell, on the diagonal
     a_rows = []
     for i, cell in enumerate(params.partition):
         for van_row in vandermonde(cell, degree, field).rows:
-            a_rows.append(lam_row((i, van_row, 1)))
+            a_rows.append(place(lam_offsets, lam_cols, (i, van_row, 1)))
     A = Matrix(field, a_rows, ncols=lam_cols)
 
     # B: tuple 1's honest-shard evaluations equal every other tuple's
-    honest_omegas = [params.omegas[k - 1] for k in params.honest_producers]
-    van_h = vandermonde(honest_omegas, degree, field).rows if honest_omegas else ()
-    b_rows = [
-        lam_row((0, van_row, 1), (i, van_row, -1))
-        for i in range(1, n_tuples)
-        for van_row in van_h
-    ]
-    B = Matrix(field, b_rows, ncols=lam_cols)
+    honest = [k - 1 for k in params.honest_producers]
+    b_eqs = [equation(k, (0, 1), (i, -1)) for i in range(1, n_tuples) for k in honest]
+    B = Matrix(field, (d_row for d_row, _ in b_eqs), ncols=lam_cols)
 
     # C: tuples sharing a producer's version agree at that producer's shard point
-    c_rows = []
-    for i, j, r in _c_row_blocks(tuples):
-        omega = params.omegas[params.producers[r] - 1]
-        van_row = vandermonde([omega], degree, field).rows[0]
-        c_rows.append(lam_row((i, van_row, 1), (j, van_row, -1)))
-    C = Matrix(field, c_rows, ncols=lam_cols)
+    c_eqs = [
+        equation(params.producers[r] - 1, (i, 1), (j, -1))
+        for i, j, r in _c_row_blocks(tuples)
+    ]
+    C = Matrix(field, (d_row for d_row, _ in c_eqs), ncols=lam_cols)
 
     # final block: tuple 1's honest evaluations are the output unknowns
-    d_rows = [row + [0] * z_width for row in a_rows + b_rows + c_rows]
-    for idx, van_row in enumerate(van_h):
-        tie = [0] * z_width
-        tie[idx] = -1
-        d_rows.append(lam_row((0, van_row, 1)) + tie)
-    D = Matrix(field, d_rows, ncols=lam_cols + z_width)
+    ties = [
+        (equation(k, (0, 1)), [-int(j == idx) for j in range(z_width)])
+        for idx, k in enumerate(honest)
+    ]
+    no_z = [0] * z_width
+    D = Matrix(
+        field,
+        [row + no_z for row in a_rows + [d_row for d_row, _ in b_eqs + c_eqs]]
+        + [d_row + tie for (d_row, _), tie in ties],
+        ncols=lam_cols + z_width,
+    )
+    R = Matrix(
+        field,
+        [r_row + no_z for _, r_row in b_eqs + c_eqs] + [r_row + tie for (_, r_row), tie in ties],
+        ncols=h_cols + z_width,
+    )
     return SystemMatrices(
-        A=A, B=B, C=C, D=D, n_tuples=n_tuples, block_width=width, z_width=z_width
+        A=A, B=B, C=C, D=D, R=R, rank_A=lam_cols - h_cols, vanishing=vanishing,
+        n_tuples=n_tuples, block_width=width, z_width=z_width,
     )
 
 
 @dataclass(frozen=True)
 class RankReport:
-    """Verdict on unique determination of the honest outputs."""
+    """Verdict on unique determination of the honest outputs.
+
+    An ambiguous verdict carries a witness w with D @ w = 0, verified by
+    multiplication, whose output (Z) block is 1 at the first free Z column of D
+    and 0 at the other free Z columns. That block is determined by D alone: in
+    D's reduced echelon form a Z pivot's row is zero left of its pivot, so the
+    Z pivot entries follow from the free Z entries. The coefficient part of w
+    is one of many and is not part of the contract.
+    """
 
     rank_D: int
     rank_D_without_Z_columns: int
@@ -239,26 +307,48 @@ class RankReport:
         return self.witness[-z_width:]
 
 
+def _lift(sys: SystemMatrices, vec: Sequence[FieldElement]) -> tuple[FieldElement, ...]:
+    """Map a nullspace vector of R back to D's columns through P_t = m_t * h_t,
+    and verify it against D by multiplication."""
+    field = sys.D.field
+    width = sys.block_width
+    out: list[int] = []
+    start = 0
+    for m in sys.vanishing:
+        stop = start + max(0, width - m.degree)
+        coeffs = (m * Polynomial(field, reversed(vec[start:stop]))).coeffs
+        out.extend(coeffs[j] if j < len(coeffs) else 0 for j in range(width - 1, -1, -1))
+        start = stop
+    out.extend(field.residue(x) for x in vec[start:])
+    if any(sys.D.mul_vec(out)):
+        raise AssertionError("witness failed verification against D")
+    return tuple(FieldElement(x, field) for x in out)
+
+
 def unique_decodability(sys: SystemMatrices, K: int, beta_prime: int) -> RankReport:
     """Rank test: outputs are unique iff no column relation touches the output block.
 
-    One left-to-right reduction of D answers all of it, as the output (Z) columns
-    come last: rank(D) is the pivot count, the pivots left of Z are the rank of D
-    without the Z columns, and Z is unique iff every Z column is a pivot. If not,
-    the witness is the verified nullspace vector of the first free Z column: two
+    One left-to-right reduction of R, the system on ker A, answers all of it, as
+    the output (Z) columns come last: rank(D) is rank(A) plus R's pivot count,
+    rank(D) without the Z columns is rank(A) plus R's pivots left of Z, and Z is
+    unique iff every Z column is a pivot. If not, the witness is R's nullspace
+    vector at the first free Z column, mapped back to D and verified there: two
     explanations of the same broadcasts that disagree on the honest outputs.
     """
     z_width = K - beta_prime
     if z_width != sys.z_width:
         raise ValueError("K and beta_prime do not match the system's output block")
-    lam_cols = sys.n_tuples * sys.block_width
-    red, pivots = row_reduce(sys.D)
-    free_z = next((c for c in range(lam_cols, sys.D.ncols) if c not in pivots), None)
+    h_cols = sys.R.ncols - z_width
+    red, pivots = row_reduce(sys.R)
+    free_z = next((c for c in range(h_cols, sys.R.ncols) if c not in pivots), None)
+    witness = None
+    if free_z is not None:
+        witness = _lift(sys, nullspace_vector(sys.R, red, pivots, free_z))
     return RankReport(
-        rank_D=len(pivots),
-        rank_D_without_Z_columns=sum(c < lam_cols for c in pivots),
+        rank_D=sys.rank_A + len(pivots),
+        rank_D_without_Z_columns=sys.rank_A + sum(c < h_cols for c in pivots),
         unique_Z=free_z is None,
-        witness=None if free_z is None else nullspace_vector(sys.D, red, pivots, free_z),
+        witness=witness,
     )
 
 
@@ -315,10 +405,13 @@ def empirical_threshold(
     N_range: Iterable[int],
     field: PrimeField,
 ) -> list[SweepRow]:
-    """Rank verdict at each N under the worst balanced partition.
+    """Rank verdict at each N on the round-robin layout of `proof_params`.
 
-    Where the balanced partition is infeasible (every spread would let a cell
-    decode alone), the row records that the construction cannot attack N.
+    That layout is not worst-case for v >= 3: it can report unique outputs
+    below `recovery_threshold`, where another partition is ambiguous, so the
+    threshold it finds can fall below the formula. Where the layout is
+    infeasible (a cell would reach d(K-1)+1 points and decode alone), the row
+    records that the construction cannot attack N.
     """
     rows = []
     for N in N_range:

@@ -2,6 +2,8 @@ import io
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shardlab import (
     AnalysisParams,
@@ -10,6 +12,7 @@ from shardlab import (
     InfeasiblePartition,
     InsufficientEvaluations,
     Matrix,
+    RankReport,
     VersionAssignment,
     build_coded_poly,
     build_system,
@@ -28,6 +31,7 @@ from shardlab import (
     unique_decodability,
     versions_match_set,
 )
+from shardlab.field_poly import nullspace_vector, row_reduce
 from shardlab.lcc import EncodingParams, all_version_tuples
 from shardlab.polyshard_sim import power_check
 from shardlab.threshold_analysis import _c_row_blocks
@@ -249,11 +253,122 @@ class TestOneEliminationVerdict:
                 continue
             sys_m = build_system(params)
             report = unique_decodability(sys_m, params.K, params.beta_prime)
-            assert (
-                report.rank_D, report.rank_D_without_Z_columns, report.unique_Z, report.witness
-            ) == three_elimination_verdict(sys_m), N
+            rank_full, rank_reduced, unique, witness = three_elimination_verdict(sys_m)
+            assert (report.rank_D, report.rank_D_without_Z_columns, report.unique_Z) == (
+                rank_full, rank_reduced, unique
+            ), N
+            # only the output block of a witness is determined; the coefficient
+            # part is any vector completing it to a nullspace vector of D
+            if unique:
+                assert report.witness is None, N
+            else:
+                assert report.zeta_block(sys_m.z_width) == witness[-sys_m.z_width:], N
+                assert not any(sys_m.D.mul_vec(report.witness)), N
             verdicts.add(report.unique_Z)
         assert verdicts == {False, True}
+
+
+def full_d_verdict(sys_m):
+    """The verdict from one reduction of the whole of D, Z columns last."""
+    lam_cols = sys_m.n_tuples * sys_m.block_width
+    red, pivots = row_reduce(sys_m.D)
+    free_z = next((c for c in range(lam_cols, sys_m.D.ncols) if c not in pivots), None)
+    return RankReport(
+        rank_D=len(pivots),
+        rank_D_without_Z_columns=sum(c < lam_cols for c in pivots),
+        unique_Z=free_z is None,
+        witness=None if free_z is None else nullspace_vector(sys_m.D, red, pivots, free_z),
+    )
+
+
+def assert_matches_full_d(params):
+    """unique_decodability, which reduces only R, agrees with the reduction of D."""
+    sys_m = build_system(params)
+    report = unique_decodability(sys_m, params.K, params.beta_prime)
+    oracle = full_d_verdict(sys_m)
+    assert (report.rank_D, report.rank_D_without_Z_columns, report.unique_Z) == (
+        oracle.rank_D, oracle.rank_D_without_Z_columns, oracle.unique_Z
+    )
+    if oracle.unique_Z:
+        assert report.witness is None
+    else:
+        assert report.zeta_block(sys_m.z_width) == oracle.zeta_block(sys_m.z_width)
+        assert not any(sys_m.D.mul_vec(report.witness))
+    return report
+
+
+def explicit_params(field, v, beta_prime, d, K, beta, sizes):
+    """Layout with the given cell sizes over canonical points."""
+    alphas = iter(field(K + n) for n in range(1, sum(sizes) + 1))
+    return AnalysisParams(
+        N=sum(sizes) + 2 * beta, K=K, d=d, beta=beta, beta_prime=beta_prime, v=v,
+        omegas=tuple(field(k) for k in range(1, K + 1)),
+        partition=tuple(tuple(next(alphas) for _ in range(size)) for size in sizes),
+        producers=tuple(range(1, beta_prime + 1)),
+    )
+
+
+class TestRestrictedVerdict:
+    def test_sweep_rank_small_window(self, field):
+        verdicts = {
+            assert_matches_full_d(proof_params(2, 2, 3, 6, 2, N, field)).unique_Z
+            for N in range(44, 55)
+        }
+        assert verdicts == {False, True}
+
+    @pytest.mark.parametrize(
+        "config",
+        [(1, 1, 1, 3, 0), (1, 1, 2, 3, 0), (1, 1, 2, 3, 1), (1, 1, 2, 4, 0),
+         (2, 1, 2, 3, 1), (2, 2, 2, 3, 2)],
+    )
+    def test_one_elimination_configs(self, field, config):
+        threshold = recovery_threshold(*config)
+        for N in range(max(2 * config[-1], threshold - 3), threshold + 2):
+            try:
+                params = proof_params(*config, N, field)
+            except InfeasiblePartition:
+                continue
+            assert_matches_full_d(params)
+
+    @pytest.mark.parametrize("v, beta_prime", [(1, 1), (2, 0)])
+    def test_single_cell_beyond_block_width(self, field, v, beta_prime):
+        # one version tuple, so no cap: the cell outgrows the block and A alone
+        # pins every coefficient
+        params = proof_params(v, beta_prime, 2, 3, 1, 11, field)
+        assert params.cell_sizes == (9,) and params.block_width == 5
+        sys_m = build_system(params)
+        assert sys_m.R.ncols == sys_m.z_width
+        assert assert_matches_full_d(params).unique_Z
+
+    @pytest.mark.parametrize("sizes", [(5, 2), (3, 4)])
+    def test_explicit_two_cell_layouts(self, field, sizes):
+        assert_matches_full_d(explicit_params(field, 2, 1, 2, 3, 1, sizes))
+
+    def test_searched_partition_below_threshold(self, field):
+        # a partition the round-robin layout misses: ambiguous one node below
+        # the threshold of (3, 2, 2, 3, 1)
+        params = explicit_params(field, 3, 2, 2, 3, 1, (4, 3, 3, 3, 2, 2, 3, 2, 2))
+        assert params.N == 26 == recovery_threshold(3, 2, 2, 3, 1) - 1
+        report = assert_matches_full_d(params)
+        assert (report.rank_D, report.rank_D_without_Z_columns) == (45, 45)
+        assert not report.unique_Z
+        assert report.zeta_block(1) == (field(1),)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.sampled_from([(1, 1), (2, 0), (2, 1), (2, 2), (3, 1)]),
+        st.integers(1, 2),
+        st.integers(3, 4),
+        st.integers(0, 1),
+        st.data(),
+    )
+    def test_random_cell_sizes(self, field, vb, d, K, beta, data):
+        v, beta_prime = vb
+        width = d * (K - 1) + 1
+        sizes = data.draw(
+            st.lists(st.integers(0, width), min_size=v**beta_prime, max_size=v**beta_prime)
+        )
+        assert_matches_full_d(explicit_params(field, v, beta_prime, d, K, beta, sizes))
 
 
 class TestBounds:
@@ -310,6 +425,15 @@ class TestFreeVariables:
         assert free_variable_count(2, 1, 2, 3) == slack == 3
 
 
+    def test_restricted_columns_are_the_free_variables(self, field):
+        # one node below the threshold, the coefficients the evaluation block
+        # leaves free are exactly R's coefficient columns
+        for v, bp, d, K in itertools.product(range(1, 4), range(3), range(1, 4), range(3, 6)):
+            N = recovery_threshold(v, bp, d, K, 1) - 1
+            sys_m = build_system(proof_params(v, bp, d, K, 1, N, field))
+            assert sys_m.R.ncols - sys_m.z_width == free_variable_count(v, bp, d, K)
+
+
 class TestEmpiricalThreshold:
     def test_transition_with_no_versions(self, field):
         # v=1 sweeps flip to unique exactly at d(K-1)+1+2*beta
@@ -359,6 +483,22 @@ class TestProofParams:
         with pytest.raises(InfeasiblePartition):
             proof_params(
                 2, 1, 2, 3, 1, 9, field, cells=[alphas[:5], alphas[5:]]
+            )
+
+    @pytest.mark.parametrize(
+        "producers, n_omegas, field_name",
+        [((0,), 3, "producers"), ((4,), 3, "producers"), ((1, 1), 3, "producers"),
+         ((1,), 2, "omegas")],
+    )
+    def test_bad_producers_and_omegas_rejected(self, field, producers, n_omegas, field_name):
+        alphas = [field(4 + i) for i in range(7)]
+        n_cells = 2 ** len(producers)
+        with pytest.raises(ValueError, match=field_name):
+            AnalysisParams(
+                N=9, K=3, d=2, beta=1, beta_prime=len(producers), v=2,
+                omegas=tuple(field(k) for k in range(1, n_omegas + 1)),
+                partition=tuple(tuple(alphas[i::n_cells]) for i in range(n_cells)),
+                producers=producers,
             )
 
     def test_partition_size_checked(self, field):
