@@ -10,6 +10,7 @@ from shardlab import (
     DEFAULT_MODULUS,
     PrimeField,
     build_system,
+    c_row_count,
     empirical_threshold,
     known_behavior_upper_bound,
     proof_params,
@@ -29,10 +30,16 @@ print("--- the system one node below the threshold ---")
 params = proof_params(v, beta_prime, d, K, beta, n_star - 1, field)
 sys_m = build_system(params)
 print(f"partition of retained evaluation points: {params.cell_sizes}")
-print(f"A: {sys_m.A.nrows}x{sys_m.A.ncols} (evaluations)   "
-      f"B: {sys_m.B.nrows}x{sys_m.B.ncols} (honest-point agreement)")
-print(f"C: {sys_m.C.nrows}x{sys_m.C.ncols} (shared-version agreement)   "
-      f"D: {sys_m.D.nrows}x{sys_m.D.ncols} (full system)")
+# the full system's block shapes, counted: only its restriction R is built
+coeff_cols = sys_m.n_tuples * sys_m.block_width
+a_rows = sum(params.cell_sizes)
+b_rows = (sys_m.n_tuples - 1) * sys_m.z_width
+c_rows = c_row_count(v, beta_prime)
+d_rows = a_rows + b_rows + c_rows + sys_m.z_width
+print(f"A: {a_rows}x{coeff_cols} (evaluations)   "
+      f"B: {b_rows}x{coeff_cols} (honest-point agreement)")
+print(f"C: {c_rows}x{coeff_cols} (shared-version agreement)   "
+      f"D: {d_rows}x{coeff_cols + sys_m.z_width} (full system)")
 report = unique_decodability(sys_m, K, beta_prime)
 print(f"rank(D) = {report.rank_D}, rank without output columns = "
       f"{report.rank_D_without_Z_columns}, outputs unique: {report.unique_Z}")

@@ -316,6 +316,16 @@ def poly_eval(poly: Polynomial, point: FieldElement) -> FieldElement:
     return poly(point)
 
 
+def vanishing_polynomial(xs: Iterable[int | FieldElement], field: PrimeField) -> Polynomial:
+    """The monic polynomial prod (z - x) over xs: its roots are exactly the xs."""
+    p = field.modulus
+    m = [1]  # ascending
+    for x in xs:
+        a = field.residue(x)
+        m = [(lo - a * hi) % p for lo, hi in zip([0, *m], [*m, 0])]
+    return Polynomial(field, m)
+
+
 def lagrange_interpolate(points: Sequence[tuple[FieldElement, FieldElement]]) -> Polynomial:
     """Unique polynomial of degree < len(points) through the given (x, y) pairs."""
     if not points:
@@ -325,10 +335,8 @@ def lagrange_interpolate(points: Sequence[tuple[FieldElement, FieldElement]]) ->
     if len(set(xs)) != len(xs):
         raise DuplicateAbscissa("interpolation points must have distinct x values")
     ys = [field(y) for _, y in points]
-    # master = prod (z - x_i); per-point numerators by synthetic division
-    master = Polynomial(field, (1,))
-    for x in xs:
-        master = master * Polynomial(field, (-x, 1))
+    # per-point numerators by synthetic division of prod (z - x_i)
+    master = vanishing_polynomial(xs, field)
     result = Polynomial.zero(field)
     for x, y in zip(xs, ys):
         numerator = master // Polynomial(field, (-x, 1))
@@ -422,12 +430,14 @@ def _rref(rows: list[list[int]], ncols: int, p: int) -> tuple[list[list[int]], l
         if pivot is None:
             continue
         rows[r], rows[pivot] = rows[pivot], rows[r]
+        # the pivot row is zero left of c, so only columns c.. ever change
         inv = pow(rows[r][c], p - 2, p)
-        rows[r] = [x * inv % p for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [(a - f * b) % p for a, b in zip(rows[i], rows[r])]
+        tail = [x * inv % p for x in rows[r][c:]]
+        rows[r][c:] = tail
+        for i, row in enumerate(rows):
+            if i != r and row[c]:
+                f = row[c]
+                row[c:] = [(a - f * b) % p for a, b in zip(row[c:], tail)]
         pivots.append(c)
         r += 1
         if r == len(rows):

@@ -13,7 +13,8 @@ coefficients and leaves ker A = {P_t = m_t * h_t}, with m_t the cell's
 vanishing polynomial and deg h_t < max(0, width - |cell|). The agreement and
 tie rows restricted to ker A form a smaller system R over the h_t and the
 outputs, and rank(D) = rank(A) + rank(R), with or without the output columns.
-Only R is eliminated; D is still built, to verify witnesses by multiplication.
+Only R is built and eliminated; a witness is lifted back to D's columns and
+checked against the layout's equations, evaluated from its points directly.
 """
 
 from __future__ import annotations
@@ -21,12 +22,13 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, combinations
 from typing import Iterable, Sequence
 
 from .adversary import InfeasiblePartition, balanced_cells
 from .field_poly import (
     FieldElement, Matrix, Polynomial, PrimeField, nullspace_vector, row_reduce, vandermonde,
+    vanishing_polynomial,
 )
 from .lcc import VersionTuple, all_version_tuples
 
@@ -53,6 +55,10 @@ class AnalysisParams:
     producers: tuple[int, ...]
 
     def __post_init__(self):
+        # K first: the other checks and `field` read the K shard points
+        for name, least in (("K", 1), ("v", 1), ("d", 1), ("beta", 0)):
+            if getattr(self, name) < least:
+                raise ValueError(f"{name} must be at least {least}, got {getattr(self, name)}")
         if self.beta_prime > self.K:
             raise ValueError("cannot capture more producers than shards")
         if len(self.producers) != self.beta_prime:
@@ -152,25 +158,34 @@ def proof_params(
 
 @dataclass(frozen=True)
 class SystemMatrices:
-    """The decodability system: evaluation, consistency and output-tie blocks.
+    """The decodability system D on the kernel of its evaluation block.
 
-    Columns of D: one width-(d(K-1)+1) block of composed-polynomial coefficients
-    per version tuple (descending degree, tuples in lexicographic order), then one
-    column per honest producer output. R is D's B, C and tie rows on ker A: one
-    block of max(0, width - |cell|) descending coefficients of h_t per tuple,
-    where P_t = m_t * h_t, then the same output columns.
+    D is never built. Its columns are one width-(d(K-1)+1) block of
+    composed-polynomial coefficients per version tuple (descending degree, tuples
+    in lexicographic order), then one column per honest producer output; its rows
+    are the evaluations A, the agreements at honest shard points B, the
+    shared-version agreements C and the tie of tuple 1 to the outputs. R is the
+    B, C and tie rows on ker A: one block of max(0, width - |cell|) descending
+    coefficients of h_t per tuple, where P_t = m_t * h_t, then the same output
+    columns.
     """
 
-    A: Matrix  # evaluations: block-diagonal, one Vandermonde block per cell
-    B: Matrix  # tuple 1 vs tuple i agreement at honest shard points
-    C: Matrix  # per-producer agreement between tuples sharing a version
-    D: Matrix  # A, B, C stacked, plus the tie of tuple 1 to the output columns
+    params: AnalysisParams
     R: Matrix  # B, C and tie rows restricted to ker A
     rank_A: int  # sum of min(|cell|, width): the coefficients A pins
     vanishing: tuple[Polynomial, ...]  # m_t, the vanishing polynomial of each cell
-    n_tuples: int
-    block_width: int
-    z_width: int
+
+    @property
+    def n_tuples(self) -> int:
+        return len(self.params.partition)
+
+    @property
+    def block_width(self) -> int:
+        return self.params.block_width
+
+    @property
+    def z_width(self) -> int:
+        return self.params.K - self.params.beta_prime
 
 
 def _c_row_blocks(tuples: Sequence[VersionTuple]) -> list[tuple[int, int, int]]:
@@ -192,95 +207,48 @@ def _c_row_blocks(tuples: Sequence[VersionTuple]) -> list[tuple[int, int, int]]:
     return rows
 
 
-def _vanishing(cell: Sequence[FieldElement], field: PrimeField) -> Polynomial:
-    """The monic polynomial whose roots are the cell's points."""
-    p = field.modulus
-    m = [1]  # ascending
-    for alpha in cell:
-        a = field.residue(alpha)
-        m = [(lo - a * hi) % p for lo, hi in zip([0, *m], [*m, 0])]
-    return Polynomial(field, m)
-
-
 def build_system(params: AnalysisParams) -> SystemMatrices:
-    """Assemble the block matrices for the layout, all Vandermonde rows descending,
-    and R, the rows of D outside A restricted to ker A."""
+    """Assemble R, the rows of D outside A restricted to ker A."""
     field = params.field
-    p = field.modulus
     width = params.block_width
-    tuples = params.tuples
-    n_tuples = len(tuples)
-    lam_cols = n_tuples * width
+    n_tuples = len(params.partition)
     z_width = params.K - params.beta_prime
-    degree = width - 1
-    van = vandermonde(params.omegas, degree, field).rows  # one row per shard point
-    vanishing = tuple(_vanishing(cell, field) for cell in params.partition)
+    van = vandermonde(params.omegas, width - 1, field).rows  # one row per shard point
+    vanishing = tuple(vanishing_polynomial(cell, field) for cell in params.partition)
     m_at = [[m(omega).value for omega in params.omegas] for m in vanishing]
     h_widths = [max(0, width - len(cell)) for cell in params.partition]
-    lam_offsets = [i * width for i in range(n_tuples)]
     h_offsets = list(accumulate(h_widths, initial=0))
     h_cols = h_offsets[-1]
 
-    def place(offsets, ncols, *placements: tuple[int, Sequence[int], int]) -> list[int]:
-        """Zero row of ncols with each (block, coeffs, sign) segment at its block's offset."""
-        row = [0] * ncols
-        for block_index, coeffs, sign in placements:
-            start = offsets[block_index]
-            row[start:start + len(coeffs)] = coeffs if sign > 0 else [-c for c in coeffs]
+    def equation(k: int, *signed: tuple[int, int]) -> list[int]:
+        """R's row of sum(sign * P_i(omega_k)) over (i, sign), output columns zero.
+
+        P_i = m_i * h_i, so tuple i's segment is m_i(omega_k) times the last
+        len(h_i) entries of omega_k's Vandermonde row.
+        """
+        row = [0] * (h_cols + z_width)
+        for i, sign in signed:
+            scale = sign * m_at[i][k]
+            row[h_offsets[i]:h_offsets[i + 1]] = [scale * c for c in van[k][width - h_widths[i]:]]
         return row
 
-    def equation(k: int, *signed: tuple[int, int]) -> tuple[list[int], list[int]]:
-        """D's and R's coefficient rows of sum(sign * P_i(omega_k)) over (i, sign).
-
-        In R, P_i = m_i * h_i, so tuple i's segment is m_i(omega_k) times the
-        last len(h_i) entries of omega_k's Vandermonde row.
-        """
-        d_row = place(lam_offsets, lam_cols, *((i, van[k], s) for i, s in signed))
-        r_row = place(h_offsets, h_cols, *(
-            (i, [m_at[i][k] * c % p for c in van[k][width - h_widths[i]:]], s)
-            for i, s in signed
-        ))
-        return d_row, r_row
-
-    # A: one Vandermonde block per version cell, on the diagonal
-    a_rows = []
-    for i, cell in enumerate(params.partition):
-        for van_row in vandermonde(cell, degree, field).rows:
-            a_rows.append(place(lam_offsets, lam_cols, (i, van_row, 1)))
-    A = Matrix(field, a_rows, ncols=lam_cols)
-
-    # B: tuple 1's honest-shard evaluations equal every other tuple's
     honest = [k - 1 for k in params.honest_producers]
-    b_eqs = [equation(k, (0, 1), (i, -1)) for i in range(1, n_tuples) for k in honest]
-    B = Matrix(field, (d_row for d_row, _ in b_eqs), ncols=lam_cols)
-
+    # B: tuple 1's honest-shard evaluations equal every other tuple's
+    rows = [equation(k, (0, 1), (i, -1)) for i in range(1, n_tuples) for k in honest]
     # C: tuples sharing a producer's version agree at that producer's shard point
-    c_eqs = [
+    rows += [
         equation(params.producers[r] - 1, (i, 1), (j, -1))
-        for i, j, r in _c_row_blocks(tuples)
+        for i, j, r in _c_row_blocks(params.tuples)
     ]
-    C = Matrix(field, (d_row for d_row, _ in c_eqs), ncols=lam_cols)
-
-    # final block: tuple 1's honest evaluations are the output unknowns
-    ties = [
-        (equation(k, (0, 1)), [-int(j == idx) for j in range(z_width)])
-        for idx, k in enumerate(honest)
-    ]
-    no_z = [0] * z_width
-    D = Matrix(
-        field,
-        [row + no_z for row in a_rows + [d_row for d_row, _ in b_eqs + c_eqs]]
-        + [d_row + tie for (d_row, _), tie in ties],
-        ncols=lam_cols + z_width,
-    )
-    R = Matrix(
-        field,
-        [r_row + no_z for _, r_row in b_eqs + c_eqs] + [r_row + tie for (_, r_row), tie in ties],
-        ncols=h_cols + z_width,
-    )
+    # ties: tuple 1's honest evaluations are the output unknowns
+    for idx, k in enumerate(honest):
+        rows.append(equation(k, (0, 1)))
+        rows[-1][h_cols + idx] = -1
     return SystemMatrices(
-        A=A, B=B, C=C, D=D, R=R, rank_A=lam_cols - h_cols, vanishing=vanishing,
-        n_tuples=n_tuples, block_width=width, z_width=z_width,
+        params=params,
+        R=Matrix(field, rows, ncols=h_cols + z_width),
+        rank_A=n_tuples * width - h_cols,
+        vanishing=vanishing,
     )
 
 
@@ -288,8 +256,8 @@ def build_system(params: AnalysisParams) -> SystemMatrices:
 class RankReport:
     """Verdict on unique determination of the honest outputs.
 
-    An ambiguous verdict carries a witness w with D @ w = 0, verified by
-    multiplication, whose output (Z) block is 1 at the first free Z column of D
+    An ambiguous verdict carries a witness w with D @ w = 0, checked against the
+    layout's equations, whose output (Z) block is 1 at the first free Z column of D
     and 0 at the other free Z columns. That block is determined by D alone: in
     D's reduced echelon form a Z pivot's row is zero left of its pivot, so the
     Z pivot entries follow from the free Z entries. The coefficient part of w
@@ -309,20 +277,30 @@ class RankReport:
 
 def _lift(sys: SystemMatrices, vec: Sequence[FieldElement]) -> tuple[FieldElement, ...]:
     """Map a nullspace vector of R back to D's columns through P_t = m_t * h_t,
-    and verify it against D by multiplication."""
-    field = sys.D.field
-    width = sys.block_width
-    out: list[int] = []
+    and check the P_t and the outputs against the layout's equations, evaluated
+    from its points without R's row placement."""
+    params = sys.params
+    width = params.block_width
+    polys = []
     start = 0
     for m in sys.vanishing:
         stop = start + max(0, width - m.degree)
-        coeffs = (m * Polynomial(field, reversed(vec[start:stop]))).coeffs
-        out.extend(coeffs[j] if j < len(coeffs) else 0 for j in range(width - 1, -1, -1))
+        polys.append(m * Polynomial(params.field, reversed(vec[start:stop])))
         start = stop
-    out.extend(field.residue(x) for x in vec[start:])
-    if any(sys.D.mul_vec(out)):
-        raise AssertionError("witness failed verification against D")
-    return tuple(FieldElement(x, field) for x in out)
+    z = vec[start:]
+    if any(P(alpha) for P, cell in zip(polys, params.partition) for alpha in cell):
+        raise AssertionError("a witness polynomial misses a zero of its cell")
+    at = [[P(omega) for omega in params.omegas] for P in polys]
+    if any(row[k - 1] != z_k for k, z_k in zip(params.honest_producers, z) for row in at):
+        raise AssertionError("witness tuples disagree with the outputs at an honest shard")
+    tuples = params.tuples
+    if any(
+        tuples[i][r] == tuples[j][r] and at[i][k - 1] != at[j][k - 1]
+        for r, k in enumerate(params.producers)
+        for i, j in combinations(range(len(tuples)), 2)
+    ):
+        raise AssertionError("witness tuples sharing a captured producer's version disagree")
+    return (*(P.coefficient(j) for P in polys for j in range(width - 1, -1, -1)), *z)
 
 
 def unique_decodability(sys: SystemMatrices, K: int, beta_prime: int) -> RankReport:
@@ -332,8 +310,9 @@ def unique_decodability(sys: SystemMatrices, K: int, beta_prime: int) -> RankRep
     the output (Z) columns come last: rank(D) is rank(A) plus R's pivot count,
     rank(D) without the Z columns is rank(A) plus R's pivots left of Z, and Z is
     unique iff every Z column is a pivot. If not, the witness is R's nullspace
-    vector at the first free Z column, mapped back to D and verified there: two
-    explanations of the same broadcasts that disagree on the honest outputs.
+    vector at the first free Z column, mapped back to D's columns and checked
+    against the layout's equations: two explanations of the same broadcasts that
+    disagree on the honest outputs.
     """
     z_width = K - beta_prime
     if z_width != sys.z_width:

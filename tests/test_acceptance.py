@@ -38,6 +38,8 @@ from shardlab.lcc import all_version_tuples
 from shardlab.polyshard_sim import history_power_check, power_check
 from shardlab.threshold_analysis import AnalysisParams, _c_row_blocks
 
+from dense_system import dense_system
+
 FIELD = PrimeField(DEFAULT_MODULUS)
 
 
@@ -160,7 +162,7 @@ def test_criterion_4_threshold_witness_exhaustive():
             result = unique_decodability(sys_m, K, beta_prime)
             assert not result.unique_Z
             assert result.witness is not None
-            assert all(x.value == 0 for x in sys_m.D.mul_vec(result.witness))
+            assert all(x.value == 0 for x in dense_system(params).D.mul_vec(result.witness))
             assert any(x.value for x in result.zeta_block(sys_m.z_width))
             checked += 1
     elapsed = time.monotonic() - started

@@ -17,7 +17,7 @@ from shardlab import (
     poly_eval,
     vandermonde,
 )
-from shardlab.field_poly import is_prime, solve_linear
+from shardlab.field_poly import is_prime, row_reduce, solve_linear, vanishing_polynomial
 
 GF97 = PrimeField(97)
 
@@ -264,6 +264,43 @@ def fe_divmod(a, b):
     return fe_strip(quot), fe_strip(rem)
 
 
+def schoolbook_rref(rows, ncols):
+    """Gauss-Jordan on FieldElements, every row updated across all its columns."""
+    rows = [[GF97(x) for x in row] for row in rows]
+    pivots, r = [], 0
+    for c in range(ncols):
+        pivot = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        lead = rows[r][c]
+        rows[r] = [x / lead for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r:
+                f = rows[i][c]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+    return [[x.value for x in row] for row in rows], pivots
+
+
+@st.composite
+def degenerate_matrices(draw):
+    """GF(97) rows with zero columns, repeated rows and combinations of rows."""
+    ncols = draw(st.integers(1, 6))
+    rows = draw(st.lists(st.lists(residues, min_size=ncols, max_size=ncols),
+                         min_size=1, max_size=5))
+    zero_cols = draw(st.sets(st.integers(0, ncols - 1), max_size=ncols))
+    rows = [[0 if c in zero_cols else x for c, x in enumerate(row)] for row in rows]
+    picks = st.integers(0, len(rows) - 1)
+    for _ in range(draw(st.integers(0, 2))):
+        rows.append(list(rows[draw(picks)]))
+    for _ in range(draw(st.integers(0, 2))):
+        a, b, i, j = draw(residues), draw(residues), draw(picks), draw(picks)
+        rows.append([(a * x + b * y) % 97 for x, y in zip(rows[i], rows[j])])
+    return draw(st.permutations(rows)), ncols
+
+
 class TestEqualityAndHash:
     @given(a=any_ints, b=any_ints)
     def test_equal_objects_hash_equal(self, a, b):
@@ -330,6 +367,40 @@ class TestKernelOracle:
                         term = term * (GF97(z) - xj) / (xi - xj)
                 expected = expected + term
             assert poly(GF97(z)) == expected
+
+    @given(xs=st.lists(residues, max_size=6, unique=True))
+    def test_vanishing_polynomial(self, xs):
+        m = vanishing_polynomial(xs, GF97)
+        prod = [GF97.one]  # ascending: multiply by (z - x) one factor at a time
+        for x in xs:
+            prod = [lo - GF97(x) * hi for lo, hi in zip([GF97.zero, *prod], [*prod, GF97.zero])]
+        assert m.coeffs == fe_strip(prod)
+        assert [z for z in range(97) if not m(GF97(z))] == sorted(xs)
+
+    @given(data=degenerate_matrices())
+    @settings(max_examples=200)
+    def test_row_reduce(self, data):
+        rows, ncols = data
+        red, pivots = row_reduce(Matrix(GF97, rows, ncols=ncols))
+        assert (red, pivots) == schoolbook_rref(rows, ncols)
+
+    @given(data=degenerate_matrices(), x=st.lists(residues, min_size=6, max_size=6),
+           noise=st.lists(residues, min_size=9, max_size=9), consistent=st.booleans())
+    @settings(max_examples=200)
+    def test_solve_linear(self, data, x, noise, consistent):
+        rows, ncols = data
+        m = Matrix(GF97, rows, ncols=ncols)
+        rhs = m.mul_vec(x[:ncols]) if consistent else noise[:len(rows)]
+        red, pivots = schoolbook_rref([[*row, GF97(b).value] for row, b in zip(rows, rhs)],
+                                      ncols + 1)
+        sol = solve_linear(m, rhs)
+        if pivots and pivots[-1] == ncols:
+            assert sol is None and not consistent
+        else:
+            expected = [0] * ncols
+            for i, c in enumerate(pivots):
+                expected[c] = red[i][ncols]
+            assert sol == [GF97(v) for v in expected]
 
     @given(rows=st.lists(st.lists(st.one_of(elements, any_ints), min_size=3, max_size=3),
                          max_size=4),

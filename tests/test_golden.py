@@ -1,0 +1,38 @@
+"""Outputs pinned byte for byte to files under tests/golden/.
+
+The files were written by the code before the rank verdict stopped building
+the dense system: demo 05's stdout, and the `threshold_sweep` CSV of
+(v, beta', d, K, beta) = (2, 2, 3, 6, 2) over N = 44..54 from
+`python -m shardlab --config CONFIG` with the config below.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import shardlab
+from shardlab.cli import run
+
+ROOT = Path(__file__).resolve().parents[1]
+GOLDEN = ROOT / "tests" / "golden"
+
+
+def test_demo_05_stdout(tmp_path):
+    src = str(Path(shardlab.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, str(ROOT / "demos" / "05_recovery_threshold.py")],
+                          capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == (GOLDEN / "demo05_stdout.txt").read_text()
+
+
+def test_threshold_sweep_csv(tmp_path, capsys):
+    config = {
+        "scenario": "threshold_sweep",
+        "params": {"v": 2, "beta_prime": 2, "d": 3, "K": 6, "beta": 2, "N_range": [44, 54]},
+    }
+    assert run(config, out_dir=str(tmp_path)) == 0
+    golden = GOLDEN / "threshold_sweep_v2_bp2_d3_K6_beta2.csv"
+    assert (tmp_path / "threshold_sweep.csv").read_bytes() == golden.read_bytes()

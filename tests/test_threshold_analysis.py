@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import itertools
 
@@ -31,10 +32,12 @@ from shardlab import (
     unique_decodability,
     versions_match_set,
 )
-from shardlab.field_poly import nullspace_vector, row_reduce
+from shardlab.field_poly import nullspace_vector, row_reduce, vanishing_polynomial
 from shardlab.lcc import EncodingParams, all_version_tuples
 from shardlab.polyshard_sim import power_check
-from shardlab.threshold_analysis import _c_row_blocks
+from shardlab.threshold_analysis import _c_row_blocks, _lift
+
+from dense_system import dense_system
 
 
 class TestVersionsMatchSet:
@@ -55,33 +58,33 @@ class TestVersionsMatchSet:
 class TestBuildSystem:
     def test_v1_reduces_to_plain_system(self, field):
         params = proof_params(1, 1, 2, 3, 0, 4, field)
-        sys_m = build_system(params)
-        assert sys_m.B.nrows == 0
-        assert sys_m.C.nrows == 0
+        dense = dense_system(params)
+        assert dense.B.nrows == 0
+        assert dense.C.nrows == 0
         width = params.block_width
         # D is evaluations stacked on the output tie, nothing else
-        assert sys_m.D.nrows == sys_m.A.nrows + (3 - 1)
-        assert sys_m.D.ncols == width + 2
+        assert dense.D.nrows == dense.A.nrows + (3 - 1)
+        assert dense.D.ncols == width + 2
 
     def test_two_version_shapes(self, field):
         params = proof_params(2, 1, 2, 3, 1, 9, field)
         sys_m = build_system(params)
+        dense = dense_system(params)
         width = 2 * (3 - 1) + 1
         assert sys_m.block_width == width == 5
-        assert sys_m.A.ncols == 2 * width  # one block of unknowns per version tuple
-        assert sys_m.A.nrows == 7  # N - 2*beta evaluations retained
+        assert dense.A.ncols == 2 * width  # one block of unknowns per version tuple
+        assert dense.A.nrows == 7  # N - 2*beta evaluations retained
         assert sys_m.z_width == 2
-        assert sys_m.B.nrows == (2 - 1) * (3 - 1)
-        assert sys_m.C.nrows == 0
-        assert sys_m.D.nrows == 7 + 2 + 0 + 2
-        assert sys_m.D.ncols == 2 * width + 2
+        assert dense.B.nrows == (2 - 1) * (3 - 1)
+        assert dense.C.nrows == 0
+        assert dense.D.nrows == 7 + 2 + 0 + 2
+        assert dense.D.ncols == 2 * width + 2
 
     def test_pair_agreement_row_count(self, field):
         # two producers with two versions each: (v^(b'-1)-1)*v = 2 rows per
         # producer, 4 in total
         params = proof_params(2, 2, 2, 3, 2, 15, field)
-        sys_m = build_system(params)
-        assert sys_m.C.nrows == 4 == c_row_count(2, 2)
+        assert dense_system(params).C.nrows == 4 == c_row_count(2, 2)
 
     def test_row_blocks_cover_all_agreements(self):
         # transitive closure of the chained rows equals agreement of every pair
@@ -141,7 +144,7 @@ class TestUniqueDecodability:
         report = unique_decodability(sys_m, 3, 1)
         assert not report.unique_Z
         assert report.witness is not None
-        assert all(x.value == 0 for x in sys_m.D.mul_vec(report.witness))
+        assert all(x.value == 0 for x in dense_system(params).D.mul_vec(report.witness))
         assert any(x.value for x in report.zeta_block(sys_m.z_width))
 
     def test_rank_identity(self, field):
@@ -164,9 +167,8 @@ class TestUniqueDecodability:
             partition=(alphas[:5], alphas[5:]),
             producers=(1,),
         )
-        sys_m = build_system(params)
         width = params.block_width
-        for vec in nullspace_basis(sys_m.D):
+        for vec in nullspace_basis(dense_system(params).D):
             assert all(x.value == 0 for x in vec[:width])
 
     def test_structural_rank_of_evaluation_block(self, field):
@@ -179,11 +181,10 @@ class TestUniqueDecodability:
                 partition=(alphas[:split], alphas[split:]),
                 producers=(1,),
             )
-            sys_m = build_system(params)
             expected = sum(
                 min(len(cell), params.block_width) for cell in params.partition
             )
-            assert matrix_rank(sys_m.A) == expected
+            assert matrix_rank(dense_system(params).A) == expected
 
     def test_witness_yields_second_explanation(self, field, rng):
         # two solution vectors under identical broadcasts, different honest outputs
@@ -193,14 +194,15 @@ class TestUniqueDecodability:
             alphas=tuple(a for cell in analysis.partition for a in cell), d=2,
         )
         sys_m = build_system(analysis)
+        D = dense_system(analysis).D
         x_vec, z_vec, y_vec = composed_instance(field, enc, analysis, rng)
         rhs = tuple(y_vec) + tuple(
-            field.zero for _ in range(sys_m.D.nrows - len(y_vec))
+            field.zero for _ in range(D.nrows - len(y_vec))
         )
-        assert sys_m.D.mul_vec(tuple(x_vec) + tuple(z_vec)) == rhs
+        assert D.mul_vec(tuple(x_vec) + tuple(z_vec)) == rhs
         report = unique_decodability(sys_m, 3, 1)
         shifted = [a + b for a, b in zip(tuple(x_vec) + tuple(z_vec), report.witness)]
-        assert sys_m.D.mul_vec(shifted) == rhs  # same broadcasts explained
+        assert D.mul_vec(shifted) == rhs  # same broadcasts explained
         assert shifted[-sys_m.z_width:] != z_vec  # yet the honest outputs differ
         # and the known-version decoder agrees: at this N no cell even reaches
         # the interpolation minimum, so the ambiguity is not decodable away
@@ -221,10 +223,10 @@ class TestUniqueDecodability:
             )
 
 
-def three_elimination_verdict(sys_m):
+def three_elimination_verdict(dense):
     """rank(D), rank(D_lambda), uniqueness and witness by three separate eliminations."""
-    D = sys_m.D
-    lam_cols = sys_m.n_tuples * sys_m.block_width
+    D = dense.D
+    lam_cols = dense.n_tuples * dense.block_width
     rank_full = matrix_rank(D)
     rank_reduced = matrix_rank(
         Matrix(D.field, (row[:lam_cols] for row in D.rows), ncols=lam_cols)
@@ -232,7 +234,7 @@ def three_elimination_verdict(sys_m):
     witness = next(
         (vec for vec in nullspace_basis(D) if any(x.value for x in vec[lam_cols:])), None
     )
-    return rank_full, rank_reduced, rank_full == rank_reduced + sys_m.z_width, witness
+    return rank_full, rank_reduced, rank_full == rank_reduced + dense.z_width, witness
 
 
 class TestOneEliminationVerdict:
@@ -252,8 +254,9 @@ class TestOneEliminationVerdict:
             except InfeasiblePartition:
                 continue
             sys_m = build_system(params)
+            dense = dense_system(params)
             report = unique_decodability(sys_m, params.K, params.beta_prime)
-            rank_full, rank_reduced, unique, witness = three_elimination_verdict(sys_m)
+            rank_full, rank_reduced, unique, witness = three_elimination_verdict(dense)
             assert (report.rank_D, report.rank_D_without_Z_columns, report.unique_Z) == (
                 rank_full, rank_reduced, unique
             ), N
@@ -263,29 +266,30 @@ class TestOneEliminationVerdict:
                 assert report.witness is None, N
             else:
                 assert report.zeta_block(sys_m.z_width) == witness[-sys_m.z_width:], N
-                assert not any(sys_m.D.mul_vec(report.witness)), N
+                assert not any(dense.D.mul_vec(report.witness)), N
             verdicts.add(report.unique_Z)
         assert verdicts == {False, True}
 
 
-def full_d_verdict(sys_m):
+def full_d_verdict(dense):
     """The verdict from one reduction of the whole of D, Z columns last."""
-    lam_cols = sys_m.n_tuples * sys_m.block_width
-    red, pivots = row_reduce(sys_m.D)
-    free_z = next((c for c in range(lam_cols, sys_m.D.ncols) if c not in pivots), None)
+    lam_cols = dense.n_tuples * dense.block_width
+    red, pivots = row_reduce(dense.D)
+    free_z = next((c for c in range(lam_cols, dense.D.ncols) if c not in pivots), None)
     return RankReport(
         rank_D=len(pivots),
         rank_D_without_Z_columns=sum(c < lam_cols for c in pivots),
         unique_Z=free_z is None,
-        witness=None if free_z is None else nullspace_vector(sys_m.D, red, pivots, free_z),
+        witness=None if free_z is None else nullspace_vector(dense.D, red, pivots, free_z),
     )
 
 
 def assert_matches_full_d(params):
     """unique_decodability, which reduces only R, agrees with the reduction of D."""
     sys_m = build_system(params)
+    dense = dense_system(params)
     report = unique_decodability(sys_m, params.K, params.beta_prime)
-    oracle = full_d_verdict(sys_m)
+    oracle = full_d_verdict(dense)
     assert (report.rank_D, report.rank_D_without_Z_columns, report.unique_Z) == (
         oracle.rank_D, oracle.rank_D_without_Z_columns, oracle.unique_Z
     )
@@ -293,7 +297,7 @@ def assert_matches_full_d(params):
         assert report.witness is None
     else:
         assert report.zeta_block(sys_m.z_width) == oracle.zeta_block(sys_m.z_width)
-        assert not any(sys_m.D.mul_vec(report.witness))
+        assert not any(dense.D.mul_vec(report.witness))
     return report
 
 
@@ -369,6 +373,36 @@ class TestRestrictedVerdict:
             st.lists(st.integers(0, width), min_size=v**beta_prime, max_size=v**beta_prime)
         )
         assert_matches_full_d(explicit_params(field, v, beta_prime, d, K, beta, sizes))
+
+
+class TestWitnessEquations:
+    """The lift checks a witness against the layout's equations, not against R."""
+
+    @staticmethod
+    def r_witness(field):
+        sys_m = build_system(proof_params(2, 1, 2, 3, 1, 9, field))
+        red, pivots = row_reduce(sys_m.R)
+        free_z = next(c for c in range(sys_m.R.ncols - sys_m.z_width, sys_m.R.ncols)
+                      if c not in pivots)
+        return sys_m, list(nullspace_vector(sys_m.R, red, pivots, free_z))
+
+    def test_lifted_vector_solves_d(self, field):
+        sys_m, vec = self.r_witness(field)
+        assert not any(dense_system(sys_m.params).D.mul_vec(_lift(sys_m, vec)))
+
+    @pytest.mark.parametrize("index", [0, -1], ids=["h_coefficient", "z_entry"])
+    def test_perturbed_vector_rejected(self, field, index):
+        sys_m, vec = self.r_witness(field)
+        vec[index] += 1
+        with pytest.raises(AssertionError):
+            _lift(sys_m, vec)
+
+    def test_wrong_vanishing_polynomial_rejected(self, field):
+        # the check reads the cells from the layout, not from the m_t it was handed
+        sys_m, vec = self.r_witness(field)
+        shifted = vanishing_polynomial([field(x) for x in range(40, 44)], field)
+        with pytest.raises(AssertionError, match="zero of its cell"):
+            _lift(dataclasses.replace(sys_m, vanishing=(shifted, *sys_m.vanishing[1:])), vec)
 
 
 class TestBounds:
@@ -500,6 +534,24 @@ class TestProofParams:
                 partition=tuple(tuple(alphas[i::n_cells]) for i in range(n_cells)),
                 producers=producers,
             )
+
+    @pytest.mark.parametrize(
+        "name, overrides",
+        [("v", dict(v=0, N=2, partition=())),
+         ("d", dict(d=0)),
+         ("beta", dict(beta=-1, N=0, partition=((4,), (5,)))),
+         ("K", dict(K=0, omegas=(), beta_prime=0, producers=(), partition=(tuple(range(4, 11)),)))],
+    )
+    def test_bad_counts_rejected(self, field, name, overrides):
+        layout = dict(
+            N=9, K=3, d=2, beta=1, beta_prime=1, v=2,
+            omegas=(1, 2, 3), partition=((4, 6, 8, 10), (5, 7, 9)), producers=(1,),
+        )
+        layout.update(overrides)
+        layout["omegas"] = tuple(map(field, layout["omegas"]))
+        layout["partition"] = tuple(tuple(map(field, cell)) for cell in layout["partition"])
+        with pytest.raises(ValueError, match=f"^{name} must be at least"):
+            AnalysisParams(**layout)
 
     def test_partition_size_checked(self, field):
         with pytest.raises(ValueError):
