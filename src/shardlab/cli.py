@@ -13,6 +13,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from itertools import product
 from pathlib import Path
 from typing import Sequence
 
@@ -38,12 +39,11 @@ SCENARIOS = (
     "bound_table",
 )
 
-_INT_OR_LIST = {
-    "anyOf": [
-        {"type": "integer"},
-        {"type": "array", "items": {"type": "integer"}, "minItems": 1},
-    ]
-}
+
+def _int_or_list(minimum: int) -> dict:
+    item = {"type": "integer", "minimum": minimum}
+    return {"anyOf": [item, {"type": "array", "items": item, "minItems": 1}]}
+
 
 CONFIG_SCHEMA = {
     "type": "object",
@@ -55,12 +55,12 @@ CONFIG_SCHEMA = {
             "type": "object",
             "additionalProperties": False,
             "properties": {
-                "N": _INT_OR_LIST,
-                "K": _INT_OR_LIST,
-                "d": _INT_OR_LIST,
-                "beta": _INT_OR_LIST,
-                "beta_prime": _INT_OR_LIST,
-                "v": _INT_OR_LIST,
+                "N": _int_or_list(1),
+                "K": _int_or_list(1),
+                "d": _int_or_list(1),
+                "beta": _int_or_list(0),
+                "beta_prime": _int_or_list(0),
+                "v": _int_or_list(1),
                 "gamma": {"type": "number", "exclusiveMinimum": 0, "maximum": 1},
                 "p": {"type": "integer", "minimum": 2},
                 "N_range": {
@@ -120,7 +120,7 @@ def validate_config(config: dict) -> None:
     try:
         jsonschema.validate(config, CONFIG_SCHEMA, cls=_ConfigValidator)
     except jsonschema.ValidationError as exc:
-        raise ConfigError(f"config rejected: {exc.message}") from exc
+        raise ConfigError(f"config rejected at {exc.json_path}: {exc.message}") from exc
 
 
 def _scalar(params: dict, key: int, default=None):
@@ -210,9 +210,9 @@ def _threshold_sweep(config: dict, out_path: Path, strict: bool) -> bool:
     lo, hi = params.get("N_range", [1, 1])
     if lo > hi:
         raise ConfigError(f"N_range [{lo}, {hi}] is reversed; give [lo, hi] with lo <= hi")
-    if min(v, d, K) < 1 or beta < 0 or not 0 <= beta_prime < K:
+    if beta_prime >= K:
         # beta_prime = K leaves no honest output, so every verdict would be vacuous
-        raise ConfigError("threshold_sweep needs v, d, K >= 1, beta >= 0, 0 <= beta_prime < K")
+        raise ConfigError(f"threshold_sweep needs beta_prime < K, got {beta_prime} >= {K}")
     if lo < 2 * beta:
         raise ConfigError(f"N_range starts at {lo}, below 2*beta = {2 * beta}")
     if K + hi - 2 * beta > field.modulus:
@@ -227,19 +227,20 @@ def _threshold_sweep(config: dict, out_path: Path, strict: bool) -> bool:
 
 def _bound_table(config: dict, out_path: Path) -> None:
     params = config.get("params", {})
+    defaults = (("v", 1), ("beta_prime", 1), ("d", 1), ("K", 2), ("beta", 0))
+    points = list(product(*(_grid(params, key, default) for key, default in defaults)))
+    # the schema bounds each key alone; beta_prime <= K ties two of them
+    if any(beta_prime > K for _, beta_prime, _, K, _ in points):
+        raise ConfigError("bound_table needs beta_prime <= K at every grid point")
     with out_path.open("w") as out:
         out.write("# config: " + json.dumps(config, sort_keys=True) + "\n")
         out.write("v,beta_prime,d,K,beta,recovery_threshold,known_behavior_upper_bound\n")
-        for v in _grid(params, "v", 1):
-            for beta_prime in _grid(params, "beta_prime", 1):
-                for d in _grid(params, "d", 1):
-                    for K in _grid(params, "K", 2):
-                        for beta in _grid(params, "beta", 0):
-                            out.write(
-                                f"{v},{beta_prime},{d},{K},{beta},"
-                                f"{recovery_threshold(v, beta_prime, d, K, beta)},"
-                                f"{known_behavior_upper_bound(v, beta_prime, d, K, beta)}\n"
-                            )
+        for v, beta_prime, d, K, beta in points:
+            out.write(
+                f"{v},{beta_prime},{d},{K},{beta},"
+                f"{recovery_threshold(v, beta_prime, d, K, beta)},"
+                f"{known_behavior_upper_bound(v, beta_prime, d, K, beta)}\n"
+            )
 
 
 def run(config: dict | str | Path, out_dir: str | None = None) -> int:

@@ -421,49 +421,49 @@ def vandermonde(xs: Sequence[FieldElement], degree: int,
     return Matrix(field, rows, ncols=degree + 1)
 
 
-def _rref(rows: list[list[int]], ncols: int, p: int) -> tuple[list[list[int]], list[int]]:
-    """Reduced row echelon form over GF(p) of residue rows; returns (rows, pivot cols)."""
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, len(rows)) if rows[i][c]), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        # the pivot row is zero left of c, so only columns c.. ever change
-        inv = pow(rows[r][c], p - 2, p)
-        tail = [x * inv % p for x in rows[r][c:]]
-        rows[r][c:] = tail
-        for i, row in enumerate(rows):
-            if i != r and row[c]:
-                f = row[c]
-                row[c:] = [(a - f * b) % p for a, b in zip(row[c:], tail)]
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    return rows, pivots
+def echelon(rows: Iterable[Sequence[int]], ncols: int, p: int) -> dict[int, list[int]]:
+    """Echelon basis over GF(p) of the span of residue rows, keyed by leading column.
+
+    Each row is reduced left to right against the rows kept so far; a nonzero
+    remainder is kept, scaled to 1 at its leading column. Every echelon basis of
+    a row space leads at its RREF pivot columns, so the keys are those.
+    """
+    kept: dict[int, list[int]] = {}
+    for row in rows:
+        row = list(row)
+        for c in range(ncols):
+            f = row[c]
+            if f and c in kept:
+                # both rows are zero left of c, so only columns c.. change
+                row[c:] = [(a - f * b) % p for a, b in zip(row[c:], kept[c][c:])]
+            elif f:
+                inv = pow(f, p - 2, p)
+                row[c:] = [x * inv % p for x in row[c:]]
+                kept[c] = row
+                break
+    return kept
 
 
-def row_reduce(m: Matrix) -> tuple[list[list[int]], list[int]]:
-    """Reduced row echelon form of m as plain int rows, and its pivot columns."""
-    return _rref([list(row) for row in m.rows], m.ncols, m.field.modulus)
+def kernel_vector(pivots: dict[int, list[int]], ncols: int, p: int, free: int) -> list[int]:
+    """The x with r @ x = 0 for each row r of `pivots = echelon(...)`, 1 at the non-pivot
+    column `free` and 0 at the other non-pivot columns, by back-substitution."""
+    vec = [0] * ncols
+    vec[free] = 1
+    for c in sorted(pivots, reverse=True):
+        vec[c] = -sum(map(mul, pivots[c][c + 1:], vec[c + 1:])) % p
+    return vec
 
 
 def matrix_rank(m: Matrix) -> int:
-    """Rank over the matrix's field, by exact Gaussian elimination."""
-    return len(row_reduce(m)[1])
+    """Rank over the matrix's field, by exact elimination."""
+    return len(echelon(m.rows, m.ncols, m.field.modulus))
 
 
-def nullspace_vector(m: Matrix, red: list[list[int]], pivots: list[int],
+def nullspace_vector(m: Matrix, pivots: dict[int, list[int]],
                      free: int) -> tuple[FieldElement, ...]:
     """The x with m @ x = 0, 1 at free column `free` and 0 at the other free columns,
-    read off `red, pivots = row_reduce(m)` and re-verified by multiplication."""
-    p = m.field.modulus
-    vec = [0] * m.ncols
-    vec[free] = 1
-    for i, c in enumerate(pivots):
-        vec[c] = -red[i][free] % p
+    from `kernel_vector` on `pivots = echelon(m.rows, ...)`, re-verified by multiplication."""
+    vec = kernel_vector(pivots, m.ncols, m.field.modulus, free)
     if any(m.mul_vec(vec)):
         raise AssertionError("nullspace vector failed verification")
     return tuple(FieldElement(x, m.field) for x in vec)
@@ -471,20 +471,19 @@ def nullspace_vector(m: Matrix, red: list[list[int]], pivots: list[int],
 
 def nullspace_basis(m: Matrix) -> list[tuple[FieldElement, ...]]:
     """Basis of {x : m @ x = 0}, one vector per free column."""
-    red, pivots = row_reduce(m)
-    pivot_set = set(pivots)
-    return [nullspace_vector(m, red, pivots, f) for f in range(m.ncols) if f not in pivot_set]
+    pivots = echelon(m.rows, m.ncols, m.field.modulus)
+    return [nullspace_vector(m, pivots, f) for f in range(m.ncols) if f not in pivots]
 
 
 def solve_linear(m: Matrix, rhs: Sequence[int | FieldElement]) -> list[FieldElement] | None:
-    """One solution of m @ x = rhs (free variables zeroed), or None if inconsistent."""
+    """One solution of m @ x = rhs (free variables zeroed), or None if inconsistent:
+    the kernel vector of [m | -rhs] at its last column, which has none if it is a pivot."""
     if len(rhs) != m.nrows:
         raise ValueError("rhs length does not match row count")
-    rows = [[*row, m.field.residue(b)] for row, b in zip(m.rows, rhs)]
-    red, pivots = _rref(rows, m.ncols + 1, m.field.modulus)
-    if pivots and pivots[-1] == m.ncols:
+    p = m.field.modulus
+    rows = [[*row, -m.field.residue(b) % p] for row, b in zip(m.rows, rhs)]
+    pivots = echelon(rows, m.ncols + 1, p)
+    if m.ncols in pivots:
         return None
-    sol = [0] * m.ncols
-    for i, c in enumerate(pivots):
-        sol[c] = red[i][m.ncols]
+    sol = kernel_vector(pivots, m.ncols + 1, p, m.ncols)[:-1]
     return [FieldElement(x, m.field) for x in sol]

@@ -27,7 +27,7 @@ from typing import Iterable, Sequence
 
 from .adversary import InfeasiblePartition, balanced_cells
 from .field_poly import (
-    FieldElement, Matrix, Polynomial, PrimeField, nullspace_vector, row_reduce, vandermonde,
+    FieldElement, Matrix, Polynomial, PrimeField, echelon, nullspace_vector, vandermonde,
     vanishing_polynomial,
 )
 from .lcc import VersionTuple, all_version_tuples
@@ -259,9 +259,9 @@ class RankReport:
     An ambiguous verdict carries a witness w with D @ w = 0, checked against the
     layout's equations, whose output (Z) block is 1 at the first free Z column of D
     and 0 at the other free Z columns. That block is determined by D alone: in
-    D's reduced echelon form a Z pivot's row is zero left of its pivot, so the
-    Z pivot entries follow from the free Z entries. The coefficient part of w
-    is one of many and is not part of the contract.
+    an echelon basis of D's rows a Z pivot's row is zero left of its pivot, so
+    back-substitution gives the Z pivot entries from the free Z entries. The
+    coefficient part of w is one of many and is not part of the contract.
     """
 
     rank_D: int
@@ -318,16 +318,13 @@ def unique_decodability(sys: SystemMatrices, K: int, beta_prime: int) -> RankRep
     if z_width != sys.z_width:
         raise ValueError("K and beta_prime do not match the system's output block")
     h_cols = sys.R.ncols - z_width
-    red, pivots = row_reduce(sys.R)
+    pivots = echelon(sys.R.rows, sys.R.ncols, sys.params.field.modulus)
     free_z = next((c for c in range(h_cols, sys.R.ncols) if c not in pivots), None)
-    witness = None
-    if free_z is not None:
-        witness = _lift(sys, nullspace_vector(sys.R, red, pivots, free_z))
     return RankReport(
         rank_D=sys.rank_A + len(pivots),
         rank_D_without_Z_columns=sys.rank_A + sum(c < h_cols for c in pivots),
         unique_Z=free_z is None,
-        witness=witness,
+        witness=None if free_z is None else _lift(sys, nullspace_vector(sys.R, pivots, free_z)),
     )
 
 

@@ -2,7 +2,9 @@
 
 The library builds only R, the system restricted to the kernel of the
 evaluation block. Here the dense blocks are built straight from the layout's
-points, so tests can check R's verdicts and witnesses against D itself.
+points, so tests can check R's verdicts and witnesses against D itself, and
+`rref` reduces D by Gauss-Jordan elimination, which the library no longer
+runs, so the oracle shares no elimination code with the library.
 
 Columns of D: one width-(d(K-1)+1) block of composed-polynomial coefficients
 per version tuple (descending degree, tuples in lexicographic order), then one
@@ -73,3 +75,28 @@ def dense_system(params: AnalysisParams) -> DenseSystem:
         block_width=width,
         z_width=z_width,
     )
+
+
+def rref(rows: list[list[int]], ncols: int, p: int) -> tuple[list[list[int]], list[int]]:
+    """Reduced row echelon form over GF(p) of residue rows; returns (rows, pivot cols)."""
+    rows = [list(row) for row in rows]
+    pivots: list[int] = []
+    r = 0
+    for c in range(ncols):
+        pivot = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        # the pivot row is zero left of c, so only columns c.. ever change
+        inv = pow(rows[r][c], p - 2, p)
+        tail = [x * inv % p for x in rows[r][c:]]
+        rows[r][c:] = tail
+        for i, row in enumerate(rows):
+            if i != r and row[c]:
+                f = row[c]
+                row[c:] = [(a - f * b) % p for a, b in zip(row[c:], tail)]
+        pivots.append(c)
+        r += 1
+        if r == len(rows):
+            break
+    return rows, pivots

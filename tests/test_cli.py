@@ -109,6 +109,13 @@ class TestConfigValidation:
                          {"v": 2, "beta_prime": 3, "d": 2, "K": 3, "beta": 1,
                           "N_range": [4, 8]},
                          id="sweep-beta_prime-equals-K"),
+            pytest.param("bound_table", {"v": [0], "K": [0], "d": [0]},
+                         id="bound-table-zero-v-K-d"),
+            pytest.param("bound_table",
+                         {"v": [1, 2], "beta_prime": [5], "d": [-1], "K": [3], "beta": [-4]},
+                         id="bound-table-negative-d-beta"),
+            pytest.param("bound_table", {"beta_prime": [2, 4], "K": [3]},
+                         id="bound-table-beta_prime-above-K"),
         ],
     )
     def test_bad_params_are_config_errors(self, tmp_path, scenario, params):

@@ -17,7 +17,9 @@ from shardlab import (
     poly_eval,
     vandermonde,
 )
-from shardlab.field_poly import is_prime, row_reduce, solve_linear, vanishing_polynomial
+from shardlab.field_poly import (
+    echelon, is_prime, kernel_vector, solve_linear, vanishing_polynomial,
+)
 
 GF97 = PrimeField(97)
 
@@ -379,10 +381,18 @@ class TestKernelOracle:
 
     @given(data=degenerate_matrices())
     @settings(max_examples=200)
-    def test_row_reduce(self, data):
+    def test_echelon_and_kernel_vector(self, data):
         rows, ncols = data
-        red, pivots = row_reduce(Matrix(GF97, rows, ncols=ncols))
-        assert (red, pivots) == schoolbook_rref(rows, ncols)
+        red, pivots = schoolbook_rref(rows, ncols)
+        kept = echelon(rows, ncols, 97)
+        assert sorted(kept) == pivots
+        assert all(row[c] == 1 and not any(row[:c]) for c, row in kept.items())
+        for free in sorted(set(range(ncols)) - set(pivots)):
+            expected = [0] * ncols
+            expected[free] = 1
+            for i, c in enumerate(pivots):
+                expected[c] = -red[i][free] % 97
+            assert kernel_vector(kept, ncols, 97, free) == expected
 
     @given(data=degenerate_matrices(), x=st.lists(residues, min_size=6, max_size=6),
            noise=st.lists(residues, min_size=9, max_size=9), consistent=st.booleans())
@@ -401,6 +411,17 @@ class TestKernelOracle:
             for i, c in enumerate(pivots):
                 expected[c] = red[i][ncols]
             assert sol == [GF97(v) for v in expected]
+
+    @pytest.mark.parametrize("nrows, ncols", [(0, 3), (2, 0), (0, 0)])
+    def test_empty_shapes(self, nrows, ncols):
+        m = Matrix(GF97, [[]] * nrows, ncols=ncols)
+        assert matrix_rank(m) == 0
+        units = [tuple(GF97(int(i == j)) for i in range(ncols)) for j in range(ncols)]
+        assert nullspace_basis(m) == units
+        assert solve_linear(m, [0] * nrows) == [GF97.zero] * ncols
+        if nrows:
+            # no column can produce a nonzero right-hand side
+            assert solve_linear(m, [0, GF97(5)]) is None
 
     @given(rows=st.lists(st.lists(st.one_of(elements, any_ints), min_size=3, max_size=3),
                          max_size=4),

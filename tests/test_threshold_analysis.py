@@ -32,12 +32,12 @@ from shardlab import (
     unique_decodability,
     versions_match_set,
 )
-from shardlab.field_poly import nullspace_vector, row_reduce, vanishing_polynomial
+from shardlab.field_poly import echelon, nullspace_vector, vanishing_polynomial
 from shardlab.lcc import EncodingParams, all_version_tuples
 from shardlab.polyshard_sim import power_check
 from shardlab.threshold_analysis import _c_row_blocks, _lift
 
-from dense_system import dense_system
+from dense_system import dense_system, rref
 
 
 class TestVersionsMatchSet:
@@ -272,15 +272,25 @@ class TestOneEliminationVerdict:
 
 
 def full_d_verdict(dense):
-    """The verdict from one reduction of the whole of D, Z columns last."""
+    """The verdict from one Gauss-Jordan reduction of the whole of D, Z columns
+    last, by the test-side `rref`: the witness is read off D's reduced form."""
+    D = dense.D
     lam_cols = dense.n_tuples * dense.block_width
-    red, pivots = row_reduce(dense.D)
-    free_z = next((c for c in range(lam_cols, dense.D.ncols) if c not in pivots), None)
+    red, pivots = rref(D.rows, D.ncols, D.field.modulus)
+    free_z = next((c for c in range(lam_cols, D.ncols) if c not in pivots), None)
+    witness = None
+    if free_z is not None:
+        vec = [0] * D.ncols
+        vec[free_z] = 1
+        for i, c in enumerate(pivots):
+            vec[c] = -red[i][free_z] % D.field.modulus
+        assert not any(D.mul_vec(vec))
+        witness = tuple(D.field(x) for x in vec)
     return RankReport(
         rank_D=len(pivots),
         rank_D_without_Z_columns=sum(c < lam_cols for c in pivots),
         unique_Z=free_z is None,
-        witness=None if free_z is None else nullspace_vector(dense.D, red, pivots, free_z),
+        witness=witness,
     )
 
 
@@ -381,10 +391,10 @@ class TestWitnessEquations:
     @staticmethod
     def r_witness(field):
         sys_m = build_system(proof_params(2, 1, 2, 3, 1, 9, field))
-        red, pivots = row_reduce(sys_m.R)
+        pivots = echelon(sys_m.R.rows, sys_m.R.ncols, field.modulus)
         free_z = next(c for c in range(sys_m.R.ncols - sys_m.z_width, sys_m.R.ncols)
                       if c not in pivots)
-        return sys_m, list(nullspace_vector(sys_m.R, red, pivots, free_z))
+        return sys_m, list(nullspace_vector(sys_m.R, pivots, free_z))
 
     def test_lifted_vector_solves_d(self, field):
         sys_m, vec = self.r_witness(field)
