@@ -75,6 +75,5 @@ from .threshold_analysis import (
     unique_decodability,
     versions_match_set,
 )
-from .cli import shard_capture
 
 __version__ = "0.1.0"

@@ -1,8 +1,8 @@
 """Recovery of the composed verification polynomial from node broadcasts.
 
-Decoding is a single linear solve (error locator times received value equals
-error-adjusted numerator), so a broadcast set that mixes evaluations of
-several polynomials fails cleanly instead of producing a silent wrong answer.
+Decoding is Gao's O(N^2) Reed-Solomon decoder, which answers only when an error
+locator explains the broadcast values, so a broadcast set that mixes evaluations
+of several polynomials fails cleanly instead of producing a silent wrong answer.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from typing import Container, Sequence
 
 from .adversary import VersionAssignment
-from .field_poly import FieldElement, Matrix, Polynomial, solve_linear
+from .field_poly import FieldElement, Polynomial, interpolate
 from .lcc import EncodingParams, all_version_tuples
 
 RECOVERED = "recovered"
@@ -74,10 +74,12 @@ def _failure(reason: str) -> DecodeOutcome:
 def rs_decode(b: BroadcastSet, degree_bound: int, max_errors: int) -> DecodeOutcome:
     """Decode a polynomial of degree <= degree_bound from b, tolerating max_errors.
 
-    Solves for a monic error locator E of degree max_errors and a numerator Q
-    of degree <= degree_bound + max_errors with Q(a) = y*E(a) at every present
-    entry; the codeword is Q/E when the division is exact. Missing entries are
-    dropped first (shortening), so max_errors counts among the present ones.
+    Gao's algorithm: interpolate the present entries by g1, run the extended Euclidean
+    algorithm on (prod (z - x), g1) up to the first remainder r of degree < degree_bound
+    + 1 + max_errors, and divide r by its cofactor t. Every Berlekamp-Welch pair (E, Q)
+    at this radius is a multiple of (t, r), so one exists exactly when deg t <= max_errors
+    and deg r - deg t <= degree_bound, and then Q/E = r/t. Missing entries are dropped
+    first (shortening), so max_errors counts among the present ones.
     """
     if degree_bound < 0 or max_errors < 0:
         raise ValueError("degree_bound and max_errors must be >= 0")
@@ -90,45 +92,22 @@ def rs_decode(b: BroadcastSet, degree_bound: int, max_errors: int) -> DecodeOutc
             f"with {max_errors} errors"
         )
     field = present[0].point.field
-    p = field.modulus
-    e = max_errors
-    qn = degree_bound + e + 1  # numerator coefficient count
-    rows = []
-    rhs = []
-    for entry in present:
-        x = entry.point.value
-        y = entry.value.value
-        powers = [1]
-        for _ in range(degree_bound + e):
-            powers.append(powers[-1] * x % p)
-        #   Q(x) - y*(E_0 + ... + E_{e-1} x^{e-1}) = y*x^e
-        row = [(-y * powers[j]) % p for j in range(e)]
-        row += powers[:qn]
-        rows.append(row)
-        rhs.append(y * powers[e] % p)
-    solution = solve_linear(Matrix(field, rows, ncols=e + qn), rhs)
-    if solution is None:
+    g0, g1 = interpolate([e.point.value for e in present], [e.value.value for e in present], field)
+    r0, r, t0, t = g0, g1, Polynomial.zero(field), Polynomial(field, (1,))
+    while len(r.coeffs) > degree_bound + 1 + max_errors:
+        q, rem = divmod(r0, r)
+        r0, r, t0, t = r, rem, t, t0 - q * t
+    if t.degree > max_errors or len(r.coeffs) - t.degree > degree_bound + 1:
         return _failure("no error locator explains the broadcast values")
-    locator = Polynomial(field, list(solution[:e]) + [1])
-    numerator = Polynomial(field, solution[e:])
-    quotient, remainder = divmod(numerator, locator)
-    if not remainder.is_zero:
+    poly, rem = divmod(r, t)
+    if not rem.is_zero:
         return _failure("error locator does not divide the numerator")
-    if (quotient.degree or 0) > degree_bound:
-        return _failure(
-            f"candidate polynomial has degree {quotient.degree}, bound is {degree_bound}"
-        )
-    bad = frozenset(
-        entry.node for entry in present if quotient(entry.point) != entry.value
-    )
-    if len(bad) > max_errors:
-        return _failure(
-            f"candidate polynomial disagrees with {len(bad)} entries, only "
-            f"{max_errors} errors allowed"
-        )
+    bad = frozenset(entry.node for entry in present if poly(entry.point) != entry.value)
+    if len(bad) > max_errors:  # each disagreement is a root of t, so this cannot happen
+        raise AssertionError(f"decoded polynomial disagrees with {len(bad)} entries")
     return DecodeOutcome(
         status=RECOVERED,
-        poly=quotient,
+        poly=poly,
         error_positions=bad,
         diagnostics=f"{len(bad)} corrected among {m} present entries",
     )

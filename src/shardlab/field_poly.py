@@ -6,7 +6,7 @@ decoders built on top never need a numerical tolerance.
 
 from __future__ import annotations
 
-from itertools import zip_longest
+from itertools import accumulate, zip_longest
 from operator import mul
 from typing import Iterable, Sequence
 
@@ -193,7 +193,8 @@ class Polynomial:
     __slots__ = ("field", "coeffs")
 
     def __init__(self, field: PrimeField, coeffs: Iterable[int | FieldElement] = ()):
-        cs = [field.residue(c) for c in coeffs]
+        p, residue = field.modulus, field.residue
+        cs = [c % p if type(c) is int else residue(c) for c in coeffs]  # ints skip the call
         while cs and not cs[-1]:
             cs.pop()
         self.field = field
@@ -289,8 +290,7 @@ class Polynomial:
             c = rem[i] * inv_lead % p
             if c:
                 quot[i - dd] = c
-                for j, d in enumerate(dcoeffs):
-                    rem[i - dd + j] = (rem[i - dd + j] - c * d) % p
+                rem[i - dd:i + 1] = [(r - c * d) % p for r, d in zip(rem[i - dd:i + 1], dcoeffs)]
         return Polynomial(self.field, quot), Polynomial(self.field, rem)
 
     def __floordiv__(self, other):
@@ -326,23 +326,50 @@ def vanishing_polynomial(xs: Iterable[int | FieldElement], field: PrimeField) ->
     return Polynomial(field, m)
 
 
+def batch_inverse(values: Sequence[int], p: int) -> list[int]:
+    """Inverses of nonzero residues from one exponentiation (Montgomery's trick)."""
+    prefix = list(accumulate(values, lambda a, b: a * b % p, initial=1))
+    if not prefix[-1]:
+        raise ZeroDivisionError("zero has no multiplicative inverse")
+    inv, out = pow(prefix[-1], p - 2, p), [0] * len(values)
+    for i in range(len(values) - 1, -1, -1):
+        out[i], inv = inv * prefix[i] % p, inv * values[i] % p
+    return out
+
+
+def barycentric(xs: Sequence[int],
+                field: PrimeField) -> tuple[Polynomial, list[int], list[list[int]]]:
+    """Master polynomial g = prod (z - x_j) of distinct residues xs, the barycentric weights
+    w_j = 1/g'(x_j), and the quotients g/(z - x_j) as rows (row i holds coefficient i of
+    each), by synthetic division at every x at once: L_j = w_j g/(z - x_j)."""
+    if len(set(xs)) != len(xs):
+        raise DuplicateAbscissa("interpolation points must have distinct x values")
+    p = field.modulus
+    g = vanishing_polynomial(xs, field)
+    rows, q, derivs = [], [0] * len(xs), [0] * len(xs)
+    for c in reversed(g.coeffs[1:]):
+        q = [(a * x + c) % p for a, x in zip(q, xs)]
+        derivs = [(d * x + a) % p for d, x, a in zip(derivs, xs, q)]  # Horner: g'(x_j)
+        rows.append(q)
+    return g, batch_inverse(derivs, p), rows[::-1]
+
+
+def interpolate(xs: Sequence[int], ys: Sequence[int],
+                field: PrimeField) -> tuple[Polynomial, Polynomial]:
+    """The master polynomial g of the distinct residues xs, and the polynomial of degree
+    < len(xs) through the (x_j, y_j) in barycentric form, sum_j y_j w_j g/(z - x_j)."""
+    g, w, rows = barycentric(xs, field)
+    cs = [y * wj % field.modulus for y, wj in zip(ys, w)]
+    return g, Polynomial(field, [sum(map(mul, row, cs)) for row in rows])
+
+
 def lagrange_interpolate(points: Sequence[tuple[FieldElement, FieldElement]]) -> Polynomial:
     """Unique polynomial of degree < len(points) through the given (x, y) pairs."""
     if not points:
         raise ValueError("at least one interpolation point is required")
     field = points[0][0].field
-    xs = [field.residue(x) for x, _ in points]
-    if len(set(xs)) != len(xs):
-        raise DuplicateAbscissa("interpolation points must have distinct x values")
-    ys = [field(y) for _, y in points]
-    # per-point numerators by synthetic division of prod (z - x_i)
-    master = vanishing_polynomial(xs, field)
-    result = Polynomial.zero(field)
-    for x, y in zip(xs, ys):
-        numerator = master // Polynomial(field, (-x, 1))
-        denom = numerator(x)
-        result = result + numerator * (y / denom)
-    return result
+    return interpolate([field.residue(x) for x, _ in points],
+                       [field.residue(y) for _, y in points], field)[1]
 
 
 class Matrix:
@@ -474,16 +501,3 @@ def nullspace_basis(m: Matrix) -> list[tuple[FieldElement, ...]]:
     pivots = echelon(m.rows, m.ncols, m.field.modulus)
     return [nullspace_vector(m, pivots, f) for f in range(m.ncols) if f not in pivots]
 
-
-def solve_linear(m: Matrix, rhs: Sequence[int | FieldElement]) -> list[FieldElement] | None:
-    """One solution of m @ x = rhs (free variables zeroed), or None if inconsistent:
-    the kernel vector of [m | -rhs] at its last column, which has none if it is a pivot."""
-    if len(rhs) != m.nrows:
-        raise ValueError("rhs length does not match row count")
-    p = m.field.modulus
-    rows = [[*row, -m.field.residue(b) % p] for row, b in zip(m.rows, rhs)]
-    pivots = echelon(rows, m.ncols + 1, p)
-    if m.ncols in pivots:
-        return None
-    sol = kernel_vector(pivots, m.ncols + 1, p, m.ncols)[:-1]
-    return [FieldElement(x, m.field) for x in sol]

@@ -17,7 +17,8 @@ from .field_poly import (
     FieldElement,
     Polynomial,
     PrimeField,
-    lagrange_interpolate,
+    barycentric,
+    batch_inverse,
 )
 
 # One block version index per adversarial producer, ordered by producer index.
@@ -62,14 +63,19 @@ class EncodingParams:
 
     @cached_property
     def basis(self) -> tuple[Polynomial, ...]:
-        """L_1..L_K: L_k is 1 at omega_k and 0 at every other shard point."""
-        return tuple(lagrange_interpolate([(w, int(j == k)) for j, w in enumerate(self.omegas)])
-                     for k in range(self.K))
+        """L_1..L_K: L_k = w_k g/(z - omega_k) is 1 at omega_k and 0 at every other shard point."""
+        _, weights, rows = barycentric([w.value for w in self.omegas], self.field)
+        return tuple(Polynomial(self.field, [row[k] * w for row in rows])
+                     for k, w in enumerate(weights))
 
     @cached_property
     def lagrange_matrix(self) -> tuple[tuple[int, ...], ...]:
-        """N x K residues: row n-1 holds every shard's basis value at alpha_n."""
-        return tuple(tuple(L(alpha).value for L in self.basis) for alpha in self.alphas)
+        """N x K residues: row n-1 holds every L_k(alpha_n) = g(alpha_n) w_k/(alpha_n - omega_k)."""
+        p, xs = self.field.modulus, [w.value for w in self.omegas]
+        g, weights, _ = barycentric(xs, self.field)
+        scaled = ((g(a).value, batch_inverse([(a.value - x) % p for x in xs], p))
+                  for a in self.alphas)
+        return tuple(tuple(s * w * inv % p for w, inv in zip(weights, invs)) for s, invs in scaled)
 
     @property
     def composed_degree(self) -> int:

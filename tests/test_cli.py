@@ -324,3 +324,16 @@ def test_python_m_shardlab_exits_two_without_warnings(tmp_path):
     assert proc.returncode == 2
     assert proc.stderr.startswith("config error:")
     assert "Warning" not in proc.stderr
+
+
+def test_package_import_leaves_jsonschema_unloaded(tmp_path):
+    # only the command line validates configs; `import shardlab` must stay light
+    src = str(Path(shardlab.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, shardlab; print('jsonschema' in sys.modules)"],
+        capture_output=True, text=True, env=env, cwd=tmp_path,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

@@ -2,13 +2,18 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from rs_oracle import berlekamp_welch
 from shardlab import (
     BroadcastEntry,
     BroadcastSet,
+    DuplicateAbscissa,
     EncodingParams,
     InsufficientEvaluations,
     Polynomial,
+    PrimeField,
     VersionAssignment,
     accept_bits,
     build_coded_poly,
@@ -95,6 +100,12 @@ class TestRsDecode:
         with pytest.raises(InsufficientEvaluations):
             rs_decode(b, degree_bound=1, max_errors=1)
 
+    def test_repeated_point_rejected(self, gf7):
+        # interpolation needs distinct points; node points are distinct by construction
+        b = broadcast_from([(gf7(x), gf7(1)) for x in (1, 2, 3, 2)])
+        with pytest.raises(DuplicateAbscissa):
+            rs_decode(b, degree_bound=1, max_errors=1)
+
     def test_missing_entries_are_shortened(self, gf97, rng):
         poly = Polynomial(gf97, [3, 1, 4])
         points = [(gf97(x), poly(gf97(x))) for x in range(1, 8)]
@@ -175,6 +186,42 @@ class TestRsDecode:
                     1 for x, y in points if poly_eval(out.poly, x) != y
                 )
                 assert bad <= 3
+
+
+@st.composite
+def mixed_broadcasts(draw):
+    """Entries of two polynomials of degree <= d over GF(7) or GF(97), some shifted
+    by noise, some silent; the budget e runs from 0 to its maximum and there are
+    k + 2e .. k + 2e + 3 present entries."""
+    p = draw(st.sampled_from([7, 97]))
+    d = draw(st.integers(0, 3))
+    e = draw(st.integers(0, min(3, (p - d - 1) // 2)))
+    m = d + 1 + 2 * e + draw(st.integers(0, min(3, p - d - 1 - 2 * e)))
+    xs = draw(st.lists(st.integers(0, p - 1), min_size=m, max_size=min(p, m + 2),
+                       unique=True))
+    polys = [draw(st.lists(st.integers(0, p - 1), min_size=d + 1, max_size=d + 1))
+             for _ in range(2)]
+    second = draw(st.sets(st.integers(1, m)))  # present nodes on the second polynomial
+    noisy = draw(st.sets(st.integers(1, m), max_size=e + 2))
+    field = PrimeField(p)
+    entries = []
+    for node, x in enumerate(xs, 1):
+        y = None
+        if node <= m:
+            y = Polynomial(field, polys[node in second])(field(x))
+            y += draw(st.integers(1, p - 1)) if node in noisy else 0
+        entries.append(BroadcastEntry(node, field(x), y))
+    return BroadcastSet(draw(st.permutations(entries))), d, e
+
+
+class TestGaoMatchesBerlekampWelch:
+    @given(case=mixed_broadcasts())
+    @settings(max_examples=400, deadline=None)
+    def test_same_outcome(self, case):
+        b, d, e = case
+        gao, bw = rs_decode(b, d, e), berlekamp_welch(b, d, e)
+        assert (gao.status, gao.poly, gao.error_positions, gao.diagnostics) == (
+            bw.status, bw.poly, bw.error_positions, bw.diagnostics)
 
 
 class TestRecoverOutputs:

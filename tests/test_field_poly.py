@@ -18,8 +18,9 @@ from shardlab import (
     vandermonde,
 )
 from shardlab.field_poly import (
-    echelon, is_prime, kernel_vector, solve_linear, vanishing_polynomial,
+    barycentric, batch_inverse, echelon, is_prime, kernel_vector, vanishing_polynomial,
 )
+from rs_oracle import solve_linear
 
 GF97 = PrimeField(97)
 
@@ -217,19 +218,6 @@ class TestRankNullspace:
             basis = nullspace_basis(m)  # each vector verified internally
             assert len(basis) == ncols - matrix_rank(m)
 
-    def test_solve_consistent(self, gf97, rng):
-        for _ in range(20):
-            m = Matrix(gf97, [[gf97.random(rng) for _ in range(4)] for _ in range(6)])
-            x = [gf97.random(rng) for _ in range(4)]
-            rhs = m.mul_vec(x)
-            sol = solve_linear(m, rhs)
-            assert sol is not None
-            assert m.mul_vec(sol) == rhs
-
-    def test_solve_inconsistent(self, gf7):
-        m = Matrix(gf7, [[1, 0], [1, 0]])
-        assert solve_linear(m, [gf7(1), gf7(2)]) is None
-
 
 any_ints = st.integers(min_value=-300, max_value=300)  # inside and outside [0, 97)
 coeff_lists = st.lists(st.one_of(elements, any_ints), max_size=7)
@@ -379,6 +367,25 @@ class TestKernelOracle:
         assert m.coeffs == fe_strip(prod)
         assert [z for z in range(97) if not m(GF97(z))] == sorted(xs)
 
+    @given(values=st.lists(st.integers(1, 96), max_size=8))
+    def test_batch_inverse(self, values):
+        assert batch_inverse(values, 97) == [pow(v, 95, 97) for v in values]
+        with pytest.raises(ZeroDivisionError):
+            batch_inverse([*values, 0], 97)
+
+    @given(xs=st.lists(residues, min_size=1, max_size=8, unique=True))
+    def test_barycentric(self, xs):
+        g, weights, rows = barycentric(xs, GF97)
+        assert g == vanishing_polynomial(xs, GF97)
+        for j, (x, w) in enumerate(zip(xs, weights)):
+            others = [GF97(x) - y for y in xs if y != x]
+            assert GF97(w) * reduce(lambda a, b: a * b, others, GF97.one) == 1
+            quotient = g // Polynomial(GF97, [-x, 1])
+            assert [row[j] for row in rows] == [quotient.coefficient(i).value
+                                                for i in range(len(xs))]
+        with pytest.raises(DuplicateAbscissa):
+            barycentric([*xs, xs[0]], GF97)
+
     @given(data=degenerate_matrices())
     @settings(max_examples=200)
     def test_echelon_and_kernel_vector(self, data):
@@ -393,24 +400,6 @@ class TestKernelOracle:
             for i, c in enumerate(pivots):
                 expected[c] = -red[i][free] % 97
             assert kernel_vector(kept, ncols, 97, free) == expected
-
-    @given(data=degenerate_matrices(), x=st.lists(residues, min_size=6, max_size=6),
-           noise=st.lists(residues, min_size=9, max_size=9), consistent=st.booleans())
-    @settings(max_examples=200)
-    def test_solve_linear(self, data, x, noise, consistent):
-        rows, ncols = data
-        m = Matrix(GF97, rows, ncols=ncols)
-        rhs = m.mul_vec(x[:ncols]) if consistent else noise[:len(rows)]
-        red, pivots = schoolbook_rref([[*row, GF97(b).value] for row, b in zip(rows, rhs)],
-                                      ncols + 1)
-        sol = solve_linear(m, rhs)
-        if pivots and pivots[-1] == ncols:
-            assert sol is None and not consistent
-        else:
-            expected = [0] * ncols
-            for i, c in enumerate(pivots):
-                expected[c] = red[i][ncols]
-            assert sol == [GF97(v) for v in expected]
 
     @pytest.mark.parametrize("nrows, ncols", [(0, 3), (2, 0), (0, 0)])
     def test_empty_shapes(self, nrows, ncols):

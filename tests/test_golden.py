@@ -4,12 +4,18 @@ Demo 05's stdout and the `threshold_sweep` CSV of (v, beta', d, K, beta) =
 (2, 2, 3, 6, 2) over N = 44..54 were written by the code before the rank
 verdict stopped building the dense system. The `garbage_attack` and
 `discrepancy_attack` JSON lines (2 seeds x 2 epochs each) were written by the
-Gauss-Jordan elimination before the echelon kernel replaced it; every one of
-their epochs decodes through `solve_linear`. The CSV and the JSON lines are
-the output of `python -m shardlab --config CONFIG` with the configs below.
+Gauss-Jordan elimination before the echelon kernel replaced it. The CSV and the
+JSON lines are the output of `python -m shardlab --config CONFIG` with the
+configs below. `rs_decode_outcomes.jsonl` holds the Berlekamp-Welch decoder's
+outcome (status, coefficients, error positions, diagnostics) on 200 seeded
+broadcast sets, written before Gao's decoder replaced it; every epoch now
+decodes through Gao's algorithm, so these files pin the two decoders' agreement
+independently of the test oracle `rs_oracle.berlekamp_welch`.
 """
 
+import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -17,6 +23,7 @@ from pathlib import Path
 import pytest
 
 import shardlab
+from shardlab import BroadcastEntry, BroadcastSet, InsufficientEvaluations, PrimeField, rs_decode
 from shardlab.cli import run
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -59,3 +66,60 @@ def test_epoch_jsonl(tmp_path, capsys, config, golden):
     assert run(config, out_dir=str(tmp_path)) == 0
     out = tmp_path / f"{config['scenario']}.jsonl"
     assert out.read_bytes() == (GOLDEN / golden).read_bytes()
+
+
+DECODE_FIELDS = (7, 13, 97, 2**31 - 1)
+DECODE_KINDS = ("clean", "corrupt", "mixed", "random", "short")
+
+
+def decode_corpus(cases=200, seed=2026):
+    """Seeded `rs_decode` inputs: clean, corrupted, two-polynomial, random and
+    too-short broadcasts, some entries silent, budgets below and at the maximum."""
+    rng = random.Random(seed)
+    for i in range(cases):
+        p = DECODE_FIELDS[i % len(DECODE_FIELDS)]
+        kind = DECODE_KINDS[i // len(DECODE_FIELDS) % len(DECODE_KINDS)]
+        field = PrimeField(p)
+        while True:
+            degree, budget = rng.randrange(0, 4), rng.randrange(0, 4)
+            m = degree + 1 + 2 * budget + rng.randrange(0, 4) - 2 * (kind == "short")
+            silent = rng.randrange(0, 3)
+            if 0 < m and m + silent < p:
+                break
+        xs = rng.sample(range(1, p), m + silent)
+        f = [rng.randrange(p) for _ in range(degree + 1)]
+        g = [rng.randrange(p) for _ in range(degree + 1)]
+        cut = rng.randrange(0, m + 1)
+        values = []
+        for j, x in enumerate(xs[:m]):
+            poly = g if kind == "mixed" and j >= cut else f
+            y = sum(c * x**t for t, c in enumerate(poly)) % p
+            values.append(rng.randrange(p) if kind == "random" else y)
+        if kind == "corrupt":
+            for j in rng.sample(range(m), min(m, rng.randrange(0, budget + 3))):
+                values[j] = (values[j] + rng.randrange(1, p)) % p
+        entries = [(x, y) for x, y in zip(xs, values)] + [(x, None) for x in xs[m:]]
+        rng.shuffle(entries)
+        yield {"case": i, "kind": kind, "p": p, "degree_bound": degree,
+               "max_errors": budget, "entries": entries}
+
+
+def decode_record(case) -> str:
+    """One corpus case and its `rs_decode` outcome as a JSON line."""
+    field = PrimeField(case["p"])
+    b = BroadcastSet([BroadcastEntry(n, field(x), None if y is None else field(y))
+                      for n, (x, y) in enumerate(case["entries"], 1)])
+    try:
+        out = rs_decode(b, case["degree_bound"], case["max_errors"])
+        outcome = {"status": out.status,
+                   "coeffs": None if out.poly is None else list(out.poly.coeffs),
+                   "error_positions": sorted(out.error_positions),
+                   "diagnostics": out.diagnostics}
+    except InsufficientEvaluations as exc:
+        outcome = {"status": "insufficient", "diagnostics": str(exc)}
+    return json.dumps({**case, "outcome": outcome}) + "\n"
+
+
+def test_decode_outcomes():
+    text = "".join(decode_record(case) for case in decode_corpus())
+    assert text == (GOLDEN / "rs_decode_outcomes.jsonl").read_text()

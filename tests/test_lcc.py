@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shardlab import (
     DegreeOverflow,
@@ -79,6 +81,29 @@ class TestLagrangeBasis:
     def test_single_shard_basis_is_one(self, gf97, rng):
         params = EncodingParams.default(1, 3, 2, gf97)
         assert lagrange_basis(params, 1, gf97.random(rng)) == 1
+
+
+    @given(points=st.lists(st.integers(0, 96), min_size=2, max_size=20, unique=True),
+           K=st.integers(1, 12))
+    @settings(max_examples=60)
+    def test_barycentric_set_up_matches_product_formula(self, points, K):
+        # random distinct shard and node points in GF(97): every basis polynomial
+        # and every Lagrange-matrix entry equals the product formula's
+        gf97 = PrimeField(97)
+        K = min(K, len(points) - 1)
+        params = EncodingParams(K=K, N=len(points) - K, omegas=tuple(map(gf97, points[:K])),
+                                alphas=tuple(map(gf97, points[K:])), d=1)
+        for k in range(1, K + 1):
+            oracle = Polynomial(gf97, [1])
+            for j, omega_j in enumerate(params.omegas, start=1):
+                if j != k:
+                    oracle = oracle * Polynomial(gf97, [-omega_j, 1])
+            oracle = oracle * (gf97.one / oracle(params.omegas[k - 1]))
+            assert params.basis[k - 1] == oracle
+        assert params.lagrange_matrix == tuple(
+            tuple(product_basis(params, k, alpha).value for k in range(1, K + 1))
+            for alpha in params.alphas
+        )
 
 
 class TestEncodeAtNode:
