@@ -14,8 +14,6 @@ from shardlab import (
     build_coded_poly,
     compose_verification,
     encode_at_node,
-    lagrange_basis,
-    poly_eval,
 )
 from shardlab.polyshard_sim import power_check
 
@@ -29,10 +27,12 @@ params = EncodingParams(
     alphas=tuple(field(n) for n in range(4, 10)),
 )
 
-# The shard basis functions: 1 at the own shard point, 0 at the others.
+# The shard basis functions: the coded polynomial of a unit view, 1 at the own
+# shard point and 0 at the others.
 print("basis values at the shard points:")
 for k in range(1, 4):
-    row = [lagrange_basis(params, k, w) for w in params.omegas]
+    basis = build_coded_poly(tuple(field(int(j == k)) for j in range(1, 4)), params)
+    row = [basis(w) for w in params.omegas]
     print(f"  shard {k}: {row}")
 
 # Blocks x1, x2, x3 define the coded polynomial
@@ -48,7 +48,7 @@ print(f"  z^0: {coded.coefficient(0)}  (3x1 - 3x2 + x3 = {3 * x1 - 3 * x2 + x3})
 # Every node's coded block is just this polynomial at the node's point.
 view = (x1, x2, x3)
 agree = all(
-    encode_at_node(view, params, n) == poly_eval(coded, params.alphas[n - 1])
+    encode_at_node(view, params, n) == coded(params.alphas[n - 1])
     for n in range(1, 7)
 )
 print(f"\nper-node encodings match the polynomial at every node point: {agree}")
@@ -59,4 +59,4 @@ f = power_check(2)
 composed = compose_verification(coded, [], f)
 print(f"composed verification polynomial has degree {composed.degree} = d(K-1)")
 print(f"  at the shard points it returns the per-shard check values: "
-      f"{[poly_eval(composed, w) == f.evaluate(x, ()) for w, x in zip(params.omegas, view)]}")
+      f"{[composed(w) == f.evaluate(x, ()) for w, x in zip(params.omegas, view)]}")

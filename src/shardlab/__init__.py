@@ -9,14 +9,9 @@ from .field_poly import (
     DEFAULT_MODULUS,
     DuplicateAbscissa,
     FieldElement,
-    Matrix,
     Polynomial,
     PrimeField,
     lagrange_interpolate,
-    matrix_rank,
-    nullspace_basis,
-    poly_eval,
-    vandermonde,
 )
 from .lcc import (
     DegreeOverflow,
@@ -25,7 +20,6 @@ from .lcc import (
     build_coded_poly,
     compose_verification,
     encode_at_node,
-    lagrange_basis,
 )
 from .decoder import (
     BroadcastEntry,

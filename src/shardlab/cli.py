@@ -123,7 +123,7 @@ def validate_config(config: dict) -> None:
         raise ConfigError(f"config rejected at {exc.json_path}: {exc.message}") from exc
 
 
-def _scalar(params: dict, key: int, default=None):
+def _scalar(params: dict, key: str, default=None):
     value = params.get(key, default)
     if isinstance(value, list):
         raise ConfigError(f"param {key!r} must be a single integer for this scenario")

@@ -1,4 +1,4 @@
-"""Exact arithmetic substrate: prime fields, univariate polynomials, matrices.
+"""Exact arithmetic substrate: prime fields, univariate polynomials, residue rows.
 
 Everything is integer arithmetic modulo a prime, so ranks, nullspaces and the
 decoders built on top never need a numerical tolerance.
@@ -311,11 +311,6 @@ class Polynomial:
         return f"Polynomial({self.field!r}, {list(self.coeffs)})"
 
 
-def poly_eval(poly: Polynomial, point: FieldElement) -> FieldElement:
-    """Horner evaluation of `poly` at `point`."""
-    return poly(point)
-
-
 def vanishing_polynomial(xs: Iterable[int | FieldElement], field: PrimeField) -> Polynomial:
     """The monic polynomial prod (z - x) over xs: its roots are exactly the xs."""
     p = field.modulus
@@ -354,13 +349,21 @@ def barycentric(xs: Sequence[int],
     return g, batch_inverse(derivs, p), rows[::-1]
 
 
+def barycentric_sum(form: tuple[Polynomial, Sequence[int], Sequence[Sequence[int]]],
+                    ys: Sequence[int]) -> Polynomial:
+    """The polynomial of degree < len(xs) through the (x_j, y_j), from the triple
+    `form = barycentric(xs, field)`: sum_j y_j w_j g/(z - x_j)."""
+    g, w, rows = form
+    cs = [y * wj % g.field.modulus for y, wj in zip(ys, w)]
+    return Polynomial(g.field, [sum(map(mul, row, cs)) for row in rows])
+
+
 def interpolate(xs: Sequence[int], ys: Sequence[int],
                 field: PrimeField) -> tuple[Polynomial, Polynomial]:
-    """The master polynomial g of the distinct residues xs, and the polynomial of degree
-    < len(xs) through the (x_j, y_j) in barycentric form, sum_j y_j w_j g/(z - x_j)."""
-    g, w, rows = barycentric(xs, field)
-    cs = [y * wj % field.modulus for y, wj in zip(ys, w)]
-    return g, Polynomial(field, [sum(map(mul, row, cs)) for row in rows])
+    """The master polynomial g of the distinct residues xs, and `barycentric_sum`
+    through the (x_j, y_j)."""
+    form = barycentric(xs, field)
+    return form[0], barycentric_sum(form, ys)
 
 
 def lagrange_interpolate(points: Sequence[tuple[FieldElement, FieldElement]]) -> Polynomial:
@@ -370,82 +373,6 @@ def lagrange_interpolate(points: Sequence[tuple[FieldElement, FieldElement]]) ->
     field = points[0][0].field
     return interpolate([field.residue(x) for x, _ in points],
                        [field.residue(y) for _, y in points], field)[1]
-
-
-class Matrix:
-    """Immutable row-major matrix; `rows` holds int residues, indexing gives elements."""
-
-    __slots__ = ("field", "nrows", "ncols", "rows")
-
-    def __init__(self, field: PrimeField, rows: Iterable[Sequence[int | FieldElement]],
-                 ncols: int | None = None):
-        p, residue = field.modulus, field.residue
-        # plain ints, the common case, skip the residue call
-        rs = tuple(tuple(v % p if type(v) is int else residue(v) for v in row) for row in rows)
-        if rs:
-            widths = {len(r) for r in rs}
-            if len(widths) != 1:
-                raise ValueError("ragged rows")
-            width = widths.pop()
-            if ncols is not None and ncols != width:
-                raise ValueError(f"ncols={ncols} but rows have width {width}")
-            ncols = width
-        elif ncols is None:
-            raise ValueError("ncols is required for a matrix with no rows")
-        self.field = field
-        self.rows = rs
-        self.nrows = len(rs)
-        self.ncols = ncols
-
-    @classmethod
-    def identity(cls, field: PrimeField, n: int) -> "Matrix":
-        return cls(field, ([int(i == j) for j in range(n)] for i in range(n)), ncols=n)
-
-    def __getitem__(self, ij: tuple[int, int]) -> FieldElement:
-        i, j = ij
-        return FieldElement(self.rows[i][j], self.field)
-
-    def mul_vec(self, vec: Sequence[int | FieldElement]) -> tuple[FieldElement, ...]:
-        if len(vec) != self.ncols:
-            raise ValueError("vector length does not match column count")
-        p = self.field.modulus
-        vals = [self.field.residue(v) for v in vec]
-        return tuple(
-            FieldElement(sum(map(mul, row, vals)) % p, self.field)
-            for row in self.rows
-        )
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, Matrix) and self.field == other.field
-                and self.ncols == other.ncols and self.rows == other.rows)
-
-    def __hash__(self) -> int:
-        return hash((self.ncols, self.rows))
-
-    def __repr__(self) -> str:
-        return f"Matrix({self.nrows}x{self.ncols} over {self.field!r})"
-
-
-def vandermonde(xs: Sequence[FieldElement], degree: int,
-                field: PrimeField | None = None) -> Matrix:
-    """|xs| x (degree+1) matrix; row i = (x_i^degree, ..., x_i, 1), descending."""
-    if degree < 0:
-        raise ValueError("degree must be >= 0")
-    if field is None:
-        if not xs:
-            raise ValueError("field is required when xs is empty")
-        field = xs[0].field
-    p = field.modulus
-    rows = []
-    for x in xs:
-        v = field.residue(x)
-        row = [1] * (degree + 1)
-        acc = 1
-        for j in range(degree - 1, -1, -1):
-            acc = acc * v % p
-            row[j] = acc
-        rows.append(row)
-    return Matrix(field, rows, ncols=degree + 1)
 
 
 def echelon(rows: Iterable[Sequence[int]], ncols: int, p: int) -> dict[int, list[int]]:
@@ -481,23 +408,13 @@ def kernel_vector(pivots: dict[int, list[int]], ncols: int, p: int, free: int) -
     return vec
 
 
-def matrix_rank(m: Matrix) -> int:
-    """Rank over the matrix's field, by exact elimination."""
-    return len(echelon(m.rows, m.ncols, m.field.modulus))
-
-
-def nullspace_vector(m: Matrix, pivots: dict[int, list[int]],
-                     free: int) -> tuple[FieldElement, ...]:
-    """The x with m @ x = 0, 1 at free column `free` and 0 at the other free columns,
-    from `kernel_vector` on `pivots = echelon(m.rows, ...)`, re-verified by multiplication."""
-    vec = kernel_vector(pivots, m.ncols, m.field.modulus, free)
-    if any(m.mul_vec(vec)):
+def nullspace_vector(rows: Sequence[Sequence[int]], ncols: int, field: PrimeField,
+                     pivots: dict[int, list[int]], free: int) -> tuple[FieldElement, ...]:
+    """The x with r @ x = 0 for each residue row r, 1 at free column `free` and 0 at the
+    other free columns, from `kernel_vector` on `pivots = echelon(rows, ...)`, re-verified
+    by multiplication."""
+    p = field.modulus
+    vec = kernel_vector(pivots, ncols, p, free)
+    if any(sum(map(mul, row, vec)) % p for row in rows):
         raise AssertionError("nullspace vector failed verification")
-    return tuple(FieldElement(x, m.field) for x in vec)
-
-
-def nullspace_basis(m: Matrix) -> list[tuple[FieldElement, ...]]:
-    """Basis of {x : m @ x = 0}, one vector per free column."""
-    pivots = echelon(m.rows, m.ncols, m.field.modulus)
-    return [nullspace_vector(m, pivots, f) for f in range(m.ncols) if f not in pivots]
-
+    return tuple(FieldElement(x, field) for x in vec)

@@ -18,6 +18,7 @@ from .field_poly import (
     Polynomial,
     PrimeField,
     barycentric,
+    barycentric_sum,
     batch_inverse,
 )
 
@@ -53,6 +54,8 @@ class EncodingParams:
             raise ValueError("K, N and d must all be >= 1")
         if len(self.omegas) != self.K or len(self.alphas) != self.N:
             raise ValueError("point counts must match K and N")
+        if any(x.field != self.field for x in self.omegas + self.alphas):
+            raise ValueError(f"every shard and node point must lie in omegas[0]'s {self.field}")
         points = [x.value for x in self.omegas + self.alphas]
         if len(set(points)) != len(points):
             raise ValueError("shard and node evaluation points must be pairwise distinct")
@@ -62,17 +65,17 @@ class EncodingParams:
         return self.omegas[0].field
 
     @cached_property
-    def basis(self) -> tuple[Polynomial, ...]:
-        """L_1..L_K: L_k = w_k g/(z - omega_k) is 1 at omega_k and 0 at every other shard point."""
-        _, weights, rows = barycentric([w.value for w in self.omegas], self.field)
-        return tuple(Polynomial(self.field, [row[k] * w for row in rows])
-                     for k, w in enumerate(weights))
+    def shard_form(self) -> tuple[Polynomial, tuple[int, ...], tuple[tuple[int, ...], ...]]:
+        """`barycentric` at the shard points, as tuples since every caller shares it:
+        g = prod (z - omega_k), the weights w_k and the quotient rows; L_k = w_k g/(z - omega_k)."""
+        g, weights, rows = barycentric([w.value for w in self.omegas], self.field)
+        return g, tuple(weights), tuple(map(tuple, rows))
 
     @cached_property
     def lagrange_matrix(self) -> tuple[tuple[int, ...], ...]:
         """N x K residues: row n-1 holds every L_k(alpha_n) = g(alpha_n) w_k/(alpha_n - omega_k)."""
         p, xs = self.field.modulus, [w.value for w in self.omegas]
-        g, weights, _ = barycentric(xs, self.field)
+        g, weights, _ = self.shard_form
         scaled = ((g(a).value, batch_inverse([(a.value - x) % p for x in xs], p))
                   for a in self.alphas)
         return tuple(tuple(s * w * inv % p for w, inv in zip(weights, invs)) for s, invs in scaled)
@@ -94,13 +97,6 @@ class EncodingParams:
         )
 
 
-def lagrange_basis(params: EncodingParams, k: int, z: FieldElement) -> FieldElement:
-    """Evaluate the k-th shard basis polynomial at z: 1 at omega_k, 0 at the others."""
-    if not 1 <= k <= params.K:
-        raise ValueError(f"shard index {k} out of range 1..{params.K}")
-    return params.basis[k - 1](z)
-
-
 def encode_at_node(received: ReceivedProposals, params: EncodingParams, n: int) -> FieldElement:
     """Coded block at node n: row n of the Lagrange matrix times the received payloads."""
     if not 1 <= n <= params.N:
@@ -115,7 +111,7 @@ def build_coded_poly(view: ReceivedProposals, params: EncodingParams) -> Polynom
     """The degree-(K-1) polynomial taking value view[k-1] at omega_k for every shard."""
     if len(view) != params.K:
         raise ValueError("a view must contain exactly one payload per shard")
-    return sum((L * x for L, x in zip(params.basis, view)), Polynomial.zero(params.field))
+    return barycentric_sum(params.shard_form, [params.field.residue(x) for x in view])
 
 
 def compose_verification(q: Polynomial, coded_history: Sequence[Polynomial], f) -> Polynomial:

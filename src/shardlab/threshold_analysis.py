@@ -27,8 +27,7 @@ from typing import Iterable, Sequence
 
 from .adversary import InfeasiblePartition, balanced_cells
 from .field_poly import (
-    FieldElement, Matrix, Polynomial, PrimeField, echelon, nullspace_vector, vandermonde,
-    vanishing_polynomial,
+    FieldElement, Polynomial, PrimeField, echelon, nullspace_vector, vanishing_polynomial,
 )
 from .lcc import VersionTuple, all_version_tuples
 
@@ -38,6 +37,13 @@ def versions_match_set(vi: VersionTuple, vj: VersionTuple) -> frozenset[int]:
     if len(vi) != len(vj):
         raise ValueError("version tuples must have equal length")
     return frozenset(r for r, (a, b) in enumerate(zip(vi, vj)) if a == b)
+
+
+def _check_counts(**counts: int) -> None:
+    """Name the first count below its least value; K first, as later checks read K points."""
+    for name, least in (("K", 1), ("v", 1), ("d", 1), ("beta", 0), ("beta_prime", 0)):
+        if counts[name] < least:
+            raise ValueError(f"{name} must be at least {least}, got {counts[name]}")
 
 
 @dataclass(frozen=True)
@@ -55,10 +61,7 @@ class AnalysisParams:
     producers: tuple[int, ...]
 
     def __post_init__(self):
-        # K first: the other checks and `field` read the K shard points
-        for name, least in (("K", 1), ("v", 1), ("d", 1), ("beta", 0)):
-            if getattr(self, name) < least:
-                raise ValueError(f"{name} must be at least {least}, got {getattr(self, name)}")
+        _check_counts(K=self.K, v=self.v, d=self.d, beta=self.beta, beta_prime=self.beta_prime)
         if self.beta_prime > self.K:
             raise ValueError("cannot capture more producers than shards")
         if len(self.producers) != self.beta_prime:
@@ -123,10 +126,10 @@ def proof_params(
     Canonical points (shard k at k, node n at K+n) are used; pass `cells`
     to pin an explicit partition of the retained points instead.
     """
+    # before the layout: v = 0 with beta_prime >= 1 would leave no cell to fill
+    _check_counts(K=K, v=v, d=d, beta=beta, beta_prime=beta_prime)
     if beta_prime > K:
         raise ValueError("beta_prime cannot exceed K")
-    if v < 1 or beta_prime < 0 or d < 1 or K < 1 or beta < 0:
-        raise ValueError("bad parameters")
     omegas = tuple(field(k) for k in range(1, K + 1))
     retained = N - 2 * beta
     if retained < 0:
@@ -171,7 +174,8 @@ class SystemMatrices:
     """
 
     params: AnalysisParams
-    R: Matrix  # B, C and tie rows restricted to ker A
+    R: tuple[tuple[int, ...], ...]  # B, C and tie rows restricted to ker A, residues in [0, p)
+    ncols: int  # R's column count: the h_t coefficients, then the outputs
     rank_A: int  # sum of min(|cell|, width): the coefficients A pins
     vanishing: tuple[Polynomial, ...]  # m_t, the vanishing polynomial of each cell
 
@@ -209,11 +213,12 @@ def _c_row_blocks(tuples: Sequence[VersionTuple]) -> list[tuple[int, int, int]]:
 
 def build_system(params: AnalysisParams) -> SystemMatrices:
     """Assemble R, the rows of D outside A restricted to ker A."""
-    field = params.field
+    field, p = params.field, params.field.modulus
     width = params.block_width
     n_tuples = len(params.partition)
     z_width = params.K - params.beta_prime
-    van = vandermonde(params.omegas, width - 1, field).rows  # one row per shard point
+    # omega_k's Vandermonde row, descending: (omega_k^(width-1), ..., omega_k, 1)
+    van = [[pow(w.value, e, p) for e in range(width - 1, -1, -1)] for w in params.omegas]
     vanishing = tuple(vanishing_polynomial(cell, field) for cell in params.partition)
     m_at = [[m(omega).value for omega in params.omegas] for m in vanishing]
     h_widths = [max(0, width - len(cell)) for cell in params.partition]
@@ -229,7 +234,8 @@ def build_system(params: AnalysisParams) -> SystemMatrices:
         row = [0] * (h_cols + z_width)
         for i, sign in signed:
             scale = sign * m_at[i][k]
-            row[h_offsets[i]:h_offsets[i + 1]] = [scale * c for c in van[k][width - h_widths[i]:]]
+            segment = van[k][width - h_widths[i]:]
+            row[h_offsets[i]:h_offsets[i + 1]] = [scale * c % p for c in segment]
         return row
 
     honest = [k - 1 for k in params.honest_producers]
@@ -243,10 +249,11 @@ def build_system(params: AnalysisParams) -> SystemMatrices:
     # ties: tuple 1's honest evaluations are the output unknowns
     for idx, k in enumerate(honest):
         rows.append(equation(k, (0, 1)))
-        rows[-1][h_cols + idx] = -1
+        rows[-1][h_cols + idx] = p - 1
     return SystemMatrices(
         params=params,
-        R=Matrix(field, rows, ncols=h_cols + z_width),
+        R=tuple(map(tuple, rows)),
+        ncols=h_cols + z_width,
         rank_A=n_tuples * width - h_cols,
         vanishing=vanishing,
     )
@@ -317,14 +324,15 @@ def unique_decodability(sys: SystemMatrices, K: int, beta_prime: int) -> RankRep
     z_width = K - beta_prime
     if z_width != sys.z_width:
         raise ValueError("K and beta_prime do not match the system's output block")
-    h_cols = sys.R.ncols - z_width
-    pivots = echelon(sys.R.rows, sys.R.ncols, sys.params.field.modulus)
-    free_z = next((c for c in range(h_cols, sys.R.ncols) if c not in pivots), None)
+    field, h_cols = sys.params.field, sys.ncols - z_width
+    pivots = echelon(sys.R, sys.ncols, field.modulus)
+    free_z = next((c for c in range(h_cols, sys.ncols) if c not in pivots), None)
     return RankReport(
         rank_D=sys.rank_A + len(pivots),
         rank_D_without_Z_columns=sys.rank_A + sum(c < h_cols for c in pivots),
         unique_Z=free_z is None,
-        witness=None if free_z is None else _lift(sys, nullspace_vector(sys.R, pivots, free_z)),
+        witness=None if free_z is None else _lift(
+            sys, nullspace_vector(sys.R, sys.ncols, field, pivots, free_z)),
     )
 
 

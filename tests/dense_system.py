@@ -6,15 +6,100 @@ points, so tests can check R's verdicts and witnesses against D itself, and
 `rref` reduces D by Gauss-Jordan elimination, which the library no longer
 runs, so the oracle shares no elimination code with the library.
 
+`Matrix`, `vandermonde`, `matrix_rank` and `nullspace_basis` are the dense
+layer the library used to export. The library runs its linear algebra on rows
+of residues; here they hold D and the oracles' systems, and the rank and
+nullspace helpers run on the library's `echelon` and `nullspace_vector`.
+
 Columns of D: one width-(d(K-1)+1) block of composed-polynomial coefficients
 per version tuple (descending degree, tuples in lexicographic order), then one
 column per honest producer output.
 """
 
 from dataclasses import dataclass
+from operator import mul
+from typing import Iterable, Sequence
 
-from shardlab import AnalysisParams, Matrix, vandermonde
+from shardlab import AnalysisParams, FieldElement, PrimeField
+from shardlab.field_poly import echelon, nullspace_vector
 from shardlab.threshold_analysis import _c_row_blocks
+
+
+class Matrix:
+    """Immutable row-major matrix; `rows` holds int residues, indexing gives elements."""
+
+    __slots__ = ("field", "nrows", "ncols", "rows")
+
+    def __init__(self, field: PrimeField, rows: Iterable[Sequence[int | FieldElement]],
+                 ncols: int | None = None):
+        p, residue = field.modulus, field.residue
+        # plain ints, the common case, skip the residue call
+        rs = tuple(tuple(v % p if type(v) is int else residue(v) for v in row) for row in rows)
+        if rs:
+            widths = {len(r) for r in rs}
+            if len(widths) != 1:
+                raise ValueError("ragged rows")
+            width = widths.pop()
+            if ncols is not None and ncols != width:
+                raise ValueError(f"ncols={ncols} but rows have width {width}")
+            ncols = width
+        elif ncols is None:
+            raise ValueError("ncols is required for a matrix with no rows")
+        self.field = field
+        self.rows = rs
+        self.nrows = len(rs)
+        self.ncols = ncols
+
+    def __getitem__(self, ij: tuple[int, int]) -> FieldElement:
+        i, j = ij
+        return FieldElement(self.rows[i][j], self.field)
+
+    def mul_vec(self, vec: Sequence[int | FieldElement]) -> tuple[FieldElement, ...]:
+        if len(vec) != self.ncols:
+            raise ValueError("vector length does not match column count")
+        p = self.field.modulus
+        vals = [self.field.residue(v) for v in vec]
+        return tuple(
+            FieldElement(sum(map(mul, row, vals)) % p, self.field)
+            for row in self.rows
+        )
+
+    def __repr__(self) -> str:
+        return f"Matrix({self.nrows}x{self.ncols} over {self.field!r})"
+
+
+def vandermonde(xs: Sequence[FieldElement], degree: int,
+                field: PrimeField | None = None) -> Matrix:
+    """|xs| x (degree+1) matrix; row i = (x_i^degree, ..., x_i, 1), descending."""
+    if degree < 0:
+        raise ValueError("degree must be >= 0")
+    if field is None:
+        if not xs:
+            raise ValueError("field is required when xs is empty")
+        field = xs[0].field
+    p = field.modulus
+    rows = []
+    for x in xs:
+        v = field.residue(x)
+        row = [1] * (degree + 1)
+        acc = 1
+        for j in range(degree - 1, -1, -1):
+            acc = acc * v % p
+            row[j] = acc
+        rows.append(row)
+    return Matrix(field, rows, ncols=degree + 1)
+
+
+def matrix_rank(m: Matrix) -> int:
+    """Rank over the matrix's field: the leading columns of `echelon`."""
+    return len(echelon(m.rows, m.ncols, m.field.modulus))
+
+
+def nullspace_basis(m: Matrix) -> list[tuple[FieldElement, ...]]:
+    """Basis of {x : m @ x = 0}, one `nullspace_vector` per free column."""
+    pivots = echelon(m.rows, m.ncols, m.field.modulus)
+    return [nullspace_vector(m.rows, m.ncols, m.field, pivots, f)
+            for f in range(m.ncols) if f not in pivots]
 
 
 @dataclass(frozen=True)

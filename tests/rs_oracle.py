@@ -16,7 +16,9 @@ from shardlab.decoder import (
     InsufficientEvaluations,
     _failure,
 )
-from shardlab.field_poly import FieldElement, Matrix, Polynomial, echelon, kernel_vector
+from shardlab.field_poly import FieldElement, Polynomial, echelon, kernel_vector
+
+from dense_system import Matrix
 
 
 def solve_linear(m: Matrix, rhs: Sequence[int | FieldElement]) -> list[FieldElement] | None:

@@ -28,7 +28,6 @@ from shardlab import (
     free_variable_count_closed_form,
     known_behavior_decode,
     known_behavior_upper_bound,
-    poly_eval,
     recovery_threshold,
     rs_decode,
     run_epoch,
@@ -260,7 +259,7 @@ def test_criterion_7_three_shard_expansion():
         coded = build_coded_poly((a, b, c), params)
         for _ in range(10):
             z = FIELD.random(rng)
-            assert poly_eval(coded, z) == poly_eval(displayed, z)
+            assert coded(z) == displayed(z)
     report(7, "coefficient separation and the displayed expansion hold on 100/100 seeds")
 
 

@@ -20,7 +20,6 @@ from shardlab import (
     compose_verification,
     known_behavior_decode,
     lagrange_interpolate,
-    poly_eval,
     recover_outputs,
     rs_decode,
 )
@@ -49,7 +48,7 @@ def exhaustive_fit(entries, degree_bound, max_errors):
                 continue
             head = [(e.point, e.value) for e in kept[: degree_bound + 1]]
             poly = lagrange_interpolate(head)
-            if all(poly_eval(poly, e.point) == e.value for e in kept):
+            if all(poly(e.point) == e.value for e in kept):
                 if poly not in fits:
                     fits.append(poly)
     return fits
@@ -183,7 +182,7 @@ class TestRsDecode:
             out = rs_decode(broadcast_from(points), 2, 3)
             if out.recovered:
                 bad = sum(
-                    1 for x, y in points if poly_eval(out.poly, x) != y
+                    1 for x, y in points if out.poly(x) != y
                 )
                 assert bad <= 3
 

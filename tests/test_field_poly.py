@@ -8,18 +8,17 @@ from hypothesis import strategies as st
 from shardlab import (
     DuplicateAbscissa,
     FieldElement,
-    Matrix,
     Polynomial,
     PrimeField,
+    build_system,
     lagrange_interpolate,
-    matrix_rank,
-    nullspace_basis,
-    poly_eval,
-    vandermonde,
+    proof_params,
 )
 from shardlab.field_poly import (
-    barycentric, batch_inverse, echelon, is_prime, kernel_vector, vanishing_polynomial,
+    barycentric, batch_inverse, echelon, is_prime, kernel_vector, nullspace_vector,
+    vanishing_polynomial,
 )
+from dense_system import Matrix, matrix_rank, nullspace_basis, vandermonde
 from rs_oracle import solve_linear
 
 GF97 = PrimeField(97)
@@ -102,18 +101,18 @@ class TestFieldAxioms:
 class TestPolynomial:
     def test_eval_square(self, gf7):
         # z^2 at 3: 9 mod 7
-        assert poly_eval(Polynomial(gf7, [0, 0, 1]), gf7(3)) == gf7(2)
+        assert Polynomial(gf7, [0, 0, 1])(gf7(3)) == gf7(2)
 
     def test_eval_zero_poly(self, gf7, rng):
         zero = Polynomial.zero(gf7)
         assert zero.degree is None
         for _ in range(5):
-            assert poly_eval(zero, gf7.random(rng)) == 0
+            assert zero(gf7.random(rng)) == 0
 
     def test_eval_shard_basis_constant_term(self, gf7):
         # (z-2)(z-3)/2 has constant term 6/2 = 3
         basis = (Polynomial(gf7, [-2, 1]) * Polynomial(gf7, [-3, 1])) * gf7(2).inverse()
-        assert poly_eval(basis, gf7.zero) == gf7(3)
+        assert basis(gf7.zero) == gf7(3)
 
     def test_canonical_form(self, gf7):
         assert Polynomial(gf7, [1, 2, 0, 0]).coeffs == (gf7(1), gf7(2))
@@ -149,7 +148,7 @@ class TestInterpolation:
             ys = [gf97.random(rng) for _ in range(3)]
             poly = lagrange_interpolate([(gf97(i), y) for i, y in enumerate(ys, 1)])
             for i, y in enumerate(ys, 1):
-                assert poly_eval(poly, gf97(i)) == y
+                assert poly(gf97(i)) == y
 
     def test_duplicate_abscissa(self, gf97):
         with pytest.raises(DuplicateAbscissa):
@@ -194,10 +193,14 @@ class TestVandermonde:
             assert matrix_rank(m) == min(n, degree + 1)
 
 
+def identity(field, n):
+    return Matrix(field, [[int(i == j) for j in range(n)] for i in range(n)])
+
+
 class TestRankNullspace:
     def test_identity(self, gf7):
-        assert matrix_rank(Matrix.identity(gf7, 4)) == 4
-        assert nullspace_basis(Matrix.identity(gf7, 3)) == []
+        assert matrix_rank(identity(gf7, 4)) == 4
+        assert nullspace_basis(identity(gf7, 3)) == []
 
     def test_zero_matrix(self, gf7):
         m = Matrix(gf7, [[0] * 5 for _ in range(3)])
@@ -210,6 +213,13 @@ class TestRankNullspace:
         assert len(basis) == 1
         x, y = basis[0]
         assert x and x == -y
+
+    def test_nullspace_vector_rechecks_rows(self, gf97):
+        # pivots of other rows give a vector that misses these rows: caught by multiplication
+        pivots = echelon([[1, 2]], 2, 97)
+        assert nullspace_vector([[1, 2]], 2, gf97, pivots, 1) == (gf97(-2), gf97(1))
+        with pytest.raises(AssertionError, match="failed verification"):
+            nullspace_vector([[1, 1]], 2, gf97, pivots, 1)
 
     def test_nullity_plus_rank(self, gf97, rng):
         for _ in range(20):
@@ -316,7 +326,8 @@ class TestEqualityAndHash:
 
 
 class TestKernelOracle:
-    """Polynomial and Matrix arithmetic against schoolbook FieldElement computations."""
+    """Polynomial arithmetic and the residue-row kernel against schoolbook FieldElement
+    computations."""
 
     @given(a=coeff_lists, b=coeff_lists)
     def test_add_sub_mul(self, a, b):
@@ -423,7 +434,7 @@ class TestKernelOracle:
 
 
 class TestKernelBoundary:
-    """Residues inside Polynomial and Matrix, FieldElements at every accessor."""
+    """Residues inside Polynomial and in linear-algebra rows, FieldElements at every accessor."""
 
     def test_residue_conversion(self, gf7, gf97):
         assert gf7.residue(10) == 3 and gf7.residue(-1) == 6
@@ -450,11 +461,19 @@ class TestKernelBoundary:
         assert all(isinstance(v, FieldElement) for v in m.mul_vec([1, GF97(2)]))
         sol = solve_linear(m, [0] * m.nrows)
         assert all(isinstance(v, FieldElement) and v.field == GF97 for v in sol)
+        pivots = echelon(m.rows, 2, 97)
+        assert all(is_residue_tuple(tuple(row), 97) for row in pivots.values())
+        for free in set(range(2)) - set(pivots):
+            vec = nullspace_vector(m.rows, 2, GF97, pivots, free)
+            assert all(isinstance(v, FieldElement) and v.field == GF97 for v in vec)
 
     def test_interpolant_and_vandermonde_hold_residues(self, gf97):
         poly = lagrange_interpolate([(gf97(1), gf97(5)), (gf97(2), gf97(90)), (gf97(4), 3)])
         assert is_residue_tuple(poly.coeffs, 97)
-        assert all(is_residue_tuple(row, 97) for row in vandermonde([gf97(3), gf97(96)], 4).rows)
+        # R's rows are signed multiples of Vandermonde rows at the shard points
+        sys_m = build_system(proof_params(2, 1, 2, 3, 1, 9, gf97))
+        assert isinstance(sys_m.R, tuple) and sys_m.R
+        assert all(is_residue_tuple(row, 97) and len(row) == sys_m.ncols for row in sys_m.R)
 
     def test_foreign_field_rejected(self, gf7, gf97):
         poly = Polynomial(gf97, [1, 2])

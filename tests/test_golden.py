@@ -1,12 +1,16 @@
 """Outputs pinned byte for byte to files under tests/golden/.
 
-Demo 05's stdout and the `threshold_sweep` CSV of (v, beta', d, K, beta) =
-(2, 2, 3, 6, 2) over N = 44..54 were written by the code before the rank
-verdict stopped building the dense system. The `garbage_attack` and
-`discrepancy_attack` JSON lines (2 seeds x 2 epochs each) were written by the
-Gauss-Jordan elimination before the echelon kernel replaced it. The CSV and the
-JSON lines are the output of `python -m shardlab --config CONFIG` with the
-configs below. `rs_decode_outcomes.jsonl` holds the Berlekamp-Welch decoder's
+Every demo's stdout is pinned as `demoNN_stdout.txt`. Demo 05's and the
+`threshold_sweep` CSV of (v, beta', d, K, beta) = (2, 2, 3, 6, 2) over
+N = 44..54 were written by the code before the rank verdict stopped building
+the dense system; demos 01-04's were written before `Matrix`, `vandermonde`,
+`matrix_rank`, `nullspace_basis`, `poly_eval` and `lagrange_basis` left the
+library, so they pin demos 01 and 02 across their rewrite onto
+`echelon`/`nullspace_vector`, `poly(x)` and `build_coded_poly`. The
+`garbage_attack` and `discrepancy_attack` JSON lines (2 seeds x 2 epochs each)
+were written by the Gauss-Jordan elimination before the echelon kernel
+replaced it. The CSV and the JSON lines are the output of
+`python -m shardlab --config CONFIG` with the configs below. `rs_decode_outcomes.jsonl` holds the Berlekamp-Welch decoder's
 outcome (status, coefficients, error positions, diagnostics) on 200 seeded
 broadcast sets, written before Gao's decoder replaced it; every epoch now
 decodes through Gao's algorithm, so these files pin the two decoders' agreement
@@ -28,16 +32,18 @@ from shardlab.cli import run
 
 ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = ROOT / "tests" / "golden"
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
-def test_demo_05_stdout(tmp_path):
+@pytest.mark.parametrize("demo", DEMOS, ids=[d.stem for d in DEMOS])
+def test_demo_stdout(tmp_path, demo):
     src = str(Path(shardlab.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run([sys.executable, str(ROOT / "demos" / "05_recovery_threshold.py")],
+    proc = subprocess.run([sys.executable, str(demo)],
                           capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == (GOLDEN / "demo05_stdout.txt").read_text()
+    assert proc.stdout == (GOLDEN / f"demo{demo.stem[:2]}_stdout.txt").read_text()
 
 
 def test_threshold_sweep_csv(tmp_path, capsys):

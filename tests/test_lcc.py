@@ -10,10 +10,10 @@ from shardlab import (
     build_coded_poly,
     compose_verification,
     encode_at_node,
-    lagrange_basis,
     lagrange_interpolate,
-    poly_eval,
 )
+from shardlab import lcc
+from shardlab.field_poly import barycentric
 from shardlab.polyshard_sim import VerificationFn, history_power_check, power_check
 
 
@@ -32,6 +32,12 @@ def product_basis(params, k, z):
     return num / den
 
 
+def unit_basis(params, k):
+    """L_k: the coded polynomial of the view holding 1 at shard k and 0 elsewhere."""
+    view = tuple(params.field(int(j == k)) for j in range(1, params.K + 1))
+    return build_coded_poly(view, params)
+
+
 def interpolated_coded_poly(view, params):
     """Oracle: a fresh interpolation through (omega_k, view[k-1]) for every shard."""
     return lagrange_interpolate(list(zip(params.omegas, view)))
@@ -45,6 +51,31 @@ class TestParams:
                 omegas=(gf97(1), gf97(2)), alphas=(gf97(2),), d=1,
             )
 
+    def test_mixed_field_points_rejected(self, gf7, gf97):
+        for omegas, alphas in (((gf97(1), gf97(2)), (gf7(3), gf7(4))),
+                               ((gf97(1), gf7(2)), (gf97(3), gf97(4)))):
+            with pytest.raises(ValueError, match=r"must lie in omegas\[0\]'s GF\(97\)"):
+                EncodingParams(K=2, N=2, d=1, omegas=omegas, alphas=alphas)
+        params = EncodingParams(K=2, N=2, d=1, omegas=(gf97(1), gf97(2)),
+                                alphas=(gf97(3), gf97(4)))
+        with pytest.raises(ValueError, match="different field"):
+            build_coded_poly((gf97(1), gf7(1)), params)
+
+    def test_one_barycentric_form(self, gf97, monkeypatch):
+        # the Lagrange matrix and every coded polynomial read one cached triple
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return barycentric(*args)
+
+        monkeypatch.setattr(lcc, "barycentric", counted)
+        params = EncodingParams.default(3, 4, 2, gf97)
+        for view in ((1, 2, 3), (4, 5, 6)):
+            build_coded_poly(tuple(map(gf97, view)), params)
+        assert len(params.lagrange_matrix) == 4
+        assert len(calls) == 1
+
     def test_bad_counts(self, gf97):
         with pytest.raises(ValueError):
             EncodingParams(K=2, N=1, omegas=(gf97(1),), alphas=(gf97(3),), d=1)
@@ -55,32 +86,32 @@ class TestParams:
 class TestLagrangeBasis:
     def test_one_at_own_point(self, gf97):
         params = three_shard_params(gf97)
-        assert lagrange_basis(params, 1, gf97(1)) == 1
+        assert unit_basis(params, 1)(gf97(1)) == 1
 
     def test_zero_at_other_points(self, gf97):
         params = three_shard_params(gf97)
-        assert lagrange_basis(params, 1, gf97(2)) == 0
-        assert lagrange_basis(params, 1, gf97(3)) == 0
+        assert unit_basis(params, 1)(gf97(2)) == 0
+        assert unit_basis(params, 1)(gf97(3)) == 0
 
     def test_middle_basis_polynomial(self, gf97):
         # basis for shard 2 is (z-1)(z-3)/(-1) = -z^2 + 4z - 3
         params = three_shard_params(gf97)
         expected = Polynomial(gf97, [-3, 4, -1])
         for z in map(gf97, range(10, 20)):
-            assert lagrange_basis(params, 2, z) == poly_eval(expected, z)
+            assert unit_basis(params, 2)(z) == expected(z)
 
     def test_partition_of_unity(self, field, rng):
         params = EncodingParams.default(5, 8, 2, field)
         for _ in range(50):
             z = field.random(rng)
             total = sum(
-                (lagrange_basis(params, k, z) for k in range(1, 6)), field.zero
+                (unit_basis(params, k)(z) for k in range(1, 6)), field.zero
             )
             assert total == 1
 
     def test_single_shard_basis_is_one(self, gf97, rng):
         params = EncodingParams.default(1, 3, 2, gf97)
-        assert lagrange_basis(params, 1, gf97.random(rng)) == 1
+        assert unit_basis(params, 1)(gf97.random(rng)) == 1
 
 
     @given(points=st.lists(st.integers(0, 96), min_size=2, max_size=20, unique=True),
@@ -99,7 +130,7 @@ class TestLagrangeBasis:
                 if j != k:
                     oracle = oracle * Polynomial(gf97, [-omega_j, 1])
             oracle = oracle * (gf97.one / oracle(params.omegas[k - 1]))
-            assert params.basis[k - 1] == oracle
+            assert unit_basis(params, k) == oracle
         assert params.lagrange_matrix == tuple(
             tuple(product_basis(params, k, alpha).value for k in range(1, K + 1))
             for alpha in params.alphas
@@ -129,7 +160,7 @@ class TestEncodeAtNode:
             view = tuple(field.random(rng) for _ in range(5))
             poly = build_coded_poly(view, params)
             for n in range(1, 13):
-                assert encode_at_node(view, params, n) == poly_eval(poly, params.alphas[n - 1])
+                assert encode_at_node(view, params, n) == poly(params.alphas[n - 1])
 
     def test_matches_basis_sum_on_custom_layout(self, gf97, rng):
         # the cached basis, the Lagrange matrix and the coded polynomial against
@@ -139,7 +170,7 @@ class TestEncodeAtNode:
         for params in (EncodingParams.default(4, 5, 2, gf97), custom):
             for k in range(1, 5):
                 for z in params.omegas + params.alphas + (gf97.random(rng),):
-                    assert lagrange_basis(params, k, z) == product_basis(params, k, z)
+                    assert unit_basis(params, k)(z) == product_basis(params, k, z)
             assert params.lagrange_matrix == tuple(
                 tuple(product_basis(params, k, alpha).value for k in range(1, 5))
                 for alpha in params.alphas
@@ -213,7 +244,7 @@ class TestComposeVerification:
             composed = compose_verification(q, [], f)
             for _ in range(20):
                 alpha = field.random(rng)
-                assert poly_eval(composed, alpha) == f.evaluate(poly_eval(q, alpha), ())
+                assert composed(alpha) == f.evaluate(q(alpha), ())
         # with a coded history: the composition evaluated at every node point is
         # the check a node runs on its own coded block and coded chain
         params = EncodingParams.default(4, 9, 2, field)
@@ -247,7 +278,7 @@ class TestViewConsistency:
             [(params.alphas[n - 1], blocks[n - 1]) for n in (2, 4, 6, 8)]
         )
         for n in range(1, 10):
-            assert poly_eval(fit, params.alphas[n - 1]) == blocks[n - 1]
+            assert fit(params.alphas[n - 1]) == blocks[n - 1]
 
     def test_discrepant_views_break_single_polynomial(self, field, rng):
         params = EncodingParams.default(4, 9, 2, field)
@@ -260,5 +291,5 @@ class TestViewConsistency:
             [(params.alphas[n - 1], blocks[n - 1]) for n in range(1, 5)]
         )
         assert any(
-            poly_eval(fit, params.alphas[n - 1]) != blocks[n - 1] for n in range(5, 10)
+            fit(params.alphas[n - 1]) != blocks[n - 1] for n in range(5, 10)
         )

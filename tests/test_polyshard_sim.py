@@ -13,7 +13,6 @@ from shardlab import (
     comm_load,
     compose_verification,
     lagrange_interpolate,
-    poly_eval,
     propose_blocks,
     run_epoch,
 )
@@ -183,7 +182,7 @@ class TestCodedChainSoundness:
             poly = lagrange_interpolate(pts)
             for k, chain in enumerate(sim.chains, 1):
                 expected = chain.history[m]
-                assert poly_eval(poly, sim.params.omegas[k - 1]) == expected
+                assert poly(sim.params.omegas[k - 1]) == expected
 
     def test_recovered_epochs_have_identical_bits(self, field):
         sim = make_sim(field)

@@ -3,7 +3,7 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shardlab import Matrix
+from dense_system import Matrix
 from rs_oracle import solve_linear
 from test_field_poly import GF97, degenerate_matrices, residues, schoolbook_rref
 

@@ -12,7 +12,6 @@ from shardlab import (
     BroadcastSet,
     InfeasiblePartition,
     InsufficientEvaluations,
-    Matrix,
     RankReport,
     VersionAssignment,
     build_coded_poly,
@@ -24,8 +23,6 @@ from shardlab import (
     free_variable_count_closed_form,
     known_behavior_decode,
     known_behavior_upper_bound,
-    matrix_rank,
-    nullspace_basis,
     proof_params,
     recovery_threshold,
     sweep_to_csv,
@@ -37,7 +34,7 @@ from shardlab.lcc import EncodingParams, all_version_tuples
 from shardlab.polyshard_sim import power_check
 from shardlab.threshold_analysis import _c_row_blocks, _lift
 
-from dense_system import dense_system, rref
+from dense_system import Matrix, dense_system, matrix_rank, nullspace_basis, rref
 
 
 class TestVersionsMatchSet:
@@ -351,7 +348,7 @@ class TestRestrictedVerdict:
         params = proof_params(v, beta_prime, 2, 3, 1, 11, field)
         assert params.cell_sizes == (9,) and params.block_width == 5
         sys_m = build_system(params)
-        assert sys_m.R.ncols == sys_m.z_width
+        assert sys_m.ncols == sys_m.z_width
         assert assert_matches_full_d(params).unique_Z
 
     @pytest.mark.parametrize("sizes", [(5, 2), (3, 4)])
@@ -391,10 +388,10 @@ class TestWitnessEquations:
     @staticmethod
     def r_witness(field):
         sys_m = build_system(proof_params(2, 1, 2, 3, 1, 9, field))
-        pivots = echelon(sys_m.R.rows, sys_m.R.ncols, field.modulus)
-        free_z = next(c for c in range(sys_m.R.ncols - sys_m.z_width, sys_m.R.ncols)
+        pivots = echelon(sys_m.R, sys_m.ncols, field.modulus)
+        free_z = next(c for c in range(sys_m.ncols - sys_m.z_width, sys_m.ncols)
                       if c not in pivots)
-        return sys_m, list(nullspace_vector(sys_m.R, pivots, free_z))
+        return sys_m, list(nullspace_vector(sys_m.R, sys_m.ncols, field, pivots, free_z))
 
     def test_lifted_vector_solves_d(self, field):
         sys_m, vec = self.r_witness(field)
@@ -475,7 +472,7 @@ class TestFreeVariables:
         for v, bp, d, K in itertools.product(range(1, 4), range(3), range(1, 4), range(3, 6)):
             N = recovery_threshold(v, bp, d, K, 1) - 1
             sys_m = build_system(proof_params(v, bp, d, K, 1, N, field))
-            assert sys_m.R.ncols - sys_m.z_width == free_variable_count(v, bp, d, K)
+            assert sys_m.ncols - sys_m.z_width == free_variable_count(v, bp, d, K)
 
 
 class TestEmpiricalThreshold:
@@ -550,9 +547,11 @@ class TestProofParams:
         [("v", dict(v=0, N=2, partition=())),
          ("d", dict(d=0)),
          ("beta", dict(beta=-1, N=0, partition=((4,), (5,)))),
-         ("K", dict(K=0, omegas=(), beta_prime=0, producers=(), partition=(tuple(range(4, 11)),)))],
+         ("K", dict(K=0, omegas=(), beta_prime=0, producers=(), partition=(tuple(range(4, 11)),))),
+         ("beta_prime", dict(beta_prime=-1, producers=()))],
     )
     def test_bad_counts_rejected(self, field, name, overrides):
+        # the layout and proof_params on the same counts name the same bad one
         layout = dict(
             N=9, K=3, d=2, beta=1, beta_prime=1, v=2,
             omegas=(1, 2, 3), partition=((4, 6, 8, 10), (5, 7, 9)), producers=(1,),
@@ -562,6 +561,9 @@ class TestProofParams:
         layout["partition"] = tuple(tuple(map(field, cell)) for cell in layout["partition"])
         with pytest.raises(ValueError, match=f"^{name} must be at least"):
             AnalysisParams(**layout)
+        counts = [layout[key] for key in ("v", "beta_prime", "d", "K", "beta", "N")]
+        with pytest.raises(ValueError, match=f"^{name} must be at least .*, got {layout[name]}$"):
+            proof_params(*counts, field)
 
     def test_partition_size_checked(self, field):
         with pytest.raises(ValueError):
