@@ -156,6 +156,8 @@ def assign_versions(
             raise ValueError("random strategy needs an rng")
         mapping = {node: tuples[rng.randrange(len(tuples))] for node in nodes}
     else:
+        if missing := [node for node in nodes if node not in config.targeted_map]:
+            raise ValueError(f"node {missing[0]}: no version tuple in the targeted map")
         mapping = {node: tuple(config.targeted_map[node]) for node in nodes}
     return VersionAssignment(
         producers=config.adversarial_producers, v=config.v, node_tuples=mapping

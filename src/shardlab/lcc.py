@@ -11,6 +11,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
+from operator import mul
 from typing import Sequence
 
 from .field_poly import (
@@ -26,8 +27,9 @@ from .field_poly import (
 VersionTuple = tuple[int, ...]
 
 # Per-shard payloads (index k-1 = shard k) as seen by one node; adversarial
-# shards may show different nodes different payloads.
-ReceivedProposals = tuple[FieldElement, ...]
+# shards may show different nodes different payloads. Inside an epoch a view
+# is a tuple of int residues in [0, p); the encoders also take same-field elements.
+ReceivedProposals = tuple[int | FieldElement, ...]
 
 
 class DegreeOverflow(ValueError):
@@ -98,13 +100,13 @@ class EncodingParams:
 
 
 def encode_at_node(received: ReceivedProposals, params: EncodingParams, n: int) -> FieldElement:
-    """Coded block at node n: row n of the Lagrange matrix times the received payloads."""
+    """Coded block at node n: one dot product of row n of the Lagrange matrix with a view
+    of residues or same-field elements (an element of another field raises ValueError)."""
     if not 1 <= n <= params.N:
         raise ValueError(f"node index {n} out of range 1..{params.N}")
     if len(received) != params.K:
         raise ValueError("a view must contain exactly one payload per shard")
-    row, residue = params.lagrange_matrix[n - 1], params.field.residue
-    return params.field(sum(residue(x) * w for x, w in zip(received, row)))
+    return params.field(sum(map(mul, params.lagrange_matrix[n - 1], received)))
 
 
 def build_coded_poly(view: ReceivedProposals, params: EncodingParams) -> Polynomial:

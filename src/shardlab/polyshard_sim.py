@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from operator import mul
 from typing import Callable, Sequence
 
 from .adversary import AdversaryConfig, assign_versions, corrupt_results, forge_versions
@@ -149,7 +150,7 @@ class Simulation:
         self.epoch = 0
         # genesis block of shard k is the public constant k
         self.chains = [ShardChain(k, field(k)) for k in range(1, params.K + 1)]
-        genesis = tuple(c.history[0] for c in self.chains)
+        genesis = tuple(c.history[0].value for c in self.chains)
         self.history_polys: list[Polynomial] = [build_coded_poly(genesis, params)]
         self.nodes = [
             NodeState(n, params.alphas[n - 1], encode_at_node(genesis, params, n))
@@ -194,7 +195,8 @@ def run_epoch(
 
     Delivery, encoding, broadcast corruption, decoding and appends happen in
     node-index order; decode failure is recorded, never raised. An adversary
-    index outside 1..N or 1..K raises ValueError before any state changes.
+    index outside 1..N or 1..K, or a targeted map without some honest node,
+    raises ValueError before any state changes.
     """
     if isinstance(rng, int):
         rng = random.Random(rng)
@@ -206,37 +208,30 @@ def run_epoch(
         for index in sorted(indices):
             if not 1 <= index <= top:
                 raise ValueError(f"adversarial {kind} {index} out of range 1..{top}")
-    for node in sim.nodes:
-        node.role = "adversarial" if node.node in adv_nodes else "honest"
-    honest_ids = [node.node for node in sim.nodes if node.role == "honest"]
+    honest_ids = [node.node for node in sim.nodes if node.node not in adv_nodes]
 
     # 1. proposals: honest shards broadcast one block; captured shards unicast versions
-    base = propose_blocks(sim.chains, fn, rng, sim.invalid_proposer_shards)
-    versions: dict[int, list[FieldElement]] = {}
-    for k in producers:
-        versions[k] = forge_versions(
-            sim.chains[k - 1].history, adversary.v, rng,
-            fn=fn, valid_first=adversary.valid_first,
-        )
+    base = [x.value for x in propose_blocks(sim.chains, fn, rng, sim.invalid_proposer_shards)]
+    versions = {k: [x.value for x in forge_versions(sim.chains[k - 1].history, adversary.v, rng,
+                                                   fn=fn, valid_first=adversary.valid_first)]
+                for k in producers}
     node_tuples = (assign_versions(honest_ids, adversary, cap=None, rng=rng).node_tuples
                    if producers else {})
 
-    def view_of(tup: tuple[int, ...]) -> tuple[FieldElement, ...]:
-        return tuple(
-            versions[k][tup[producers.index(k)] - 1] if k in producers else base[k - 1]
-            for k in range(1, params.K + 1)
-        )
-
-    # version 1 of every captured shard: the view of nodes outside the assignment
-    first_view = view_of((1,) * len(producers))
-    views = {
-        node.node: view_of(node_tuples[node.node]) if node.node in node_tuples else first_view
-        for node in sim.nodes
-    }
+    # one residue view per distinct version tuple, shared by every node holding
+    # it; version 1 of every captured shard is the view of nodes outside the assignment
+    ones = (1,) * len(producers)
+    built = {tup: tuple(versions[k][tup[producers.index(k)] - 1] if k in producers else base[k - 1]
+                        for k in range(1, params.K + 1))
+             for tup in {ones, *node_tuples.values()}}
+    first_view = built[ones]
+    views = {node.node: built[node_tuples.get(node.node, ones)] for node in sim.nodes}
     for k in producers:
-        delivered = {views[n][k - 1].value for n in views}
+        delivered = {view[k - 1] for view in built.values()}
         if len(delivered) > adversary.v:
             raise AssertionError("injection cap violated")
+    for node in sim.nodes:
+        node.role = "adversarial" if node.node in adv_nodes else "honest"
 
     # 2. each honest node encodes its view and verifies against its coded chain
     results: dict[int, FieldElement | None] = {}
@@ -333,8 +328,7 @@ def _canonical_blocks(sim, decoded_poly, first_view, views, producers):
     if not producers:
         return first_view
     params, fn = sim.params, sim.fn
-    realized = {views[n] for n in views}
-    for view in realized:
+    for view in set(views.values()):
         composed = compose_verification(
             build_coded_poly(view, params), sim.history_polys, fn
         )
@@ -346,20 +340,21 @@ def _canonical_blocks(sim, decoded_poly, first_view, views, producers):
 def _append_epoch(sim, canonical, bits, views):
     """Append e_k * X_k per shard and the matching coded entries per node.
 
+    Views are residue tuples, each distinct one masked once into what a node encodes and
+    its chain-id key; only the K accepted blocks are boxed, for `VerificationFn` histories.
     Honest nodes encode *their own* received view, so a node whose view lost
     the decode silently diverges; adversarial nodes track the canonical chain.
     """
     params = sim.params
-    accepted = tuple(b * x for b, x in zip(bits, canonical))
+    masked = {view: tuple(map(mul, bits, view)) for view in {canonical, *views.values()}}
+    accepted = masked[canonical]
     for chain, block in zip(sim.chains, accepted):
-        chain.history.append(block)
+        chain.history.append(params.field(block))
     sim.history_polys.append(build_coded_poly(accepted, params))
     for node in sim.nodes:
-        view = views[node.node] if node.role == "honest" else canonical
-        masked = tuple(b * x for b, x in zip(bits, view))
-        node.coded_chain.append(encode_at_node(masked, params, node.node))
-        key = (node.chain, tuple(b.value for b in masked))
-        node.chain = sim.chain_ids.setdefault(key, len(sim.chain_ids) + 1)
+        own = masked[views[node.node] if node.role == "honest" else canonical]
+        node.coded_chain.append(encode_at_node(own, params, node.node))
+        node.chain = sim.chain_ids.setdefault((node.chain, own), len(sim.chain_ids) + 1)
 
 
 @dataclass(frozen=True)

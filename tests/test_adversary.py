@@ -128,6 +128,20 @@ class TestAssignVersions:
         assignment = assign_versions([1, 2, 3], cfg, cap=None)
         assert {n: assignment.tuple_for(n) for n in (1, 2, 3)} == explicit
 
+    def test_targeted_map_missing_node_is_named(self, field):
+        cfg = config(
+            {9}, producers=(1,), v=2,
+            assignment_strategy="targeted", targeted_map={1: (2,), 3: (1,)},
+        )
+        with pytest.raises(ValueError, match="node 2: no version tuple"):
+            assign_versions([1, 2, 3], cfg)
+        sim = Simulation(EncodingParams.default(3, 9, 2, field), history_power_check(2, field(3)))
+        with pytest.raises(ValueError, match="node 2: no version tuple"):
+            run_epoch(sim, cfg, rng=0)
+        assert sim.epoch == 0
+        assert [node.role for node in sim.nodes] == ["honest"] * 9
+        assert all(len(c.history) == 1 for c in sim.chains)
+
     def test_version_cap_validated(self):
         with pytest.raises(ValueError):
             VersionAssignment(producers=(1,), v=2, node_tuples={1: (3,)})

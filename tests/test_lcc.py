@@ -188,6 +188,22 @@ class TestEncodeAtNode:
             with pytest.raises(ValueError, match="one payload per shard"):
                 encode_at_node(view[:3], params, 1)
 
+    def test_residue_view_matches_element_view_and_coded_poly(self, gf97, gf7, rng):
+        params = EncodingParams.default(4, 9, 2, gf97)
+        for _ in range(20):
+            residues = tuple(rng.randrange(97) for _ in range(4))
+            elements = tuple(map(gf97, residues))
+            coded = build_coded_poly(residues, params)
+            for n, alpha in enumerate(params.alphas, start=1):
+                block = encode_at_node(residues, params, n)
+                assert block.field == gf97
+                assert block == encode_at_node(elements, params, n) == coded(alpha)
+        for k in range(4):
+            for view in (elements, residues):
+                mixed = view[:k] + (gf7(3),) + view[k + 1:]
+                with pytest.raises(ValueError, match="different field"):
+                    encode_at_node(mixed, params, 2)
+
     def test_linear_in_view(self, field, rng):
         params = EncodingParams.default(4, 6, 2, field)
         for _ in range(10):

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from shardlab import (
     AdversaryConfig,
     EncodingParams,
+    FieldElement,
     Polynomial,
     Simulation,
     comm_load,
@@ -159,6 +160,53 @@ class TestRunEpoch:
         assert [node.role for node in sim.nodes] == roles
         assert all(len(c.history) == 2 for c in sim.chains)
 
+    def test_decoded_dominant_version_is_appended(self, gf97, monkeypatch):
+        # 16 honest nodes see version 2 of shard 1 and 2 see version 1: the
+        # decoder absorbs the minority as errors, and shard 1 must append the
+        # version the decoded polynomial singles out, not version 1
+        forged = []
+        forge = polyshard_sim.forge_versions
+
+        def recording_forge(*args, **kwargs):
+            forged.append(forge(*args, **kwargs))
+            return forged[-1]
+
+        monkeypatch.setattr(polyshard_sim, "forge_versions", recording_forge)
+        params = EncodingParams.default(3, 20, 2, gf97)
+        sim = Simulation(params, power_check(2), accept_set=set(map(gf97, range(97))))
+        adversary = AdversaryConfig(
+            adversarial_nodes=frozenset({19, 20}), adversarial_producers=(1,), v=2,
+            assignment_strategy="targeted",
+            targeted_map={n: (2,) if n <= 16 else (1,) for n in range(1, 19)},
+        )
+        report = run_epoch(sim, adversary, rng=5)
+        assert report.statuses[1] == "recovered"
+        assert report.accepted[1] == [1, 1, 1]
+        assert sim.chains[0].history[-1] == forged[0][1] != forged[0][0]
+        for node in sim.nodes:
+            on_canonical = node.coded_chain[-1] == sim.history_polys[-1](node.alpha)
+            assert on_canonical == (node.node <= 16 or node.role == "adversarial")
+        assert report.chain_divergence == 2
+
+    def test_recovered_epoch_boxes_at_most_n_plus_k_products(self, field, monkeypatch):
+        # views, masks and encodings run on residues: the only boxed products
+        # left are the verification function's own, K proposals and one check
+        # per honest node
+        sim = make_sim(field, K=6, N=40)
+        calls = 0
+        boxed_mul = FieldElement.__mul__
+
+        def counting_mul(self, other):
+            nonlocal calls
+            calls += 1
+            return boxed_mul(self, other)
+
+        monkeypatch.setattr(FieldElement, "__mul__", counting_mul)
+        monkeypatch.setattr(FieldElement, "__rmul__", counting_mul)
+        report = run_epoch(sim, garbage_adversary(range(33, 41)), rng=12)
+        assert not report.stalled and report.statuses[1] == "recovered"
+        assert calls <= 40 + 6
+
     def test_epoch_counter_and_chains(self, field):
         sim = make_sim(field, K=3, N=10)
         for t in range(1, 4):
@@ -221,7 +269,7 @@ class TestDivergence:
         def recording_append(sim, canonical, bits, views):
             for node in sim.nodes:
                 view = views[node.node] if node.role == "honest" else canonical
-                histories[node.node].append(tuple((b * x).value for b, x in zip(bits, view)))
+                histories[node.node].append(tuple(field.residue(b * x) for b, x in zip(bits, view)))
             append(sim, canonical, bits, views)
 
         monkeypatch.setattr(polyshard_sim, "_append_epoch", recording_append)
