@@ -1,8 +1,11 @@
 """Recovery of the composed verification polynomial from node broadcasts.
 
-Decoding is Gao's O(N^2) Reed-Solomon decoder, which answers only when an error
-locator explains the broadcast values, so a broadcast set that mixes evaluations
-of several polynomials fails cleanly instead of producing a silent wrong answer.
+Decoding is Gao's Reed-Solomon decoder, which answers only when an error locator
+explains the broadcast values, so a broadcast set that mixes evaluations of
+several polynomials fails cleanly instead of producing a silent wrong answer.
+It runs on int residues: the interpolation combines up a subproduct tree of the
+broadcast's points that is built once per point set and cached, products are
+Kronecker products, and the extended Euclidean algorithm steps on residue lists.
 """
 
 from __future__ import annotations
@@ -11,7 +14,10 @@ from dataclasses import dataclass
 from typing import Container, Sequence
 
 from .adversary import VersionAssignment
-from .field_poly import FieldElement, Polynomial, interpolate
+from .field_poly import (
+    FieldElement, Polynomial, poly_divmod, poly_mul, poly_sub, poly_values,
+    tree_interpolate,
+)
 from .lcc import EncodingParams, all_version_tuples
 
 RECOVERED = "recovered"
@@ -43,6 +49,12 @@ class BroadcastSet:
         nodes = [e.node for e in entries]
         if len(set(nodes)) != len(nodes):
             raise ValueError("duplicate node index in broadcast set")
+        if entries:
+            field = entries[0].point.field
+            for e in entries:
+                if e.point.field != field or (e.value is not None and e.value.field != field):
+                    raise ValueError(f"node {e.node}: point and value must lie in {field}, "
+                                     f"the field of the first entry's point")
         self.entries = tuple(entries)
 
     def present(self) -> list[BroadcastEntry]:
@@ -79,7 +91,8 @@ def rs_decode(b: BroadcastSet, degree_bound: int, max_errors: int) -> DecodeOutc
     + 1 + max_errors, and divide r by its cofactor t. Every Berlekamp-Welch pair (E, Q)
     at this radius is a multiple of (t, r), so one exists exactly when deg t <= max_errors
     and deg r - deg t <= degree_bound, and then Q/E = r/t. Missing entries are dropped
-    first (shortening), so max_errors counts among the present ones.
+    first (shortening), so max_errors counts among the present ones; the interpolation
+    still runs on the cached subproduct tree of every entry's point.
     """
     if degree_bound < 0 or max_errors < 0:
         raise ValueError("degree_bound and max_errors must be >= 0")
@@ -92,22 +105,25 @@ def rs_decode(b: BroadcastSet, degree_bound: int, max_errors: int) -> DecodeOutc
             f"with {max_errors} errors"
         )
     field = present[0].point.field
-    g0, g1 = interpolate([e.point.value for e in present], [e.value.value for e in present], field)
-    r0, r, t0, t = g0, g1, Polynomial.zero(field), Polynomial(field, (1,))
-    while len(r.coeffs) > degree_bound + 1 + max_errors:
-        q, rem = divmod(r0, r)
-        r0, r, t0, t = r, rem, t, t0 - q * t
-    if t.degree > max_errors or len(r.coeffs) - t.degree > degree_bound + 1:
+    p = field.modulus
+    r0, r = tree_interpolate(tuple(e.point.value for e in b),
+                             [None if e.value is None else e.value.value for e in b], p)
+    t0, t = [], [1]
+    while len(r) > degree_bound + 1 + max_errors:
+        q, rem = poly_divmod(r0, r, p)
+        r0, r, t0, t = r, rem, t, poly_sub(t0, poly_mul(q, t, p), p)
+    if len(t) - 1 > max_errors or len(r) - (len(t) - 1) > degree_bound + 1:
         return _failure("no error locator explains the broadcast values")
-    poly, rem = divmod(r, t)
-    if not rem.is_zero:
+    poly, rem = poly_divmod(r, t, p)
+    if rem:
         return _failure("error locator does not divide the numerator")
-    bad = frozenset(entry.node for entry in present if poly(entry.point) != entry.value)
+    values = poly_values(poly, [e.point.value for e in present], p)
+    bad = frozenset(e.node for e, y in zip(present, values) if y != e.value.value)
     if len(bad) > max_errors:  # each disagreement is a root of t, so this cannot happen
         raise AssertionError(f"decoded polynomial disagrees with {len(bad)} entries")
     return DecodeOutcome(
         status=RECOVERED,
-        poly=poly,
+        poly=Polynomial(field, poly),
         error_positions=bad,
         diagnostics=f"{len(bad)} corrected among {m} present entries",
     )

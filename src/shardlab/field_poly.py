@@ -6,7 +6,8 @@ decoders built on top never need a numerical tolerance.
 
 from __future__ import annotations
 
-from itertools import accumulate, zip_longest
+from functools import lru_cache
+from itertools import accumulate, repeat, zip_longest
 from operator import mul
 from typing import Iterable, Sequence
 
@@ -17,6 +18,8 @@ DEFAULT_MODULUS = 2**31 - 1
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 # Smallest strong pseudoprime to every base above: the test is exact below it.
 _MR_EXACT_BELOW = 3317044064679887385961981
+# Longest operand `poly_mul` multiplies row by row: packing costs more below it.
+_SHORT = 4
 
 
 class DuplicateAbscissa(ValueError):
@@ -195,10 +198,8 @@ class Polynomial:
     def __init__(self, field: PrimeField, coeffs: Iterable[int | FieldElement] = ()):
         p, residue = field.modulus, field.residue
         cs = [c % p if type(c) is int else residue(c) for c in coeffs]  # ints skip the call
-        while cs and not cs[-1]:
-            cs.pop()
         self.field = field
-        self.coeffs = tuple(cs)
+        self.coeffs = tuple(_strip(cs))
 
     @classmethod
     def zero(cls, field: PrimeField) -> "Polynomial":
@@ -246,15 +247,8 @@ class Polynomial:
 
     def __mul__(self, other):
         if isinstance(other, Polynomial):
-            ocoeffs = self._coeffs_of(other)
-            if self.is_zero or other.is_zero:
-                return Polynomial.zero(self.field)
-            p = self.field.modulus
-            out = [0] * (len(self.coeffs) + len(ocoeffs) - 1)
-            for i, a in enumerate(self.coeffs):
-                for j, b in enumerate(ocoeffs):
-                    out[i + j] = (out[i + j] + a * b) % p
-            return Polynomial(self.field, out)
+            return Polynomial(self.field, poly_mul(self.coeffs, self._coeffs_of(other),
+                                                   self.field.modulus))
         if isinstance(other, (FieldElement, int)):
             s = self.field.residue(other)
             return Polynomial(self.field, (c * s for c in self.coeffs))
@@ -265,32 +259,19 @@ class Polynomial:
     def __pow__(self, exponent: int) -> "Polynomial":
         if exponent < 0:
             raise ValueError("negative polynomial powers are not defined")
-        result = Polynomial(self.field, (1,))
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        result, base = None, self
+        while exponent:  # square-and-multiply: no product by 1, no square past the top bit
+            if exponent & 1:
+                result = base if result is None else result * base
+            exponent >>= 1
+            if exponent:
+                base = base * base
+        return Polynomial(self.field, (1,)) if result is None else result
 
     def __divmod__(self, other: "Polynomial"):
         if not isinstance(other, Polynomial):
             return NotImplemented
-        dcoeffs = self._coeffs_of(other)
-        if not dcoeffs:
-            raise ZeroDivisionError("polynomial division by zero")
-        p = self.field.modulus
-        rem = list(self.coeffs)
-        dd = len(dcoeffs) - 1
-        inv_lead = pow(dcoeffs[-1], p - 2, p)
-        quot = [0] * max(0, len(rem) - dd)
-        for i in range(len(rem) - 1, dd - 1, -1):
-            c = rem[i] * inv_lead % p
-            if c:
-                quot[i - dd] = c
-                rem[i - dd:i + 1] = [(r - c * d) % p for r, d in zip(rem[i - dd:i + 1], dcoeffs)]
+        quot, rem = poly_divmod(self.coeffs, self._coeffs_of(other), self.field.modulus)
         return Polynomial(self.field, quot), Polynomial(self.field, rem)
 
     def __floordiv__(self, other):
@@ -311,8 +292,84 @@ class Polynomial:
         return f"Polynomial({self.field!r}, {list(self.coeffs)})"
 
 
+def poly_mul(a: Sequence[int], b: Sequence[int], p: int) -> list[int]:
+    """Product of two ascending residue lists by Kronecker substitution: pack each into
+    one int, one slot per coefficient, multiply once and read the slots back mod p.
+
+    A slot of the integer product holds a sum of at most min(len(a), len(b)) products of
+    residues below p, so 2 bitlen(p - 1) + bitlen(min(len(a), len(b))) bits never carry.
+    An operand of at most _SHORT coefficients is cheaper as that many scaled shifted
+    copies of the other.
+    """
+    if not a or not b:
+        return []
+    short, long = (a, b) if len(a) <= len(b) else (b, a)
+    if len(short) <= _SHORT:
+        out, n = [0] * (len(a) + len(b) - 1), len(long)
+        for i, s in enumerate(short):
+            out[i:i + n] = [o + s * c for o, c in zip(out[i:i + n], long)]
+        return [o % p for o in out]
+    width = (2 * (p - 1).bit_length() + len(short).bit_length() + 7) // 8
+    packed = [int.from_bytes(b"".join(map(int.to_bytes, cs, repeat(width), repeat("little"))),
+                             "little") for cs in (a, b)]
+    n = len(a) + len(b) - 1
+    out = (packed[0] * packed[1]).to_bytes(n * width, "little")
+    return [int.from_bytes(out[i:i + width], "little") % p for i in range(0, n * width, width)]
+
+
+def _strip(cs: list[int]) -> list[int]:
+    """`cs` without trailing zero coefficients."""
+    while cs and not cs[-1]:
+        cs.pop()
+    return cs
+
+
+def poly_sub(a: Sequence[int], b: Sequence[int], p: int) -> list[int]:
+    """a - b on ascending residue lists, without trailing zeros."""
+    return _strip([(x - y) % p for x, y in zip_longest(a, b, fillvalue=0)])
+
+
+def poly_divmod(a: Sequence[int], b: Sequence[int], p: int) -> tuple[list[int], list[int]]:
+    """Quotient and remainder of ascending residue lists by long division; `b` must have
+    a nonzero last coefficient. The remainder has no trailing zeros."""
+    if not b:
+        raise ZeroDivisionError("polynomial division by zero")
+    rem = list(a)
+    dd = len(b) - 1
+    inv_lead = pow(b[-1], p - 2, p)
+    quot = [0] * max(0, len(rem) - dd)
+    for i in range(len(rem) - 1, dd - 1, -1):
+        c = rem[i] * inv_lead % p
+        if c:
+            quot[i - dd] = c
+            # reduced once at the end: each step adds less than p^2 to an entry
+            rem[i - dd:i] = [r - c * d for r, d in zip(rem[i - dd:i], b)]
+    return quot, _strip([r % p for r in rem[:dd]])
+
+
+def _divide_linear(cs: Sequence[int], x: int, p: int) -> list[int]:
+    """cs / (z - x) by synthetic division, for a polynomial that z - x divides exactly."""
+    return list(accumulate(reversed(cs[1:]), lambda q, c: (c + x * q) % p))[::-1]
+
+
+def _product_levels(xs: Sequence[int], p: int) -> list[list[Sequence[int]]]:
+    """Subproduct tree of the z - x over nonempty residues xs, leaves first: each level
+    holds the products of adjacent pairs of the level below (an odd last node moves up
+    unchanged), and the top level the single product."""
+    level: list[Sequence[int]] = [(-x % p, 1) for x in xs]
+    levels = [level]
+    while len(level) > 1:
+        level = [poly_mul(a, b, p) for a, b in zip(level[::2], level[1::2])
+                 ] + level[len(level) - len(level) % 2:]
+        levels.append(level)
+    return levels
+
+
 def vanishing_polynomial(xs: Iterable[int | FieldElement], field: PrimeField) -> Polynomial:
-    """The monic polynomial prod (z - x) over xs: its roots are exactly the xs."""
+    """The monic polynomial prod (z - x) over xs: its roots are exactly the xs.
+
+    One linear factor at a time: for the few dozen points its callers pass, this is
+    faster than `_product_levels`, which the decoder uses for its N points."""
     p = field.modulus
     m = [1]  # ascending
     for x in xs:
@@ -330,6 +387,14 @@ def batch_inverse(values: Sequence[int], p: int) -> list[int]:
     for i in range(len(values) - 1, -1, -1):
         out[i], inv = inv * prefix[i] % p, inv * values[i] % p
     return out
+
+
+def poly_values(cs: Sequence[int], xs: Sequence[int], p: int) -> list[int]:
+    """The polynomial with ascending residues cs at every x in xs, by one Horner pass."""
+    acc = [0] * len(xs)
+    for c in reversed(cs):
+        acc = [(a * x + c) % p for a, x in zip(acc, xs)]
+    return acc
 
 
 def barycentric(xs: Sequence[int],
@@ -358,12 +423,44 @@ def barycentric_sum(form: tuple[Polynomial, Sequence[int], Sequence[Sequence[int
     return Polynomial(g.field, [sum(map(mul, row, cs)) for row in rows])
 
 
-def interpolate(xs: Sequence[int], ys: Sequence[int],
-                field: PrimeField) -> tuple[Polynomial, Polynomial]:
-    """The master polynomial g of the distinct residues xs, and `barycentric_sum`
-    through the (x_j, y_j)."""
-    form = barycentric(xs, field)
-    return form[0], barycentric_sum(form, ys)
+@lru_cache(maxsize=16)
+def subproduct_tree(xs: tuple[int, ...], p: int) -> tuple[tuple[tuple[tuple[int, ...], ...], ...],
+                                                          tuple[int, ...]]:
+    """The `_product_levels` of distinct nonempty residues xs and the barycentric weights
+    w_j = 1/g'(x_j) of their product g, as tuples: built once per (xs, p) and shared by
+    every interpolation on these points, at the cost of one O(len(xs)^2) Horner pass."""
+    if len(set(xs)) != len(xs):
+        raise DuplicateAbscissa("interpolation points must have distinct x values")
+    levels = _product_levels(xs, p)
+    g = levels[-1][0]
+    derivs = poly_values([i * c % p for i, c in enumerate(g)][1:], xs, p)
+    return tuple(tuple(map(tuple, level)) for level in levels), tuple(batch_inverse(derivs, p))
+
+
+def tree_interpolate(xs: tuple[int, ...], ys: Sequence[int | None],
+                     p: int) -> tuple[list[int], list[int]]:
+    """Master polynomial g of the x_j with y_j not None, and the polynomial of degree
+    < deg g through those (x_j, y_j), as residue lists, on `subproduct_tree(xs, p)`.
+
+    The numerator sum_j y_j w_j g/(z - x_j) combines up the tree, n = n_L g_R + n_R g_L.
+    Silent points (y_j None) need no tree of their own: with s = prod (z - x_i) over
+    them, a present weight is w_all(j) s(x_j), and g and the numerator are the
+    full-set results divided exactly by s.
+    """
+    levels, weights = subproduct_tree(xs, p)
+    silent = [x for x, y in zip(xs, ys) if y is None]
+    s_at = poly_values(_product_levels(silent, p)[-1][0], xs, p) if silent else repeat(1)
+    nums = [[] if y is None else [y * w * s % p]
+            for y, w, s in zip(ys, weights, s_at)]
+    for level in levels[:-1]:
+        pairs = zip(nums[::2], nums[1::2], level[::2], level[1::2])
+        nums = [[(u + v) % p for u, v in zip_longest(poly_mul(n_l, g_r, p), poly_mul(n_r, g_l, p),
+                                                     fillvalue=0)]
+                for n_l, n_r, g_l, g_r in pairs] + nums[len(level) - len(level) % 2:]
+    g, n = levels[-1][0], nums[0]
+    for x in silent:
+        g, n = _divide_linear(g, x, p), _divide_linear(n, x, p)
+    return list(g), _strip(list(n))
 
 
 def lagrange_interpolate(points: Sequence[tuple[FieldElement, FieldElement]]) -> Polynomial:
@@ -371,8 +468,9 @@ def lagrange_interpolate(points: Sequence[tuple[FieldElement, FieldElement]]) ->
     if not points:
         raise ValueError("at least one interpolation point is required")
     field = points[0][0].field
-    return interpolate([field.residue(x) for x, _ in points],
-                       [field.residue(y) for _, y in points], field)[1]
+    xs = tuple(field.residue(x) for x, _ in points)
+    return Polynomial(field, tree_interpolate(xs, [field.residue(y) for _, y in points],
+                                              field.modulus)[1])
 
 
 def echelon(rows: Iterable[Sequence[int]], ncols: int, p: int) -> dict[int, list[int]]:

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from rs_oracle import berlekamp_welch
 from shardlab import (
+    AdversaryConfig,
     BroadcastEntry,
     BroadcastSet,
     DuplicateAbscissa,
@@ -22,8 +23,10 @@ from shardlab import (
     lagrange_interpolate,
     recover_outputs,
     rs_decode,
+    run_epoch,
 )
-from shardlab.polyshard_sim import power_check
+from shardlab.field_poly import subproduct_tree
+from shardlab.polyshard_sim import Simulation, history_power_check, power_check
 
 
 def broadcast_from(points):
@@ -104,6 +107,27 @@ class TestRsDecode:
         b = broadcast_from([(gf7(x), gf7(1)) for x in (1, 2, 3, 2)])
         with pytest.raises(DuplicateAbscissa):
             rs_decode(b, degree_bound=1, max_errors=1)
+
+    def test_repeated_point_rejected_with_a_silent_entry(self, gf7):
+        # the tree holds every entry's point, so a silent repeat is rejected too
+        b = broadcast_from([(gf7(x), gf7(1)) for x in (1, 2, 3, 4)] + [(gf7(2), None)])
+        with pytest.raises(DuplicateAbscissa):
+            rs_decode(b, degree_bound=1, max_errors=1)
+
+    def test_values_from_another_field_rejected(self, gf7, gf97):
+        entries = [BroadcastEntry(1, gf7(1), gf7(3)), BroadcastEntry(2, gf7(2), gf97(3)),
+                   BroadcastEntry(3, gf7(3), None)]
+        with pytest.raises(ValueError, match="node 2: .* GF\\(7\\)"):
+            BroadcastSet(entries)
+        with pytest.raises(ValueError, match="node 1: "):
+            broadcast_from([(gf7(x), gf97(x)) for x in range(1, 6)])
+
+    def test_points_from_two_fields_rejected(self, gf7, gf97):
+        points = [(gf7(1), gf7(1)), (gf7(2), gf7(2)), (gf97(3), gf7(3)), (gf7(4), None)]
+        with pytest.raises(ValueError, match="node 3: "):
+            broadcast_from(points)
+        with pytest.raises(ValueError, match="node 3: "):  # a silent entry's point counts
+            broadcast_from(points[:2] + [(gf97(4), None)])
 
     def test_missing_entries_are_shortened(self, gf97, rng):
         poly = Polynomial(gf97, [3, 1, 4])
@@ -221,6 +245,24 @@ class TestGaoMatchesBerlekampWelch:
         gao, bw = rs_decode(b, d, e), berlekamp_welch(b, d, e)
         assert (gao.status, gao.poly, gao.error_positions, gao.diagnostics) == (
             bw.status, bw.poly, bw.error_positions, bw.diagnostics)
+
+
+class TestTreeCache:
+    def test_one_tree_for_every_epoch_and_seed(self, field):
+        # four garbage broadcasters at N=20, K=4, d=2 are within the radius: every epoch decodes
+        params = EncodingParams.default(K=4, N=20, d=2, field=field)
+        attack = AdversaryConfig(adversarial_nodes=frozenset({17, 18, 19, 20}),
+                                 broadcast_strategy="garbage")
+        subproduct_tree.cache_clear()
+        recovered = 0
+        for seed in (1, 2):
+            sim = Simulation(params, history_power_check(2, field(3)))
+            for epoch in range(4):
+                report = run_epoch(sim, attack, rng=seed * 100 + epoch)
+                recovered += report.statuses[1] == "recovered"
+        assert recovered == 8
+        info = subproduct_tree.cache_info()
+        assert (info.misses, info.hits) == (1, 7)
 
 
 class TestRecoverOutputs:

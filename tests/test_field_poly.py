@@ -14,11 +14,14 @@ from shardlab import (
     lagrange_interpolate,
     proof_params,
 )
+from shardlab import field_poly
 from shardlab.field_poly import (
-    barycentric, batch_inverse, echelon, is_prime, kernel_vector, nullspace_vector,
+    _MR_EXACT_BELOW, barycentric, barycentric_sum, batch_inverse, echelon, is_prime,
+    kernel_vector, nullspace_vector, poly_mul, subproduct_tree, tree_interpolate,
     vanishing_polynomial,
 )
 from dense_system import Matrix, matrix_rank, nullspace_basis, vandermonde
+from poly_oracle import schoolbook_mul
 from rs_oracle import solve_linear
 
 GF97 = PrimeField(97)
@@ -133,6 +136,24 @@ class TestPolynomial:
         assert q**3 == q * q * q
         assert q**0 == Polynomial(gf97, [1])
 
+    @pytest.mark.parametrize("exponent, products", [(1, 0), (2, 1), (3, 2), (4, 2), (5, 3)])
+    def test_pow_makes_no_unused_products(self, gf97, monkeypatch, exponent, products):
+        # square-and-multiply: one square per bit below the top, one product per set bit
+        # after the first, and neither a product by 1 nor a square past the top bit
+        q = Polynomial(gf97, [3, 1, 4])
+        expected = Polynomial(gf97, [1])
+        for _ in range(exponent):
+            expected = Polynomial(gf97, schoolbook_mul(expected.coeffs, q.coeffs, 97))
+        calls = []
+
+        def counted(a, b, p):
+            calls.append((len(a), len(b)))
+            return poly_mul(a, b, p)
+
+        monkeypatch.setattr(field_poly, "poly_mul", counted)
+        assert q**exponent == expected
+        assert len(calls) == products
+
 
 class TestInterpolation:
     def test_exact_square_fit(self, gf97):
@@ -164,6 +185,105 @@ class TestInterpolation:
         n = len(coeffs) + extra  # more points than the degree requires
         pts = [(GF97(i), poly(GF97(i))) for i in range(1, n + 1)]
         assert lagrange_interpolate(pts) == poly
+
+
+def _largest_prime_below(n):
+    m = n - 1
+    while not is_prime(m):
+        m -= 1
+    return m
+
+
+# the largest modulus the library accepts, about 82 bits: the widest Kronecker slots
+P_MAX = _largest_prime_below(_MR_EXACT_BELOW)
+SLOT_LENGTHS = (1, 2, 3, 4, 5, 6, 7, 8, 9, 15, 16, 17, 31, 32, 33, 63, 64, 65,
+                127, 128, 129, 255, 256, 257, 299, 300)
+
+
+class TestKroneckerProduct:
+    """`poly_mul` against the schoolbook oracle where the slots are fullest: modulus
+    P_MAX, every coefficient p - 1, and min(len) on both sides of the row-by-row cut-over
+    and at and around each power of two."""
+
+    def test_largest_modulus(self):
+        assert P_MAX.bit_length() == 82 and is_prime(P_MAX)
+
+    @pytest.mark.parametrize("n", SLOT_LENGTHS)
+    def test_all_max_coefficients(self, n):
+        top = [P_MAX - 1] * n
+        for m in {n, n + 1, 300, 1}:
+            other = [P_MAX - 1] * m
+            out = poly_mul(top, other, P_MAX)
+            assert out == schoolbook_mul(top, other, P_MAX) == poly_mul(other, top, P_MAX)
+            # (p - 1)^2 = 1 mod p: coefficient k counts the index pairs summing to k
+            assert out == [min(k + 1, n, m, n + m - 1 - k) % P_MAX for k in range(n + m - 1)]
+
+    def test_zero_and_empty_operands(self, gf97):
+        top = [P_MAX - 1] * 300
+        for n in (1, 2, 300):
+            assert poly_mul([], top[:n], P_MAX) == poly_mul(top[:n], [], P_MAX) == []
+            assert poly_mul([0] * n, top, P_MAX) == [0] * (n + 299)
+        zero, q = Polynomial.zero(gf97), Polynomial(gf97, [96] * 300)
+        assert (zero * q).is_zero and (q * zero).is_zero
+
+    @given(a=st.lists(st.integers(0, P_MAX - 1), max_size=40),
+           b=st.lists(st.integers(0, P_MAX - 1), max_size=40))
+    def test_random_operands(self, a, b):
+        assert poly_mul(a, b, P_MAX) == schoolbook_mul(a, b, P_MAX)
+
+
+@st.composite
+def point_sets(draw, p=97):
+    """Distinct residues xs, values ys, and a subset of silent points (y None) that leaves
+    at least one present."""
+    xs = draw(st.lists(st.integers(0, p - 1), min_size=1, max_size=40, unique=True))
+    ys = draw(st.lists(st.integers(0, p - 1), min_size=len(xs), max_size=len(xs)))
+    silent = draw(st.sets(st.integers(0, len(xs) - 1), max_size=len(xs) - 1))
+    return tuple(xs), ys, silent
+
+
+class TestSubproductTree:
+    """Tree interpolation against `barycentric_sum`, the O(n^2) quotient-row form."""
+
+    @given(case=point_sets())
+    @settings(max_examples=150)
+    def test_matches_barycentric_sum(self, case):
+        xs, ys, _ = case
+        g, n = tree_interpolate(xs, ys, 97)
+        assert tuple(g) == vanishing_polynomial(xs, GF97).coeffs
+        assert tuple(n) == barycentric_sum(barycentric(xs, GF97), ys).coeffs
+
+    @given(case=point_sets())
+    @settings(max_examples=150)
+    def test_silent_subset_matches_fresh_interpolation(self, case):
+        xs, ys, silent = case
+        heard = [i for i in range(len(xs)) if i not in silent]
+        present = [xs[i] for i in heard]
+        g, n = tree_interpolate(xs, [None if i in silent else y for i, y in enumerate(ys)], 97)
+        assert tuple(g) == vanishing_polynomial(present, GF97).coeffs
+        assert tuple(n) == barycentric_sum(barycentric(present, GF97),
+                                           [ys[i] for i in heard]).coeffs
+
+    def test_weights(self):
+        xs = tuple(range(3, 40, 3))
+        _, weights = subproduct_tree(xs, 97)
+        assert weights == tuple(barycentric(xs, GF97)[1])
+
+    def test_fields_never_share_an_entry(self):
+        subproduct_tree.cache_clear()
+        xs = (1, 2, 3, 5, 8)
+        for p in (97, 101, 97, 101):
+            levels, weights = subproduct_tree(xs, p)
+            assert levels[-1][0] == vanishing_polynomial(xs, PrimeField(p)).coeffs
+            assert weights == tuple(barycentric(xs, PrimeField(p))[1])
+        info = subproduct_tree.cache_info()
+        assert (info.misses, info.hits) == (2, 2)
+
+    def test_repeated_point(self):
+        with pytest.raises(DuplicateAbscissa):
+            subproduct_tree((4, 9, 4), 97)
+        with pytest.raises(DuplicateAbscissa):  # a silent point counts too
+            tree_interpolate((4, 9, 4), [1, 2, None], 97)
 
 
 class TestVandermonde:
