@@ -70,9 +70,6 @@ class VersionAssignment:
             if any(not 1 <= x <= self.v for x in tup):
                 raise ValueError(f"node {node}: version outside 1..{self.v}")
 
-    def version(self, producer: int, node: int) -> int:
-        return self.node_tuples[node][self.producers.index(producer)]
-
     def tuple_for(self, node: int) -> VersionTuple:
         return self.node_tuples[node]
 

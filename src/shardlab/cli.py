@@ -158,16 +158,10 @@ def _simulation_scenario(config: dict, scenario: str, out_path: Path) -> None:
     epochs = config.get("epochs", 1)
     seeds = config.get("seeds", [0])
 
-    adversary = None
-    if scenario == "garbage_attack":
-        if not 1 <= beta <= N:
-            raise ConfigError("garbage_attack needs 1 <= beta <= N")
-        adversary = _from_params(
-            AdversaryConfig,
-            adversarial_nodes=frozenset(range(N - beta + 1, N + 1)),
-            broadcast_strategy="garbage",
-        )
-    elif scenario == "discrepancy_attack":
+    producers, v = (), 1  # garbage_attack: no captured producer, one version
+    if scenario == "garbage_attack" and not 1 <= beta <= N:
+        raise ConfigError("garbage_attack needs 1 <= beta <= N")
+    if scenario == "discrepancy_attack":
         v = _scalar(params, "v", 2)
         if v > field.modulus:
             raise ConfigError(f"v={v} distinct block versions do not fit in GF({field.modulus})")
@@ -183,14 +177,14 @@ def _simulation_scenario(config: dict, scenario: str, out_path: Path) -> None:
             raise ConfigError("discrepancy_attack needs beta_prime <= beta <= N")
         if beta_prime > K:
             raise ConfigError("beta_prime cannot exceed K")
-        adversary = _from_params(
-            AdversaryConfig,
-            adversarial_nodes=frozenset(range(N - beta + 1, N + 1)),
-            adversarial_producers=tuple(range(1, beta_prime + 1)),
-            v=v,
-            assignment_strategy="balanced",
-            broadcast_strategy="garbage",
-        )
+        producers = tuple(range(1, beta_prime + 1))
+    adversary = None if scenario == "honest_epoch" else _from_params(
+        AdversaryConfig,
+        adversarial_nodes=frozenset(range(N - beta + 1, N + 1)),
+        adversarial_producers=producers,
+        v=v,
+        broadcast_strategy="garbage",
+    )
 
     with out_path.open("w") as out:
         out.write(json.dumps({"config": config}, sort_keys=True) + "\n")

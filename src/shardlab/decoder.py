@@ -4,8 +4,8 @@ Decoding is Gao's Reed-Solomon decoder, which answers only when an error locator
 explains the broadcast values, so a broadcast set that mixes evaluations of
 several polynomials fails cleanly instead of producing a silent wrong answer.
 It runs on int residues: the interpolation combines up a subproduct tree of the
-broadcast's points that is built once per point set and cached, products are
-Kronecker products, and the extended Euclidean algorithm steps on residue lists.
+points heard, built once per heard point set and cached, products are Kronecker
+products, and the extended Euclidean algorithm steps on residue lists.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from typing import Container, Sequence
 
 from .adversary import VersionAssignment
 from .field_poly import (
-    FieldElement, Polynomial, poly_divmod, poly_mul, poly_sub, poly_values,
+    DuplicateAbscissa, FieldElement, Polynomial, poly_divmod, poly_mul, poly_sub, poly_values,
     tree_interpolate,
 )
 from .lcc import EncodingParams, all_version_tuples
@@ -91,8 +91,9 @@ def rs_decode(b: BroadcastSet, degree_bound: int, max_errors: int) -> DecodeOutc
     + 1 + max_errors, and divide r by its cofactor t. Every Berlekamp-Welch pair (E, Q)
     at this radius is a multiple of (t, r), so one exists exactly when deg t <= max_errors
     and deg r - deg t <= degree_bound, and then Q/E = r/t. Missing entries are dropped
-    first (shortening), so max_errors counts among the present ones; the interpolation
-    still runs on the cached subproduct tree of every entry's point.
+    first (shortening), so max_errors counts among the present ones and the
+    interpolation runs on the cached subproduct tree of the present entries' points.
+    Every entry's point, silent or not, must be distinct.
     """
     if degree_bound < 0 or max_errors < 0:
         raise ValueError("degree_bound and max_errors must be >= 0")
@@ -104,10 +105,12 @@ def rs_decode(b: BroadcastSet, degree_bound: int, max_errors: int) -> DecodeOutc
             f"{m} present evaluations, {needed} required for degree {degree_bound} "
             f"with {max_errors} errors"
         )
+    if len({e.point.value for e in b}) != len(b):
+        raise DuplicateAbscissa("interpolation points must have distinct x values")
     field = present[0].point.field
     p = field.modulus
-    r0, r = tree_interpolate(tuple(e.point.value for e in b),
-                             [None if e.value is None else e.value.value for e in b], p)
+    r0, r = tree_interpolate(tuple(e.point.value for e in present),
+                             [e.value.value for e in present], p)
     t0, t = [], [1]
     while len(r) > degree_bound + 1 + max_errors:
         q, rem = poly_divmod(r0, r, p)

@@ -347,29 +347,11 @@ def poly_divmod(a: Sequence[int], b: Sequence[int], p: int) -> tuple[list[int], 
     return quot, _strip([r % p for r in rem[:dd]])
 
 
-def _divide_linear(cs: Sequence[int], x: int, p: int) -> list[int]:
-    """cs / (z - x) by synthetic division, for a polynomial that z - x divides exactly."""
-    return list(accumulate(reversed(cs[1:]), lambda q, c: (c + x * q) % p))[::-1]
-
-
-def _product_levels(xs: Sequence[int], p: int) -> list[list[Sequence[int]]]:
-    """Subproduct tree of the z - x over nonempty residues xs, leaves first: each level
-    holds the products of adjacent pairs of the level below (an odd last node moves up
-    unchanged), and the top level the single product."""
-    level: list[Sequence[int]] = [(-x % p, 1) for x in xs]
-    levels = [level]
-    while len(level) > 1:
-        level = [poly_mul(a, b, p) for a, b in zip(level[::2], level[1::2])
-                 ] + level[len(level) - len(level) % 2:]
-        levels.append(level)
-    return levels
-
-
 def vanishing_polynomial(xs: Iterable[int | FieldElement], field: PrimeField) -> Polynomial:
     """The monic polynomial prod (z - x) over xs: its roots are exactly the xs.
 
     One linear factor at a time: for the few dozen points its callers pass, this is
-    faster than `_product_levels`, which the decoder uses for its N points."""
+    faster than `subproduct_tree`, which the decoder uses for its N points."""
     p = field.modulus
     m = [1]  # ascending
     for x in xs:
@@ -426,41 +408,38 @@ def barycentric_sum(form: tuple[Polynomial, Sequence[int], Sequence[Sequence[int
 @lru_cache(maxsize=16)
 def subproduct_tree(xs: tuple[int, ...], p: int) -> tuple[tuple[tuple[tuple[int, ...], ...], ...],
                                                           tuple[int, ...]]:
-    """The `_product_levels` of distinct nonempty residues xs and the barycentric weights
-    w_j = 1/g'(x_j) of their product g, as tuples: built once per (xs, p) and shared by
-    every interpolation on these points, at the cost of one O(len(xs)^2) Horner pass."""
+    """Subproduct tree of the z - x over distinct nonempty residues xs, leaves first, and
+    the barycentric weights w_j = 1/g'(x_j) of their product g, as tuples: built once per
+    (xs, p) and shared by every interpolation on these points, at the cost of one
+    O(len(xs)^2) Horner pass. Each level holds the products of adjacent pairs of the
+    level below (an odd last node moves up unchanged), and the top level g alone."""
     if len(set(xs)) != len(xs):
         raise DuplicateAbscissa("interpolation points must have distinct x values")
-    levels = _product_levels(xs, p)
-    g = levels[-1][0]
+    level: list[Sequence[int]] = [(-x % p, 1) for x in xs]
+    levels = [level]
+    while len(level) > 1:
+        level = [poly_mul(a, b, p) for a, b in zip(level[::2], level[1::2])
+                 ] + level[len(level) - len(level) % 2:]
+        levels.append(level)
+    g = level[0]
     derivs = poly_values([i * c % p for i, c in enumerate(g)][1:], xs, p)
     return tuple(tuple(map(tuple, level)) for level in levels), tuple(batch_inverse(derivs, p))
 
 
-def tree_interpolate(xs: tuple[int, ...], ys: Sequence[int | None],
+def tree_interpolate(xs: tuple[int, ...], ys: Sequence[int],
                      p: int) -> tuple[list[int], list[int]]:
-    """Master polynomial g of the x_j with y_j not None, and the polynomial of degree
-    < deg g through those (x_j, y_j), as residue lists, on `subproduct_tree(xs, p)`.
-
-    The numerator sum_j y_j w_j g/(z - x_j) combines up the tree, n = n_L g_R + n_R g_L.
-    Silent points (y_j None) need no tree of their own: with s = prod (z - x_i) over
-    them, a present weight is w_all(j) s(x_j), and g and the numerator are the
-    full-set results divided exactly by s.
-    """
+    """Master polynomial g = prod (z - x_j) of distinct residues xs, and the polynomial of
+    degree < len(xs) through the (x_j, y_j), as residue lists, on `subproduct_tree(xs, p)`:
+    the numerator sum_j y_j w_j g/(z - x_j) combines up the tree, n = n_L g_R + n_R g_L
+    (von zur Gathen and Gerhard, Modern Computer Algebra, ch. 10)."""
     levels, weights = subproduct_tree(xs, p)
-    silent = [x for x, y in zip(xs, ys) if y is None]
-    s_at = poly_values(_product_levels(silent, p)[-1][0], xs, p) if silent else repeat(1)
-    nums = [[] if y is None else [y * w * s % p]
-            for y, w, s in zip(ys, weights, s_at)]
+    nums = [[y * w % p] for y, w in zip(ys, weights)]
     for level in levels[:-1]:
         pairs = zip(nums[::2], nums[1::2], level[::2], level[1::2])
         nums = [[(u + v) % p for u, v in zip_longest(poly_mul(n_l, g_r, p), poly_mul(n_r, g_l, p),
                                                      fillvalue=0)]
                 for n_l, n_r, g_l, g_r in pairs] + nums[len(level) - len(level) % 2:]
-    g, n = levels[-1][0], nums[0]
-    for x in silent:
-        g, n = _divide_linear(g, x, p), _divide_linear(n, x, p)
-    return list(g), _strip(list(n))
+    return list(levels[-1][0]), _strip(nums[0])
 
 
 def lagrange_interpolate(points: Sequence[tuple[FieldElement, FieldElement]]) -> Polynomial:

@@ -4,7 +4,7 @@ When captured producers deliver different block versions to different nodes,
 the broadcast results are evaluations of several composed polynomials. The
 unknowns are the coefficient block of each version tuple plus the honest
 outputs; decodability of the honest outputs is a rank condition on the block
-matrix D assembled here, checked exactly over the prime field.
+matrix D of that system, checked exactly over the prime field.
 
 The check follows the counting argument behind the recovery threshold. D's
 evaluation block A holds one Vandermonde block per version cell; on distinct

@@ -2,7 +2,7 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from rs_oracle import berlekamp_welch
@@ -109,7 +109,7 @@ class TestRsDecode:
             rs_decode(b, degree_bound=1, max_errors=1)
 
     def test_repeated_point_rejected_with_a_silent_entry(self, gf7):
-        # the tree holds every entry's point, so a silent repeat is rejected too
+        # the tree holds only the heard points, but every entry's point must be distinct
         b = broadcast_from([(gf7(x), gf7(1)) for x in (1, 2, 3, 4)] + [(gf7(2), None)])
         with pytest.raises(DuplicateAbscissa):
             rs_decode(b, degree_bound=1, max_errors=1)
@@ -247,12 +247,27 @@ class TestGaoMatchesBerlekampWelch:
             bw.status, bw.poly, bw.error_positions, bw.diagnostics)
 
 
+class TestSilentEntriesAreDropped:
+    @given(case=mixed_broadcasts())
+    @settings(max_examples=200, deadline=None)
+    def test_same_outcome_as_the_heard_entries_alone(self, case):
+        b, d, _ = case
+        heard = BroadcastSet(b.present())
+        assume(len(heard) < len(b))
+        for e in range((len(heard) - d - 1) // 2 + 1):
+            full, dropped = rs_decode(b, d, e), rs_decode(heard, d, e)
+            assert (full.status, full.poly, full.error_positions, full.diagnostics) == (
+                dropped.status, dropped.poly, dropped.error_positions, dropped.diagnostics)
+
+
 class TestTreeCache:
-    def test_one_tree_for_every_epoch_and_seed(self, field):
-        # four garbage broadcasters at N=20, K=4, d=2 are within the radius: every epoch decodes
+    @pytest.mark.parametrize("strategy", ["garbage", "silent"])
+    def test_one_tree_for_every_epoch_and_seed(self, field, strategy):
+        # four bad broadcasters at N=20, K=4, d=2 are within the radius: every epoch
+        # decodes, and a fixed silent set leaves the same heard points every epoch
         params = EncodingParams.default(K=4, N=20, d=2, field=field)
         attack = AdversaryConfig(adversarial_nodes=frozenset({17, 18, 19, 20}),
-                                 broadcast_strategy="garbage")
+                                 broadcast_strategy=strategy)
         subproduct_tree.cache_clear()
         recovered = 0
         for seed in (1, 2):
@@ -388,4 +403,15 @@ class TestKnownBehaviorDecode:
             producers=(1,), v=2, node_tuples={n: (1,) for n in range(1, 6)}
         )
         with pytest.raises(ValueError):
+            known_behavior_decode(BroadcastSet(entries), assignment, 4, 1, params)
+
+    def test_uncovered_node_named(self, field, rng):
+        params = EncodingParams.default(3, 6, 2, field)
+        entries = [BroadcastEntry(n, params.alphas[n - 1], field.random(rng))
+                   for n in range(1, 7)]
+        entries[2] = BroadcastEntry(3, params.alphas[2], None)  # silent entries count too
+        assignment = VersionAssignment(
+            producers=(1,), v=2, node_tuples={n: (1,) for n in (1, 2, 4, 5, 6)}
+        )
+        with pytest.raises(ValueError, match="^assignment does not cover node 3$"):
             known_behavior_decode(BroadcastSet(entries), assignment, 4, 1, params)
