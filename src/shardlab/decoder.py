@@ -3,9 +3,9 @@
 Decoding is Gao's Reed-Solomon decoder, which answers only when an error locator
 explains the broadcast values, so a broadcast set that mixes evaluations of
 several polynomials fails cleanly instead of producing a silent wrong answer.
-It runs on int residues: the interpolation combines up a subproduct tree of the
-points heard, built once per heard point set and cached, products are Kronecker
-products, and the extended Euclidean algorithm steps on residue lists.
+It runs on int residues: the interpolation runs on the cached `point_set` of the
+points heard, set up once per heard point set, products are Kronecker products,
+and the extended Euclidean algorithm steps on residue lists.
 """
 
 from __future__ import annotations
@@ -15,8 +15,8 @@ from typing import Container, Sequence
 
 from .adversary import VersionAssignment
 from .field_poly import (
-    DuplicateAbscissa, FieldElement, Polynomial, poly_divmod, poly_mul, poly_sub, poly_values,
-    tree_interpolate,
+    DuplicateAbscissa, FieldElement, Polynomial, point_set, poly_divmod, poly_mul, poly_sub,
+    poly_values,
 )
 from .lcc import EncodingParams, all_version_tuples
 
@@ -92,11 +92,13 @@ def rs_decode(b: BroadcastSet, degree_bound: int, max_errors: int) -> DecodeOutc
     at this radius is a multiple of (t, r), so one exists exactly when deg t <= max_errors
     and deg r - deg t <= degree_bound, and then Q/E = r/t. Missing entries are dropped
     first (shortening), so max_errors counts among the present ones and the
-    interpolation runs on the cached subproduct tree of the present entries' points.
-    Every entry's point, silent or not, must be distinct.
+    interpolation runs on the cached `point_set` of the present entries' points.
+    Every entry's point, silent or not, must be distinct, and that is checked first.
     """
     if degree_bound < 0 or max_errors < 0:
         raise ValueError("degree_bound and max_errors must be >= 0")
+    if len({e.point.value for e in b}) != len(b):
+        raise DuplicateAbscissa("interpolation points must have distinct x values")
     present = b.present()
     m = len(present)
     needed = degree_bound + 1 + 2 * max_errors
@@ -105,12 +107,10 @@ def rs_decode(b: BroadcastSet, degree_bound: int, max_errors: int) -> DecodeOutc
             f"{m} present evaluations, {needed} required for degree {degree_bound} "
             f"with {max_errors} errors"
         )
-    if len({e.point.value for e in b}) != len(b):
-        raise DuplicateAbscissa("interpolation points must have distinct x values")
     field = present[0].point.field
     p = field.modulus
-    r0, r = tree_interpolate(tuple(e.point.value for e in present),
-                             [e.value.value for e in present], p)
+    heard = point_set(tuple(e.point.value for e in present), p)
+    r0, r = heard.master, heard.interpolate([e.value.value for e in present])
     t0, t = [], [1]
     while len(r) > degree_bound + 1 + max_errors:
         q, rem = poly_divmod(r0, r, p)

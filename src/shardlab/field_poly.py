@@ -20,6 +20,10 @@ _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_EXACT_BELOW = 3317044064679887385961981
 # Longest operand `poly_mul` multiplies row by row: packing costs more below it.
 _SHORT = 4
+# Most points a `PointSet` interpolates by quotient rows. Warm rows vs tree, p = 2^31 - 1
+# (2-vCPU VM, Python 3.11): n=20 67 vs 341 us, 60 0.54 vs 1.03 ms, 120 2.0 vs 2.7 ms, 150
+# 3.1 vs 3.6 ms, 160-190 within noise, 200 5.0-5.5 vs 4.6-5.1 ms, 400 17.6 vs 7.0 ms.
+_ROWS_UP_TO = 150
 
 
 class DuplicateAbscissa(ValueError):
@@ -170,6 +174,8 @@ class FieldElement:
         return FieldElement(v, self.field) / self
 
     def __pow__(self, exponent: int):
+        if exponent < 0 and not self.value:
+            raise ZeroDivisionError("zero has no multiplicative inverse")
         return FieldElement(pow(self.value, exponent, self.field.modulus), self.field)
 
     def __eq__(self, other) -> bool:
@@ -350,8 +356,9 @@ def poly_divmod(a: Sequence[int], b: Sequence[int], p: int) -> tuple[list[int], 
 def vanishing_polynomial(xs: Iterable[int | FieldElement], field: PrimeField) -> Polynomial:
     """The monic polynomial prod (z - x) over xs: its roots are exactly the xs.
 
-    One linear factor at a time: for the few dozen points its callers pass, this is
-    faster than `subproduct_tree`, which the decoder uses for its N points."""
+    One linear factor at a time, which is fast enough for the points its callers pass:
+    `build_system`'s cells and a `PointSet` of at most _ROWS_UP_TO points. A larger
+    `PointSet` takes g from the top of its subproduct tree instead."""
     p = field.modulus
     m = [1]  # ascending
     for x in xs:
@@ -379,67 +386,59 @@ def poly_values(cs: Sequence[int], xs: Sequence[int], p: int) -> list[int]:
     return acc
 
 
-def barycentric(xs: Sequence[int],
-                field: PrimeField) -> tuple[Polynomial, list[int], list[list[int]]]:
-    """Master polynomial g = prod (z - x_j) of distinct residues xs, the barycentric weights
-    w_j = 1/g'(x_j), and the quotients g/(z - x_j) as rows (row i holds coefficient i of
-    each), by synthetic division at every x at once: L_j = w_j g/(z - x_j)."""
-    if len(set(xs)) != len(xs):
-        raise DuplicateAbscissa("interpolation points must have distinct x values")
-    p = field.modulus
-    g = vanishing_polynomial(xs, field)
-    rows, q, derivs = [], [0] * len(xs), [0] * len(xs)
-    for c in reversed(g.coeffs[1:]):
-        q = [(a * x + c) % p for a, x in zip(q, xs)]
-        derivs = [(d * x + a) % p for d, x, a in zip(derivs, xs, q)]  # Horner: g'(x_j)
-        rows.append(q)
-    return g, batch_inverse(derivs, p), rows[::-1]
+class PointSet:
+    """Interpolation on distinct residues xs mod p, cached by `point_set`: the master
+    polynomial g = prod (z - x_j) and the weights w_j = 1/g'(x_j) as residue tuples, so the
+    interpolant through the (x_j, y_j) is sum_j y_j w_j g/(z - x_j). Up to _ROWS_UP_TO points
+    that sum runs on the quotient rows g/(z - x_j), from one synthetic division at every x;
+    above it, it combines up a subproduct tree, n = n_L g_R + n_R g_L (von zur Gathen and
+    Gerhard, Modern Computer Algebra, ch. 10). Either set-up is O(len(xs)^2), for the g'."""
 
+    __slots__ = ("p", "master", "weights", "_rows", "_levels")
 
-def barycentric_sum(form: tuple[Polynomial, Sequence[int], Sequence[Sequence[int]]],
-                    ys: Sequence[int]) -> Polynomial:
-    """The polynomial of degree < len(xs) through the (x_j, y_j), from the triple
-    `form = barycentric(xs, field)`: sum_j y_j w_j g/(z - x_j)."""
-    g, w, rows = form
-    cs = [y * wj % g.field.modulus for y, wj in zip(ys, w)]
-    return Polynomial(g.field, [sum(map(mul, row, cs)) for row in rows])
+    def __init__(self, xs: tuple[int, ...], p: int):
+        if len(set(xs)) != len(xs):
+            raise DuplicateAbscissa("interpolation points must have distinct x values")
+        self.p, self._rows, self._levels = p, None, None
+        if len(xs) <= _ROWS_UP_TO:
+            self.master = vanishing_polynomial(xs, PrimeField(p)).coeffs
+            rows, q, derivs = [], [0] * len(xs), [0] * len(xs)
+            for c in reversed(self.master[1:]):
+                q = [(a * x + c) % p for a, x in zip(q, xs)]
+                derivs = [(d * x + a) % p for d, x, a in zip(derivs, xs, q)]  # Horner: g'(x_j)
+                rows.append(tuple(q))
+            self._rows = tuple(rows[::-1])  # row i holds coefficient i of every quotient
+        else:
+            level: list[Sequence[int]] = [(-x % p, 1) for x in xs]
+            levels = [tuple(level)]
+            while len(level) > 1:  # products of adjacent pairs; an odd last node moves up
+                level = [tuple(poly_mul(a, b, p)) for a, b in zip(level[::2], level[1::2])
+                         ] + level[len(level) - len(level) % 2:]
+                levels.append(tuple(level))
+            self.master, self._levels = level[0], tuple(levels[:-1])
+            derivs = poly_values([i * c % p for i, c in enumerate(self.master)][1:], xs, p)
+        self.weights = tuple(batch_inverse(derivs, p))
+
+    def interpolate(self, ys: Sequence[int]) -> list[int]:
+        """Ascending residues of the polynomial of degree < len(xs) through the (x_j, y_j)."""
+        p = self.p
+        cs = [y * w % p for y, w in zip(ys, self.weights)]
+        if self._rows is not None:
+            return _strip([sum(map(mul, row, cs)) % p for row in self._rows])
+        nums = [[c] for c in cs]
+        for level in self._levels:
+            pairs = zip(nums[::2], nums[1::2], level[::2], level[1::2])
+            nums = [[(u + v) % p for u, v in zip_longest(poly_mul(n_l, g_r, p),
+                                                         poly_mul(n_r, g_l, p), fillvalue=0)]
+                    for n_l, n_r, g_l, g_r in pairs] + nums[len(level) - len(level) % 2:]
+        return _strip(nums[0])
 
 
 @lru_cache(maxsize=16)
-def subproduct_tree(xs: tuple[int, ...], p: int) -> tuple[tuple[tuple[tuple[int, ...], ...], ...],
-                                                          tuple[int, ...]]:
-    """Subproduct tree of the z - x over distinct nonempty residues xs, leaves first, and
-    the barycentric weights w_j = 1/g'(x_j) of their product g, as tuples: built once per
-    (xs, p) and shared by every interpolation on these points, at the cost of one
-    O(len(xs)^2) Horner pass. Each level holds the products of adjacent pairs of the
-    level below (an odd last node moves up unchanged), and the top level g alone."""
-    if len(set(xs)) != len(xs):
-        raise DuplicateAbscissa("interpolation points must have distinct x values")
-    level: list[Sequence[int]] = [(-x % p, 1) for x in xs]
-    levels = [level]
-    while len(level) > 1:
-        level = [poly_mul(a, b, p) for a, b in zip(level[::2], level[1::2])
-                 ] + level[len(level) - len(level) % 2:]
-        levels.append(level)
-    g = level[0]
-    derivs = poly_values([i * c % p for i, c in enumerate(g)][1:], xs, p)
-    return tuple(tuple(map(tuple, level)) for level in levels), tuple(batch_inverse(derivs, p))
-
-
-def tree_interpolate(xs: tuple[int, ...], ys: Sequence[int],
-                     p: int) -> tuple[list[int], list[int]]:
-    """Master polynomial g = prod (z - x_j) of distinct residues xs, and the polynomial of
-    degree < len(xs) through the (x_j, y_j), as residue lists, on `subproduct_tree(xs, p)`:
-    the numerator sum_j y_j w_j g/(z - x_j) combines up the tree, n = n_L g_R + n_R g_L
-    (von zur Gathen and Gerhard, Modern Computer Algebra, ch. 10)."""
-    levels, weights = subproduct_tree(xs, p)
-    nums = [[y * w % p] for y, w in zip(ys, weights)]
-    for level in levels[:-1]:
-        pairs = zip(nums[::2], nums[1::2], level[::2], level[1::2])
-        nums = [[(u + v) % p for u, v in zip_longest(poly_mul(n_l, g_r, p), poly_mul(n_r, g_l, p),
-                                                     fillvalue=0)]
-                for n_l, n_r, g_l, g_r in pairs] + nums[len(level) - len(level) % 2:]
-    return list(levels[-1][0]), _strip(nums[0])
+def point_set(xs: tuple[int, ...], p: int) -> PointSet:
+    """The `PointSet` of distinct nonempty residues xs mod p, built at the first call on
+    (xs, p) and shared by every later one: shard points and heard node points alike."""
+    return PointSet(xs, p)
 
 
 def lagrange_interpolate(points: Sequence[tuple[FieldElement, FieldElement]]) -> Polynomial:
@@ -448,8 +447,8 @@ def lagrange_interpolate(points: Sequence[tuple[FieldElement, FieldElement]]) ->
         raise ValueError("at least one interpolation point is required")
     field = points[0][0].field
     xs = tuple(field.residue(x) for x, _ in points)
-    return Polynomial(field, tree_interpolate(xs, [field.residue(y) for _, y in points],
-                                              field.modulus)[1])
+    return Polynomial(field, point_set(xs, field.modulus).interpolate(
+        [field.residue(y) for _, y in points]))
 
 
 def echelon(rows: Iterable[Sequence[int]], ncols: int, p: int) -> dict[int, list[int]]:

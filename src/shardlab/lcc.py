@@ -18,9 +18,9 @@ from .field_poly import (
     FieldElement,
     Polynomial,
     PrimeField,
-    barycentric,
-    barycentric_sum,
     batch_inverse,
+    point_set,
+    poly_values,
 )
 
 # One block version index per adversarial producer, ordered by producer index.
@@ -67,20 +67,14 @@ class EncodingParams:
         return self.omegas[0].field
 
     @cached_property
-    def shard_form(self) -> tuple[Polynomial, tuple[int, ...], tuple[tuple[int, ...], ...]]:
-        """`barycentric` at the shard points, as tuples since every caller shares it:
-        g = prod (z - omega_k), the weights w_k and the quotient rows; L_k = w_k g/(z - omega_k)."""
-        g, weights, rows = barycentric([w.value for w in self.omegas], self.field)
-        return g, tuple(weights), tuple(map(tuple, rows))
-
-    @cached_property
     def lagrange_matrix(self) -> tuple[tuple[int, ...], ...]:
         """N x K residues: row n-1 holds every L_k(alpha_n) = g(alpha_n) w_k/(alpha_n - omega_k)."""
-        p, xs = self.field.modulus, [w.value for w in self.omegas]
-        g, weights, _ = self.shard_form
-        scaled = ((g(a).value, batch_inverse([(a.value - x) % p for x in xs], p))
-                  for a in self.alphas)
-        return tuple(tuple(s * w * inv % p for w, inv in zip(weights, invs)) for s, invs in scaled)
+        p, xs = self.field.modulus, tuple(w.value for w in self.omegas)
+        shards, alphas = point_set(xs, p), [a.value for a in self.alphas]
+        scaled = zip(poly_values(shards.master, alphas, p),
+                     (batch_inverse([(a - x) % p for x in xs], p) for a in alphas))
+        return tuple(tuple(s * w * inv % p for w, inv in zip(shards.weights, invs))
+                     for s, invs in scaled)
 
     @property
     def composed_degree(self) -> int:
@@ -113,7 +107,8 @@ def build_coded_poly(view: ReceivedProposals, params: EncodingParams) -> Polynom
     """The degree-(K-1) polynomial taking value view[k-1] at omega_k for every shard."""
     if len(view) != params.K:
         raise ValueError("a view must contain exactly one payload per shard")
-    return barycentric_sum(params.shard_form, [params.field.residue(x) for x in view])
+    shards = point_set(tuple(w.value for w in params.omegas), params.field.modulus)
+    return Polynomial(params.field, shards.interpolate([params.field.residue(x) for x in view]))
 
 
 def compose_verification(q: Polynomial, coded_history: Sequence[Polynomial], f) -> Polynomial:

@@ -25,7 +25,8 @@ from shardlab import (
     rs_decode,
     run_epoch,
 )
-from shardlab.field_poly import subproduct_tree
+from shardlab import field_poly
+from shardlab.field_poly import point_set
 from shardlab.polyshard_sim import Simulation, history_power_check, power_check
 
 
@@ -109,10 +110,16 @@ class TestRsDecode:
             rs_decode(b, degree_bound=1, max_errors=1)
 
     def test_repeated_point_rejected_with_a_silent_entry(self, gf7):
-        # the tree holds only the heard points, but every entry's point must be distinct
+        # the point set holds only the heard points, but every entry's point must be distinct
         b = broadcast_from([(gf7(x), gf7(1)) for x in (1, 2, 3, 4)] + [(gf7(2), None)])
         with pytest.raises(DuplicateAbscissa):
             rs_decode(b, degree_bound=1, max_errors=1)
+
+    def test_repeated_point_rejected_before_the_count(self, gf7):
+        # two entries cannot meet degree bound 2, but the repeated point is the fault
+        b = broadcast_from([(gf7(5), gf7(1)), (gf7(5), gf7(2))])
+        with pytest.raises(DuplicateAbscissa):
+            rs_decode(b, degree_bound=2, max_errors=0)
 
     def test_values_from_another_field_rejected(self, gf7, gf97):
         entries = [BroadcastEntry(1, gf7(1), gf7(3)), BroadcastEntry(2, gf7(2), gf97(3)),
@@ -199,6 +206,29 @@ class TestRsDecode:
             else:
                 assert not out.recovered
 
+    @pytest.mark.parametrize("heard", [field_poly._ROWS_UP_TO - 2, field_poly._ROWS_UP_TO + 3])
+    def test_maximal_garbage_on_either_form(self, field, heard):
+        # heard points on each side of the cutoff, so the quotient rows and the subproduct
+        # tree each decode at the full radius, with a few silent entries dropped first
+        rng = random.Random(heard)
+        degree, silent = 20, 4
+        budget = (heard - degree - 1) // 2
+        poly = Polynomial(field, [field.random(rng) for _ in range(degree + 1)])
+        points = [(field(x), poly(field(x))) for x in range(1, heard + silent + 1)]
+        nodes = rng.sample(range(1, heard + silent + 1), budget + silent)
+        for n in nodes[budget:]:
+            points[n - 1] = (points[n - 1][0], None)
+        for n in nodes[:budget]:
+            x, y = points[n - 1]
+            points[n - 1] = (x, y + field.random_nonzero(rng))
+        b = broadcast_from(points)
+        out = rs_decode(b, degree, budget)
+        assert out.poly == poly
+        assert out.error_positions == frozenset(nodes[:budget])
+        assert out.diagnostics == f"{budget} corrected among {heard} present entries"
+        form = point_set(tuple(e.point.value for e in b.present()), field.modulus)
+        assert (form._rows is None) == (heard > field_poly._ROWS_UP_TO)
+
     def test_soundness_of_recovered(self, field, rng):
         # whatever comes back recovered disagrees with at most max_errors entries
         for _ in range(20):
@@ -260,15 +290,16 @@ class TestSilentEntriesAreDropped:
                 dropped.status, dropped.poly, dropped.error_positions, dropped.diagnostics)
 
 
-class TestTreeCache:
+class TestPointSetCache:
     @pytest.mark.parametrize("strategy", ["garbage", "silent"])
-    def test_one_tree_for_every_epoch_and_seed(self, field, strategy):
+    def test_two_point_sets_for_every_epoch_and_seed(self, field, strategy):
         # four bad broadcasters at N=20, K=4, d=2 are within the radius: every epoch
-        # decodes, and a fixed silent set leaves the same heard points every epoch
+        # decodes, and a fixed silent set leaves the same heard points every epoch, so
+        # the shard points and the heard points are each set up once
         params = EncodingParams.default(K=4, N=20, d=2, field=field)
         attack = AdversaryConfig(adversarial_nodes=frozenset({17, 18, 19, 20}),
                                  broadcast_strategy=strategy)
-        subproduct_tree.cache_clear()
+        point_set.cache_clear()
         recovered = 0
         for seed in (1, 2):
             sim = Simulation(params, history_power_check(2, field(3)))
@@ -276,8 +307,8 @@ class TestTreeCache:
                 report = run_epoch(sim, attack, rng=seed * 100 + epoch)
                 recovered += report.statuses[1] == "recovered"
         assert recovered == 8
-        info = subproduct_tree.cache_info()
-        assert (info.misses, info.hits) == (1, 7)
+        info = point_set.cache_info()
+        assert (info.misses, info.hits) == (2, 17)
 
 
 class TestRecoverOutputs:

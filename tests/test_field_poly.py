@@ -1,11 +1,13 @@
 import random
 from functools import reduce
+from math import prod
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from shardlab import (
+    DEFAULT_MODULUS,
     DuplicateAbscissa,
     FieldElement,
     Polynomial,
@@ -16,9 +18,8 @@ from shardlab import (
 )
 from shardlab import field_poly
 from shardlab.field_poly import (
-    _MR_EXACT_BELOW, barycentric, barycentric_sum, batch_inverse, echelon, is_prime,
-    kernel_vector, nullspace_vector, poly_mul, subproduct_tree, tree_interpolate,
-    vanishing_polynomial,
+    _MR_EXACT_BELOW, PointSet, batch_inverse, echelon, is_prime, kernel_vector,
+    nullspace_vector, point_set, poly_mul, vanishing_polynomial,
 )
 from dense_system import Matrix, matrix_rank, nullspace_basis, vandermonde
 from poly_oracle import schoolbook_mul
@@ -89,6 +90,13 @@ class TestFieldAxioms:
     def test_inverse_of_zero(self):
         with pytest.raises(ZeroDivisionError):
             GF97.zero.inverse()
+
+    def test_negative_power_of_zero(self):
+        # like inverse() and /, not pow's "base is not invertible" ValueError
+        for exponent in (-1, -2):
+            with pytest.raises(ZeroDivisionError):
+                GF97.zero ** exponent
+        assert GF97.zero ** 0 == 1 and GF97(5) ** -1 == GF97(5).inverse()
 
     def test_int_mixing(self, gf7):
         assert gf7(3) + 5 == gf7(1)
@@ -240,37 +248,64 @@ def point_sets(draw, p=97):
     return tuple(xs), ys
 
 
+def both_forms(xs, p):
+    """The quotient-row and the subproduct-tree `PointSet` of xs, whatever len(xs) is."""
+    forms = []
+    for cutoff in (len(xs), len(xs) - 1):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(field_poly, "_ROWS_UP_TO", cutoff)
+            forms.append(PointSet(xs, p))
+    return forms
+
+
+def product_weights(xs, p):
+    """Oracle: w_j = 1 / prod_{i != j} (x_j - x_i)."""
+    return tuple(pow(prod(x - y for y in xs if y != x), p - 2, p) for x in xs)
+
+
 class TestSubproductTree:
-    """Tree interpolation against `barycentric_sum`, the O(n^2) quotient-row form."""
+    """The tree form of a `PointSet` against its quotient rows, the O(n^2) reference form."""
+
+    def assert_same_forms(self, xs, ys, p):
+        rows, tree = both_forms(xs, p)
+        assert rows._levels is None and tree._rows is None
+        assert rows.master == tree.master == vanishing_polynomial(xs, PrimeField(p)).coeffs
+        assert rows.weights == tree.weights
+        assert rows.interpolate(ys) == tree.interpolate(ys)
 
     @given(case=point_sets())
     @settings(max_examples=150)
     def test_matches_barycentric_sum(self, case):
-        xs, ys = case
-        g, n = tree_interpolate(xs, ys, 97)
-        assert tuple(g) == vanishing_polynomial(xs, GF97).coeffs
-        assert tuple(n) == barycentric_sum(barycentric(xs, GF97), ys).coeffs
+        self.assert_same_forms(*case, 97)
+
+    @pytest.mark.parametrize("n", [field_poly._ROWS_UP_TO, field_poly._ROWS_UP_TO + 1])
+    def test_at_the_cutoff(self, n):
+        rng = random.Random(n)
+        xs = tuple(rng.sample(range(DEFAULT_MODULUS), n))
+        self.assert_same_forms(xs, [rng.randrange(DEFAULT_MODULUS) for _ in xs], DEFAULT_MODULUS)
+        point_set.cache_clear()
+        assert (point_set(xs, DEFAULT_MODULUS)._rows is None) == (n > field_poly._ROWS_UP_TO)
 
     def test_weights(self):
         xs = tuple(range(3, 40, 3))
-        _, weights = subproduct_tree(xs, 97)
-        assert weights == tuple(barycentric(xs, GF97)[1])
+        for form in both_forms(xs, 97):
+            assert form.weights == product_weights(xs, 97)
 
     def test_fields_never_share_an_entry(self):
-        subproduct_tree.cache_clear()
+        point_set.cache_clear()
         xs = (1, 2, 3, 5, 8)
         for p in (97, 101, 97, 101):
-            levels, weights = subproduct_tree(xs, p)
-            assert levels[-1][0] == vanishing_polynomial(xs, PrimeField(p)).coeffs
-            assert weights == tuple(barycentric(xs, PrimeField(p))[1])
-        info = subproduct_tree.cache_info()
+            form = point_set(xs, p)
+            assert form.master == vanishing_polynomial(xs, PrimeField(p)).coeffs
+            assert form.weights == product_weights(xs, p)
+        info = point_set.cache_info()
         assert (info.misses, info.hits) == (2, 2)
 
     def test_repeated_point(self):
         with pytest.raises(DuplicateAbscissa):
-            subproduct_tree((4, 9, 4), 97)
-        with pytest.raises(DuplicateAbscissa):  # the points are checked before any value
-            tree_interpolate((4, 9, 4), [1, 2, None], 97)
+            point_set((4, 9, 4), 97)
+        with pytest.raises(DuplicateAbscissa):
+            both_forms((4, 9, 4), 97)
 
 
 class TestVandermonde:
@@ -493,16 +528,17 @@ class TestKernelOracle:
 
     @given(xs=st.lists(residues, min_size=1, max_size=8, unique=True))
     def test_barycentric(self, xs):
-        g, weights, rows = barycentric(xs, GF97)
-        assert g == vanishing_polynomial(xs, GF97)
-        for j, (x, w) in enumerate(zip(xs, weights)):
+        # the interpolant of the unit values at x_j is L_j = w_j g/(z - x_j)
+        form = point_set(tuple(xs), 97)
+        g = vanishing_polynomial(xs, GF97)
+        assert form.master == g.coeffs
+        for j, (x, w) in enumerate(zip(xs, form.weights)):
             others = [GF97(x) - y for y in xs if y != x]
             assert GF97(w) * reduce(lambda a, b: a * b, others, GF97.one) == 1
-            quotient = g // Polynomial(GF97, [-x, 1])
-            assert [row[j] for row in rows] == [quotient.coefficient(i).value
-                                                for i in range(len(xs))]
+            unit = [int(i == j) for i in range(len(xs))]
+            assert form.interpolate(unit) == list((g // Polynomial(GF97, [-x, 1]) * w).coeffs)
         with pytest.raises(DuplicateAbscissa):
-            barycentric([*xs, xs[0]], GF97)
+            point_set((*xs, xs[0]), 97)
 
     @given(data=degenerate_matrices())
     @settings(max_examples=200)

@@ -12,8 +12,7 @@ from shardlab import (
     encode_at_node,
     lagrange_interpolate,
 )
-from shardlab import lcc
-from shardlab.field_poly import barycentric
+from shardlab.field_poly import point_set
 from shardlab.polyshard_sim import VerificationFn, history_power_check, power_check
 
 
@@ -61,20 +60,15 @@ class TestParams:
         with pytest.raises(ValueError, match="different field"):
             build_coded_poly((gf97(1), gf7(1)), params)
 
-    def test_one_barycentric_form(self, gf97, monkeypatch):
-        # the Lagrange matrix and every coded polynomial read one cached triple
-        calls = []
-
-        def counted(*args):
-            calls.append(args)
-            return barycentric(*args)
-
-        monkeypatch.setattr(lcc, "barycentric", counted)
+    def test_one_point_set(self, gf97):
+        # the Lagrange matrix and every coded polynomial read one cached point set
+        point_set.cache_clear()
         params = EncodingParams.default(3, 4, 2, gf97)
         for view in ((1, 2, 3), (4, 5, 6)):
             build_coded_poly(tuple(map(gf97, view)), params)
         assert len(params.lagrange_matrix) == 4
-        assert len(calls) == 1
+        info = point_set.cache_info()
+        assert (info.misses, info.hits) == (1, 2)
 
     def test_bad_counts(self, gf97):
         with pytest.raises(ValueError):
