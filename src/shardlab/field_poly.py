@@ -20,9 +20,11 @@ _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_EXACT_BELOW = 3317044064679887385961981
 # Longest operand `poly_mul` multiplies row by row: packing costs more below it.
 _SHORT = 4
-# Most points a `PointSet` interpolates by quotient rows. Warm rows vs tree, p = 2^31 - 1
-# (2-vCPU VM, Python 3.11): n=20 67 vs 341 us, 60 0.54 vs 1.03 ms, 120 2.0 vs 2.7 ms, 150
-# 3.1 vs 3.6 ms, 160-190 within noise, 200 5.0-5.5 vs 4.6-5.1 ms, 400 17.6 vs 7.0 ms.
+# Most points a `PointSet` interpolates by packed quotient rows. Warm rows vs tree, set-up
+# in brackets, p = 2^31 - 1 (2-vCPU VM, Python 3.11, two runs): n=150 0.33-0.40 vs 2.6-3.4 ms
+# (20-25 vs 8-9 ms), 200 0.56-0.59 vs 4.1-4.5 ms (36-43 vs 12-15 ms), 400 1.6-1.8 vs 8.2-9.3 ms
+# (143-166 vs 49-50 ms), 1000 7.9-10.3 vs 21-26 ms (0.89 vs 0.25 s). The rows win every
+# warm call, but their set-up grows faster, and no workload hears more than 120 points.
 _ROWS_UP_TO = 150
 
 
@@ -156,7 +158,7 @@ class FieldElement:
         if self.value == 0:
             raise ZeroDivisionError("zero has no multiplicative inverse")
         p = self.field.modulus
-        return FieldElement(pow(self.value, p - 2, p), self.field)
+        return FieldElement(pow(self.value, -1, p), self.field)
 
     def __truediv__(self, other):
         v = self._other(other)
@@ -165,7 +167,7 @@ class FieldElement:
         if v == 0:
             raise ZeroDivisionError("division by zero field element")
         p = self.field.modulus
-        return FieldElement(self.value * pow(v, p - 2, p) % p, self.field)
+        return FieldElement(self.value * pow(v, -1, p) % p, self.field)
 
     def __rtruediv__(self, other):
         v = self._other(other)
@@ -298,14 +300,32 @@ class Polynomial:
         return f"Polynomial({self.field!r}, {list(self.coeffs)})"
 
 
+def _slot_width(p: int, terms: int) -> int:
+    """Bytes per slot of a packed sum of at most `terms` products of residues below p:
+    2 bitlen(p - 1) + bitlen(terms) bits never carry into the next slot."""
+    return (2 * (p - 1).bit_length() + terms.bit_length() + 7) // 8
+
+
+def _pack(cs: Sequence[int], width: int) -> int:
+    """Canonical residues cs as one int, cs[i] in byte slot i of `width` bytes; a packed
+    sum of them is exact only on entries in [0, p), and a negative one raises."""
+    return int.from_bytes(b"".join(map(int.to_bytes, cs, repeat(width), repeat("little"))),
+                          "little")
+
+
+def _unpack(x: int, n: int, width: int, p: int) -> list[int]:
+    """The first n byte slots of `width` of a packed x >= 0, each reduced mod p."""
+    raw, from_bytes = x.to_bytes(n * width, "little"), int.from_bytes
+    return [from_bytes(raw[i:i + width], "little") % p for i in range(0, n * width, width)]
+
+
 def poly_mul(a: Sequence[int], b: Sequence[int], p: int) -> list[int]:
     """Product of two ascending residue lists by Kronecker substitution: pack each into
     one int, one slot per coefficient, multiply once and read the slots back mod p.
 
     A slot of the integer product holds a sum of at most min(len(a), len(b)) products of
-    residues below p, so 2 bitlen(p - 1) + bitlen(min(len(a), len(b))) bits never carry.
-    An operand of at most _SHORT coefficients is cheaper as that many scaled shifted
-    copies of the other.
+    residues. An operand of at most _SHORT coefficients is cheaper as that many scaled
+    shifted copies of the other.
     """
     if not a or not b:
         return []
@@ -315,12 +335,8 @@ def poly_mul(a: Sequence[int], b: Sequence[int], p: int) -> list[int]:
         for i, s in enumerate(short):
             out[i:i + n] = [o + s * c for o, c in zip(out[i:i + n], long)]
         return [o % p for o in out]
-    width = (2 * (p - 1).bit_length() + len(short).bit_length() + 7) // 8
-    packed = [int.from_bytes(b"".join(map(int.to_bytes, cs, repeat(width), repeat("little"))),
-                             "little") for cs in (a, b)]
-    n = len(a) + len(b) - 1
-    out = (packed[0] * packed[1]).to_bytes(n * width, "little")
-    return [int.from_bytes(out[i:i + width], "little") % p for i in range(0, n * width, width)]
+    width = _slot_width(p, len(short))
+    return _unpack(_pack(a, width) * _pack(b, width), len(a) + len(b) - 1, width, p)
 
 
 def _strip(cs: list[int]) -> list[int]:
@@ -336,13 +352,16 @@ def poly_sub(a: Sequence[int], b: Sequence[int], p: int) -> list[int]:
 
 
 def poly_divmod(a: Sequence[int], b: Sequence[int], p: int) -> tuple[list[int], list[int]]:
-    """Quotient and remainder of ascending residue lists by long division; `b` must have
-    a nonzero last coefficient. The remainder has no trailing zeros."""
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
+    """Quotient and remainder of ascending residue lists by long division. The remainder
+    has no trailing zeros. A zero divisor raises ZeroDivisionError, and any other divisor
+    with a zero last coefficient raises ValueError."""
+    if not b or not b[-1] % p:
+        if not any(c % p for c in b):
+            raise ZeroDivisionError("polynomial division by zero")
+        raise ValueError("divisor has a zero last coefficient: strip trailing zeros first")
     rem = list(a)
     dd = len(b) - 1
-    inv_lead = pow(b[-1], p - 2, p)
+    inv_lead = pow(b[-1], -1, p)
     quot = [0] * max(0, len(rem) - dd)
     for i in range(len(rem) - 1, dd - 1, -1):
         c = rem[i] * inv_lead % p
@@ -372,7 +391,7 @@ def batch_inverse(values: Sequence[int], p: int) -> list[int]:
     prefix = list(accumulate(values, lambda a, b: a * b % p, initial=1))
     if not prefix[-1]:
         raise ZeroDivisionError("zero has no multiplicative inverse")
-    inv, out = pow(prefix[-1], p - 2, p), [0] * len(values)
+    inv, out = pow(prefix[-1], -1, p), [0] * len(values)
     for i in range(len(values) - 1, -1, -1):
         out[i], inv = inv * prefix[i] % p, inv * values[i] % p
     return out
@@ -390,9 +409,11 @@ class PointSet:
     """Interpolation on distinct residues xs mod p, cached by `point_set`: the master
     polynomial g = prod (z - x_j) and the weights w_j = 1/g'(x_j) as residue tuples, so the
     interpolant through the (x_j, y_j) is sum_j y_j w_j g/(z - x_j). Up to _ROWS_UP_TO points
-    that sum runs on the quotient rows g/(z - x_j), from one synthetic division at every x;
-    above it, it combines up a subproduct tree, n = n_L g_R + n_R g_L (von zur Gathen and
-    Gerhard, Modern Computer Algebra, ch. 10). Either set-up is O(len(xs)^2), for the g'."""
+    that sum is one packed sum: each quotient g/(z - x_j), from one synthetic division at
+    every x, is kept as one int with a slot per coefficient, so the n scaled quotients add
+    up in CPython's integers and are unpacked once. Above it, the sum combines up a
+    subproduct tree, n = n_L g_R + n_R g_L (von zur Gathen and Gerhard, Modern Computer
+    Algebra, ch. 10). Either set-up is O(len(xs)^2), for the g'."""
 
     __slots__ = ("p", "master", "weights", "_rows", "_levels")
 
@@ -406,8 +427,9 @@ class PointSet:
             for c in reversed(self.master[1:]):
                 q = [(a * x + c) % p for a, x in zip(q, xs)]
                 derivs = [(d * x + a) % p for d, x, a in zip(derivs, xs, q)]  # Horner: g'(x_j)
-                rows.append(tuple(q))
-            self._rows = tuple(rows[::-1])  # row i holds coefficient i of every quotient
+                rows.append(q)
+            width = _slot_width(p, len(xs))  # rows[i] holds coefficient n-1-i of every quotient
+            self._rows = tuple(_pack(quotient[::-1], width) for quotient in zip(*rows))
         else:
             level: list[Sequence[int]] = [(-x % p, 1) for x in xs]
             levels = [tuple(level)]
@@ -424,7 +446,8 @@ class PointSet:
         p = self.p
         cs = [y * w % p for y, w in zip(ys, self.weights)]
         if self._rows is not None:
-            return _strip([sum(map(mul, row, cs)) % p for row in self._rows])
+            n = len(self.weights)
+            return _strip(_unpack(sum(map(mul, cs, self._rows)), n, _slot_width(p, n), p))
         nums = [[c] for c in cs]
         for level in self._levels:
             pairs = zip(nums[::2], nums[1::2], level[::2], level[1::2])
@@ -467,7 +490,7 @@ def echelon(rows: Iterable[Sequence[int]], ncols: int, p: int) -> dict[int, list
                 # both rows are zero left of c, so only columns c.. change
                 row[c:] = [(a - f * b) % p for a, b in zip(row[c:], kept[c][c:])]
             elif f:
-                inv = pow(f, p - 2, p)
+                inv = pow(f, -1, p)
                 row[c:] = [x * inv % p for x in row[c:]]
                 kept[c] = row
                 break

@@ -4,6 +4,10 @@ K shard payloads become evaluations of their degree-(K-1) interpolant; every
 node stores and verifies one evaluation point of the global polynomials. Block
 payloads are single field elements; coding a vector payload would act
 componentwise and adds nothing to the phenomena studied here.
+
+The encoding is a fixed linear map, the N x K Lagrange matrix. `encode_at_node`
+applies one row of it; `EncodingParams.encode` applies all of it to one view as
+a single big-integer sum of the K columns, each packed into one int.
 """
 
 from __future__ import annotations
@@ -18,6 +22,9 @@ from .field_poly import (
     FieldElement,
     Polynomial,
     PrimeField,
+    _pack,
+    _slot_width,
+    _unpack,
     batch_inverse,
     point_set,
     poly_values,
@@ -76,6 +83,23 @@ class EncodingParams:
         return tuple(tuple(s * w * inv % p for w, inv in zip(shards.weights, invs))
                      for s, invs in scaled)
 
+    @cached_property
+    def _columns(self) -> tuple[int, ...]:
+        """Column k-1 of the Lagrange matrix, L_k(alpha_n) for every node n, packed as one
+        int with a slot per node, wide enough for a sum of K products of residues."""
+        width = _slot_width(self.field.modulus, self.K)
+        return tuple(_pack(column, width) for column in zip(*self.lagrange_matrix))
+
+    def encode(self, view: ReceivedProposals) -> list[int]:
+        """Coded residue at every node, index n-1 for node n, of a view of ints (reduced
+        mod p) or same-field elements; an element of another field raises ValueError.
+        One sum of view[k-1] times packed column k-1 of the Lagrange matrix, unpacked once."""
+        if len(view) != self.K:
+            raise ValueError("a view must contain exactly one payload per shard")
+        p, residue = self.field.modulus, self.field.residue
+        total = sum(map(mul, [residue(x) for x in view], self._columns))
+        return _unpack(total, self.N, _slot_width(p, self.K), p)
+
     @property
     def composed_degree(self) -> int:
         """Degree bound d(K-1) of a verification polynomial composed with coded blocks."""
@@ -95,7 +119,8 @@ class EncodingParams:
 
 def encode_at_node(received: ReceivedProposals, params: EncodingParams, n: int) -> FieldElement:
     """Coded block at node n: one dot product of row n of the Lagrange matrix with a view
-    of residues or same-field elements (an element of another field raises ValueError)."""
+    of residues or same-field elements (an element of another field raises ValueError).
+    `EncodingParams.encode` gives every node's block at once; this is its one-node oracle."""
     if not 1 <= n <= params.N:
         raise ValueError(f"node index {n} out of range 1..{params.N}")
     if len(received) != params.K:

@@ -18,8 +18,8 @@ from shardlab import (
 )
 from shardlab import field_poly
 from shardlab.field_poly import (
-    _MR_EXACT_BELOW, PointSet, batch_inverse, echelon, is_prime, kernel_vector,
-    nullspace_vector, point_set, poly_mul, vanishing_polynomial,
+    _MR_EXACT_BELOW, PointSet, _pack, _slot_width, _unpack, batch_inverse, echelon, is_prime,
+    kernel_vector, nullspace_vector, point_set, poly_divmod, poly_mul, vanishing_polynomial,
 )
 from dense_system import Matrix, matrix_rank, nullspace_basis, vandermonde
 from poly_oracle import schoolbook_mul
@@ -139,6 +139,16 @@ class TestPolynomial:
             assert q * b + r == a
             assert r.is_zero or r.degree < b.degree
 
+    def test_divmod_by_zero(self):
+        for zero in ([], [0], [0, 0], [97, 0]):
+            with pytest.raises(ZeroDivisionError, match="division by zero"):
+                poly_divmod([1, 2, 3], zero, 97)
+
+    def test_divmod_by_unstripped_divisor(self):
+        for b in ([1, 0], [0, 5, 0], [3, 97]):
+            with pytest.raises(ValueError, match="zero last coefficient"):
+                poly_divmod([1, 2, 3], b, 97)
+
     def test_pow(self, gf97):
         q = Polynomial(gf97, [1, 1])
         assert q**3 == q * q * q
@@ -238,6 +248,40 @@ class TestKroneckerProduct:
            b=st.lists(st.integers(0, P_MAX - 1), max_size=40))
     def test_random_operands(self, a, b):
         assert poly_mul(a, b, P_MAX) == schoolbook_mul(a, b, P_MAX)
+
+
+class TestPackedSums:
+    """`_pack` and `_unpack` where the slots are fullest, and the packed quotient rows of a
+    `PointSet` against the interpolant built from `Polynomial` products."""
+
+    @pytest.mark.parametrize("p", [97, DEFAULT_MODULUS, 2**61 - 1])
+    @pytest.mark.parametrize("terms", [1, 2, 3, 7, 8, 20, 150, 255, 256])
+    def test_round_trip_at_the_maximal_slot_sum(self, p, terms):
+        width, n = _slot_width(p, terms), 6
+        top = _pack([p - 1] * n, width)
+        total = sum([top * (p - 1)] * terms)
+        # read raw, every slot holds terms (p - 1)^2: nothing carried into a neighbour
+        assert _unpack(total, n, width, 1 << 8 * width) == [terms * (p - 1) ** 2] * n
+        assert _unpack(total, n, width, p) == [terms % p] * n  # (p - 1)^2 = 1 mod p
+        rng = random.Random(terms)
+        cs = [rng.choice((0, 1, p - 1, rng.randrange(p))) for _ in range(40)]
+        assert _unpack(_pack(cs, width), len(cs), width, p) == cs
+
+    def test_interpolate_matches_product_form(self):
+        p, field = DEFAULT_MODULUS, PrimeField(DEFAULT_MODULUS)
+        rng = random.Random(30)
+        points = rng.sample(range(p), field_poly._ROWS_UP_TO)
+        g, quotients = Polynomial(field, [1]), []  # g and every g/(z - x_j) on points[:n]
+        for n, x in enumerate(points, start=1):
+            factor = Polynomial(field, [-x, 1])
+            g, quotients = g * factor, [q * factor for q in quotients] + [g]
+            xs, ys = tuple(points[:n]), [rng.randrange(-3 * p, 3 * p) for _ in range(n)]
+            expected = [0] * n  # sum_j y_j w_j g/(z - x_j)
+            for y, w, q in zip(ys, product_weights(xs, p), quotients):
+                expected = [e + y * w * c for e, c in zip(expected, q.coeffs)]
+            form = PointSet(xs, p)
+            assert form._rows is not None and form.master == g.coeffs
+            assert form.interpolate(ys) == list(Polynomial(field, expected).coeffs)
 
 
 @st.composite

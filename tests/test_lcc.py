@@ -210,6 +210,37 @@ class TestEncodeAtNode:
             )
 
 
+class TestEncodeAllNodes:
+    """`EncodingParams.encode` against its one-node oracle `encode_at_node`."""
+
+    @pytest.mark.parametrize("K, N", [(1, 1), (1, 7), (4, 9), (20, 120), (30, 12)])
+    def test_matches_encode_at_node_on_default_layout(self, field, rng, K, N):
+        params = EncodingParams.default(K, N, 2, field)
+        p = field.modulus
+        views = [tuple(field.random(rng) for _ in range(K)), (field(p - 1),) * K, (0,) * K,
+                 tuple(rng.randrange(-2 * p, 3 * p) for _ in range(K))]  # ints out of range
+        views.append(tuple(x.value for x in views[0]))
+        for view in views:
+            coded = params.encode(view)
+            assert coded == [encode_at_node(view, params, n).value for n in range(1, N + 1)]
+
+    def test_matches_encode_at_node_on_custom_layout(self, gf97, gf7, rng):
+        params = EncodingParams(K=4, N=5, omegas=tuple(map(gf97, (90, 3, 41, 17))),
+                                alphas=tuple(map(gf97, (0, 96, 55, 8, 23))), d=2)
+        for _ in range(20):
+            residues = tuple(rng.randrange(-200, 300) for _ in range(4))
+            elements = tuple(map(gf97, residues))
+            expected = [encode_at_node(residues, params, n).value for n in range(1, 6)]
+            assert params.encode(residues) == params.encode(elements) == expected
+        for k in range(4):
+            for view in (elements, residues):
+                mixed = view[:k] + (gf7(3),) + view[k + 1:]
+                with pytest.raises(ValueError, match="different field"):
+                    params.encode(mixed)
+        with pytest.raises(ValueError, match="one payload per shard"):
+            params.encode(residues[:3])
+
+
 class TestBuildCodedPoly:
     def test_constant_view(self, gf97, rng):
         params = three_shard_params(gf97)

@@ -17,7 +17,8 @@ from shardlab import (
     propose_blocks,
     run_epoch,
 )
-from shardlab import polyshard_sim
+from shardlab import field_poly, polyshard_sim
+from shardlab.field_poly import point_set
 from shardlab.polyshard_sim import history_power_check, power_check
 
 
@@ -130,6 +131,27 @@ class TestRunEpoch:
             rng=0,
         )
         assert report.statuses[1] == "failure"
+
+    def test_garbage_epochs_agree_across_the_rows_cutoff(self, field, monkeypatch, request):
+        # N=156 hears more points than _ROWS_UP_TO: the decode interpolates on the
+        # subproduct tree, and on packed quotient rows once the cutoff is raised above N
+        K, N = 26, 156
+        beta = (N - 2 * (K - 1) - 1) // 2  # the correction boundary
+        request.addfinalizer(point_set.cache_clear)
+        runs = []
+        for cutoff in (field_poly._ROWS_UP_TO, N):
+            monkeypatch.setattr(field_poly, "_ROWS_UP_TO", cutoff)
+            point_set.cache_clear()
+            sim = make_sim(field, K=K, N=N)
+            adversary = garbage_adversary(range(N - beta + 1, N + 1))
+            reports = [run_epoch(sim, adversary, rng=seed).to_json_dict() for seed in range(3)]
+            assert all(report["statuses"]["1"] == "recovered" for report in reports)
+            misses = point_set.cache_info().misses
+            heard = point_set(tuple(alpha.value for alpha in sim.params.alphas), field.modulus)
+            assert point_set.cache_info().misses == misses  # the decode's own point set
+            assert (heard._rows is None) == (N > cutoff)
+            runs.append((reports, [(node.coded_chain, node.chain) for node in sim.nodes]))
+        assert runs[0] == runs[1]
 
     def test_determinism(self, field):
         def runs():
