@@ -319,6 +319,25 @@ def _unpack(x: int, n: int, width: int, p: int) -> list[int]:
     return [from_bytes(raw[i:i + width], "little") % p for i in range(0, n * width, width)]
 
 
+class PackedMap:
+    """The linear map cs -> sum_i cs[i] v_i mod p of fixed residue vectors v_i of one
+    length n, each kept as one packed int with a slot per entry: applying it is one
+    big-integer sum of len(cs) products, unpacked once."""
+
+    __slots__ = ("p", "n", "width", "vectors")
+
+    def __init__(self, vectors: Iterable[Sequence[int]], p: int):
+        vectors = list(vectors)
+        self.p, self.n = p, len(vectors[0]) if vectors else 0
+        self.width = _slot_width(p, len(vectors))
+        self.vectors = tuple(_pack(v, self.width) for v in vectors)
+
+    def apply(self, cs: Sequence[int]) -> list[int]:
+        """sum_i cs[i] v_i, all n entries; cs must be canonical residues, in [0, p), or
+        the sum is not exact."""
+        return _unpack(sum(map(mul, cs, self.vectors)), self.n, self.width, self.p)
+
+
 def poly_mul(a: Sequence[int], b: Sequence[int], p: int) -> list[int]:
     """Product of two ascending residue lists by Kronecker substitution: pack each into
     one int, one slot per coefficient, multiply once and read the slots back mod p.
@@ -409,11 +428,11 @@ class PointSet:
     """Interpolation on distinct residues xs mod p, cached by `point_set`: the master
     polynomial g = prod (z - x_j) and the weights w_j = 1/g'(x_j) as residue tuples, so the
     interpolant through the (x_j, y_j) is sum_j y_j w_j g/(z - x_j). Up to _ROWS_UP_TO points
-    that sum is one packed sum: each quotient g/(z - x_j), from one synthetic division at
-    every x, is kept as one int with a slot per coefficient, so the n scaled quotients add
-    up in CPython's integers and are unpacked once. Above it, the sum combines up a
-    subproduct tree, n = n_L g_R + n_R g_L (von zur Gathen and Gerhard, Modern Computer
-    Algebra, ch. 10). Either set-up is O(len(xs)^2), for the g'."""
+    that sum is one `PackedMap` application: each quotient g/(z - x_j), from one synthetic
+    division at every x, is kept as one int with a slot per coefficient, so the n scaled
+    quotients add up in CPython's integers and are unpacked once. Above it, the sum
+    combines up a subproduct tree, n = n_L g_R + n_R g_L (von zur Gathen and Gerhard,
+    Modern Computer Algebra, ch. 10). Either set-up is O(len(xs)^2), for the g'."""
 
     __slots__ = ("p", "master", "weights", "_rows", "_levels")
 
@@ -428,8 +447,8 @@ class PointSet:
                 q = [(a * x + c) % p for a, x in zip(q, xs)]
                 derivs = [(d * x + a) % p for d, x, a in zip(derivs, xs, q)]  # Horner: g'(x_j)
                 rows.append(q)
-            width = _slot_width(p, len(xs))  # rows[i] holds coefficient n-1-i of every quotient
-            self._rows = tuple(_pack(quotient[::-1], width) for quotient in zip(*rows))
+            # rows[i] holds coefficient n-1-i of every quotient
+            self._rows = PackedMap((quotient[::-1] for quotient in zip(*rows)), p)
         else:
             level: list[Sequence[int]] = [(-x % p, 1) for x in xs]
             levels = [tuple(level)]
@@ -446,8 +465,7 @@ class PointSet:
         p = self.p
         cs = [y * w % p for y, w in zip(ys, self.weights)]
         if self._rows is not None:
-            n = len(self.weights)
-            return _strip(_unpack(sum(map(mul, cs, self._rows)), n, _slot_width(p, n), p))
+            return _strip(self._rows.apply(cs))
         nums = [[c] for c in cs]
         for level in self._levels:
             pairs = zip(nums[::2], nums[1::2], level[::2], level[1::2])

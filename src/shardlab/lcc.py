@@ -7,7 +7,9 @@ componentwise and adds nothing to the phenomena studied here.
 
 The encoding is a fixed linear map, the N x K Lagrange matrix. `encode_at_node`
 applies one row of it; `EncodingParams.encode` applies all of it to one view as
-a single big-integer sum of the K columns, each packed into one int.
+a single big-integer sum of the K columns, each packed into one int
+(`field_poly.PackedMap`); `EncodingParams.encode_each` encodes each node's own
+view, packing the shards on which the views agree.
 """
 
 from __future__ import annotations
@@ -16,15 +18,13 @@ import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from operator import mul
-from typing import Sequence
+from typing import Mapping, Sequence
 
 from .field_poly import (
     FieldElement,
+    PackedMap,
     Polynomial,
     PrimeField,
-    _pack,
-    _slot_width,
-    _unpack,
     batch_inverse,
     point_set,
     poly_values,
@@ -84,11 +84,15 @@ class EncodingParams:
                      for s, invs in scaled)
 
     @cached_property
-    def _columns(self) -> tuple[int, ...]:
-        """Column k-1 of the Lagrange matrix, L_k(alpha_n) for every node n, packed as one
-        int with a slot per node, wide enough for a sum of K products of residues."""
-        width = _slot_width(self.field.modulus, self.K)
-        return tuple(_pack(column, width) for column in zip(*self.lagrange_matrix))
+    def _transposed(self) -> tuple[tuple[int, ...], ...]:
+        """K x N: column k-1 of the Lagrange matrix, L_k(alpha_n) for every node n."""
+        return tuple(zip(*self.lagrange_matrix))
+
+    @cached_property
+    def _columns(self) -> PackedMap:
+        """The Lagrange matrix as a map from a view to every node's coded residue, each
+        column packed as one int with a slot per node."""
+        return PackedMap(self._transposed, self.field.modulus)
 
     def encode(self, view: ReceivedProposals) -> list[int]:
         """Coded residue at every node, index n-1 for node n, of a view of ints (reduced
@@ -96,9 +100,38 @@ class EncodingParams:
         One sum of view[k-1] times packed column k-1 of the Lagrange matrix, unpacked once."""
         if len(view) != self.K:
             raise ValueError("a view must contain exactly one payload per shard")
-        p, residue = self.field.modulus, self.field.residue
-        total = sum(map(mul, [residue(x) for x in view], self._columns))
-        return _unpack(total, self.N, _slot_width(p, self.K), p)
+        return self._columns.apply([self.field.residue(x) for x in view])
+
+    def encode_each(self, views: Mapping[int, Sequence[int]]) -> dict[int, int]:
+        """Coded residue of each node's own view of ints, keyed by node.
+
+        The encoding is linear in the view, so it splits by shard. The shards on which all
+        the views agree are encoded at every node by one packed sum (`encode`); each node
+        then adds a dot product of its Lagrange row and its own view over the shards where
+        the views differ: one packed sum and one short dot product a node, however many
+        distinct views there are. Node indices outside 1..N raise ValueError.
+        """
+        if not views:
+            return {}
+        nodes, p = list(views), self.field.modulus
+        if not 1 <= min(nodes) <= max(nodes) <= self.N:
+            raise ValueError(f"node indices must lie in 1..{self.N}")
+        distinct = list(set(views.values()))
+        if any(len(view) != self.K for view in distinct):
+            raise ValueError("a view must contain exactly one payload per shard")
+        varying = [k for k, values in enumerate(zip(*distinct)) if len(set(values)) > 1]
+        common = list(distinct[0])
+        for k in varying:
+            common[k] = 0
+        coded = (0, *self.encode(common))  # coded[n]: node n's code of the common shards
+        if not varying:
+            return dict(zip(nodes, map(coded.__getitem__, nodes)))
+        # rows[n]: node n's Lagrange coefficients on the varying shards
+        rows = (None, *zip(*[self._transposed[k] for k in varying]))
+        payloads = {view: list(map(view.__getitem__, varying)) for view in distinct}
+        dots = map(sum, map(map, itertools.repeat(mul), map(rows.__getitem__, nodes),
+                            map(payloads.__getitem__, views.values())))
+        return {n: (c + d) % p for n, c, d in zip(nodes, map(coded.__getitem__, nodes), dots)}
 
     @property
     def composed_degree(self) -> int:

@@ -233,14 +233,12 @@ def run_epoch(
     for node in sim.nodes:
         node.role = "adversarial" if node.node in adv_nodes else "honest"
 
-    # 2. each honest node encodes its view and verifies against its coded chain; each
-    # distinct view is encoded at every node at once
-    coded = {view: params.encode(view) for view in built.values()}
-    results: dict[int, FieldElement | None] = {}
-    for node in sim.nodes:
-        if node.role == "honest":
-            block = field(coded[views[node.node]][node.node - 1])
-            results[node.node] = fn.evaluate(block, node.coded_chain)
+    # 2. each honest node encodes its view and verifies against its coded chain
+    honest = [node for node in sim.nodes if node.role == "honest"]
+    coded = params.encode_each({node.node: views[node.node] for node in honest})
+    results: dict[int, FieldElement | None] = {
+        node.node: fn.evaluate(field(coded[node.node]), node.coded_chain) for node in honest
+    }
 
     # 3. adversarial nodes broadcast per strategy
     n_silent = 0
@@ -343,22 +341,24 @@ def _append_epoch(sim, canonical, bits, views):
     """Append e_k * X_k per shard and the matching coded entries per node.
 
     Views are residue tuples, each distinct one masked once into what a node encodes and
-    its chain-id key, and each distinct masked view encoded once at every node; only the K
-    accepted blocks and the coded entries are boxed, for `VerificationFn` histories.
+    its chain-id key; only the K accepted blocks and the coded entries are boxed, for
+    `VerificationFn` histories.
     Honest nodes encode *their own* received view, so a node whose view lost
     the decode silently diverges; adversarial nodes track the canonical chain.
     """
     params = sim.params
     masked = {view: tuple(map(mul, bits, view)) for view in {canonical, *views.values()}}
-    coded = {own: params.encode(own) for own in set(masked.values())}
+    owns = {node.node: masked[views[node.node] if node.role == "honest" else canonical]
+            for node in sim.nodes}
+    coded = params.encode_each(owns)
     accepted = masked[canonical]
     for chain, block in zip(sim.chains, accepted):
         chain.history.append(params.field(block))
     sim.history_polys.append(build_coded_poly(accepted, params))
     for node in sim.nodes:
-        own = masked[views[node.node] if node.role == "honest" else canonical]
-        node.coded_chain.append(params.field(coded[own][node.node - 1]))
-        node.chain = sim.chain_ids.setdefault((node.chain, own), len(sim.chain_ids) + 1)
+        node.coded_chain.append(params.field(coded[node.node]))
+        node.chain = sim.chain_ids.setdefault((node.chain, owns[node.node]),
+                                              len(sim.chain_ids) + 1)
 
 
 @dataclass(frozen=True)

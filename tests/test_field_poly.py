@@ -18,7 +18,7 @@ from shardlab import (
 )
 from shardlab import field_poly
 from shardlab.field_poly import (
-    _MR_EXACT_BELOW, PointSet, _pack, _slot_width, _unpack, batch_inverse, echelon, is_prime,
+    _MR_EXACT_BELOW, PackedMap, PointSet, _pack, _slot_width, _unpack, batch_inverse, echelon, is_prime,
     kernel_vector, nullspace_vector, point_set, poly_divmod, poly_mul, vanishing_polynomial,
 )
 from dense_system import Matrix, matrix_rank, nullspace_basis, vandermonde
@@ -266,6 +266,14 @@ class TestPackedSums:
         rng = random.Random(terms)
         cs = [rng.choice((0, 1, p - 1, rng.randrange(p))) for _ in range(40)]
         assert _unpack(_pack(cs, width), len(cs), width, p) == cs
+
+    def test_packed_map_matches_the_dot_products(self):
+        p, rng = 97, random.Random(31)
+        vectors = [[rng.randrange(p) for _ in range(9)] for _ in range(5)]
+        packed = PackedMap(vectors, p)
+        for cs in ([0] * 5, [p - 1] * 5, [rng.randrange(p) for _ in range(5)]):
+            expected = [sum(c * v[i] for c, v in zip(cs, vectors)) % p for i in range(9)]
+            assert packed.apply(cs) == expected
 
     def test_interpolate_matches_product_form(self):
         p, field = DEFAULT_MODULUS, PrimeField(DEFAULT_MODULUS)

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -239,6 +241,33 @@ class TestEncodeAllNodes:
                     params.encode(mixed)
         with pytest.raises(ValueError, match="one payload per shard"):
             params.encode(residues[:3])
+
+    @pytest.mark.parametrize("K, N", [(1, 1), (3, 8), (6, 40), (20, 120)])
+    def test_each_matches_encode_at_node(self, field, K, N):
+        # views agree on some shards and differ on others: none, one, several or all
+        params, rng, p = EncodingParams.default(K, N, 2, field), random.Random(K * N), field.modulus
+        base = [rng.randrange(-p, 2 * p) for _ in range(K)]  # out-of-range ints included
+        for varying in ([], [K - 1], rng.sample(range(K), K // 2), list(range(K))):
+            pool = []
+            for _ in range(rng.choice((1, 2, 16))):
+                view = list(base)
+                for k in varying:
+                    view[k] = rng.choice((0, p - 1, p, rng.randrange(p)))
+                pool.append(tuple(view))
+            nodes = rng.sample(range(1, N + 1), rng.randrange(1, N + 1))
+            views = {n: rng.choice(pool) for n in nodes}
+            coded = params.encode_each(views)
+            assert list(coded) == nodes
+            assert coded == {n: encode_at_node(view, params, n).value for n, view in views.items()}
+
+    def test_each_rejects_bad_nodes_and_views(self, field):
+        params = EncodingParams.default(3, 8, 2, field)
+        assert params.encode_each({}) == {}
+        for bad in (0, 9, -1):
+            with pytest.raises(ValueError, match="node indices"):
+                params.encode_each({1: (1, 2, 3), bad: (1, 2, 3)})
+        with pytest.raises(ValueError, match="one payload per shard"):
+            params.encode_each({1: (1, 2, 3), 2: (1, 2)})
 
 
 class TestBuildCodedPoly:

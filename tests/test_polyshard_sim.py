@@ -13,6 +13,7 @@ from shardlab import (
     Simulation,
     comm_load,
     compose_verification,
+    encode_at_node,
     lagrange_interpolate,
     propose_blocks,
     run_epoch,
@@ -312,6 +313,28 @@ class TestDivergence:
                     assert node.coded_chain[-1] == sim.history_polys[-1](node.alpha)
         assert all(node.coded_chain[0] == sim.history_polys[0](node.alpha) for node in sim.nodes)
         assert (max(divergence) > 1) == (policy == "append_own_view")
+
+
+class TestManyViewEpochs:
+    def test_many_view_epochs_append_each_nodes_own_encoding(self, field, monkeypatch):
+        # four captured producers with two versions each: up to 16 distinct views
+        sim = make_sim(field, K=6, N=40, failure_policy="append_own_view")
+        owns, append = [], polyshard_sim._append_epoch
+
+        def recording_append(sim, canonical, bits, views):
+            owns.append({node.node: tuple(b * x for b, x in zip(
+                bits, views[node.node] if node.role == "honest" else canonical))
+                for node in sim.nodes})
+            append(sim, canonical, bits, views)
+
+        monkeypatch.setattr(polyshard_sim, "_append_epoch", recording_append)
+        adversary = discrepancy_adversary(range(35, 41), producers=(1, 2, 3, 4))
+        for t in range(2):
+            run_epoch(sim, adversary, rng=80 + t)
+            assert len(owns) == t + 1 and len(set(owns[-1].values())) >= 8
+            for node in sim.nodes:
+                own = owns[-1][node.node]
+                assert node.coded_chain[-1] == encode_at_node(own, sim.params, node.node)
 
 
 class TestCommLoad:
