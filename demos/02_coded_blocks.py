@@ -22,7 +22,7 @@ field = PrimeField(DEFAULT_MODULUS)
 
 # 3 shards at points 1, 2, 3 -- small enough to read the expansion.
 params = EncodingParams(
-    K=3, N=6, d=2,
+    d=2,
     omegas=tuple(field(k) for k in (1, 2, 3)),
     alphas=tuple(field(n) for n in range(4, 10)),
 )

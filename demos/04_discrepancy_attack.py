@@ -71,7 +71,7 @@ for n in range(1, N + 1):
         y = y + field(1)
     entries.append(BroadcastEntry(n, alpha, y))
 assignment = VersionAssignment(producers=(1,), v=2, node_tuples=node_tuples)
-out = known_behavior_decode(BroadcastSet(entries), assignment, 4, 1, small)
+out = known_behavior_decode(BroadcastSet(entries), assignment, 1, small)
 honest_values = [out.poly(small.omegas[k - 1]) for k in (2, 3)]
 direct = [f.evaluate(base[k - 1], ()) for k in (2, 3)]
 print(f"decode status: {out.status}; honest outputs match direct evaluation: "

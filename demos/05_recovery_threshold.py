@@ -40,7 +40,7 @@ print(f"A: {a_rows}x{coeff_cols} (evaluations)   "
       f"B: {b_rows}x{coeff_cols} (honest-point agreement)")
 print(f"C: {c_rows}x{coeff_cols} (shared-version agreement)   "
       f"D: {d_rows}x{coeff_cols + sys_m.z_width} (full system)")
-report = unique_decodability(sys_m, K, beta_prime)
+report = unique_decodability(sys_m)
 print(f"rank(D) = {report.rank_D}, rank without output columns = "
       f"{report.rank_D_without_Z_columns}, outputs unique: {report.unique_Z}")
 zeta = report.zeta_block(sys_m.z_width)

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .field_poly import FieldElement, Polynomial, PrimeField
+from .field_poly import FieldElement, Polynomial
 from .lcc import VersionTuple, all_version_tuples
 
 
@@ -166,21 +166,20 @@ def corrupt_results(
     strategy: str,
     rng,
     *,
-    field: PrimeField,
     poly: Polynomial | None = None,
 ) -> dict[int, FieldElement | None]:
     """Broadcast values for adversarial nodes (node, alpha) under a strategy.
 
-    silent drops the value entirely, garbage is uniform noise, honest_looking
-    evaluates the supplied composed polynomial so the entries fit one version
-    tuple exactly.
+    silent drops the value entirely, garbage is uniform noise in alpha's field,
+    honest_looking evaluates the supplied composed polynomial so the entries fit
+    one version tuple exactly.
     """
     out: dict[int, FieldElement | None] = {}
     for node, alpha in entries:
         if strategy == "silent":
             out[node] = None
         elif strategy == "garbage":
-            out[node] = field.random(rng)
+            out[node] = alpha.field.random(rng)
         elif strategy == "honest_looking":
             if poly is None:
                 raise ValueError("honest_looking corruption needs the composed polynomial")

@@ -150,21 +150,21 @@ def accept_bits(h: Sequence[FieldElement], accept_set: AcceptSet) -> list[int]:
 def known_behavior_decode(
     b: BroadcastSet,
     assignment: VersionAssignment,
-    degree_bound: int,
     max_errors: int,
     params: EncodingParams,
 ) -> DecodeOutcome:
     """Decode assuming the version each node received is known.
 
     Entries are partitioned by full version tuple; each cell large enough to
-    interpolate is decoded on its own with an error budget scaled to the cell.
-    A cell's answer counts only when it fits at least degree_bound+1+max_errors
-    of the cell's entries: a wrong polynomial can fit at most degree_bound plus
-    the corruptions inside the cell, so every certified answer is the cell's
-    true polynomial. Certified cells must still agree at every honest shard
-    point; disagreement means max_errors understated the corruption and is a
-    diagnosed failure, not an answer.
+    interpolate is decoded on its own, at the composed degree bound D =
+    `params.composed_degree`, with an error budget scaled to the cell. A cell's
+    answer counts only when it fits at least D+1+max_errors of the cell's
+    entries: a wrong polynomial can fit at most D plus the corruptions inside the
+    cell, so every certified answer is the cell's true polynomial. Certified cells
+    must still agree at every honest shard point; disagreement means max_errors
+    understated the corruption and is a diagnosed failure, not an answer.
     """
+    degree_bound = params.composed_degree
     by_tuple: dict[tuple, list[BroadcastEntry]] = {}
     for entry in b:
         try:

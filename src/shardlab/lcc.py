@@ -50,10 +50,12 @@ def all_version_tuples(v: int, producers: int) -> list[VersionTuple]:
 
 @dataclass(frozen=True)
 class EncodingParams:
-    """Public encoding constants: shard points, node points, verification degree."""
+    """Public encoding constants: shard points, node points, verification degree.
 
-    K: int
-    N: int
+    The shard count K and node count N are read off the point tuples, one point per
+    shard and one per node.
+    """
+
     omegas: tuple[FieldElement, ...]
     alphas: tuple[FieldElement, ...]
     d: int
@@ -61,13 +63,19 @@ class EncodingParams:
     def __post_init__(self):
         if self.K < 1 or self.N < 1 or self.d < 1:
             raise ValueError("K, N and d must all be >= 1")
-        if len(self.omegas) != self.K or len(self.alphas) != self.N:
-            raise ValueError("point counts must match K and N")
         if any(x.field != self.field for x in self.omegas + self.alphas):
             raise ValueError(f"every shard and node point must lie in omegas[0]'s {self.field}")
         points = [x.value for x in self.omegas + self.alphas]
         if len(set(points)) != len(points):
             raise ValueError("shard and node evaluation points must be pairwise distinct")
+
+    @property
+    def K(self) -> int:
+        return len(self.omegas)
+
+    @property
+    def N(self) -> int:
+        return len(self.alphas)
 
     @property
     def field(self) -> PrimeField:
@@ -102,33 +110,35 @@ class EncodingParams:
             raise ValueError("a view must contain exactly one payload per shard")
         return self._columns.apply([self.field.residue(x) for x in view])
 
-    def encode_each(self, views: Mapping[int, Sequence[int]]) -> dict[int, int]:
-        """Coded residue of each node's own view of ints, keyed by node.
+    def encode_each(self, views: Mapping[int, ReceivedProposals]) -> dict[int, int]:
+        """Coded residue of each node's own view, keyed by node; views as in `encode`.
 
-        The encoding is linear in the view, so it splits by shard. The shards on which all
-        the views agree are encoded at every node by one packed sum (`encode`); each node
-        then adds a dot product of its Lagrange row and its own view over the shards where
-        the views differ: one packed sum and one short dot product a node, however many
-        distinct views there are. Node indices outside 1..N raise ValueError.
+        The encoding is linear in the view, so it splits by shard. Each distinct view is
+        reduced to residues once. The shards on which all the views agree are encoded at
+        every node by one packed sum (as in `encode`); each node then adds a dot product of
+        its Lagrange row and its own view over the shards where the views differ: one
+        packed sum and one short dot product a node, however many distinct views there
+        are. Node indices outside 1..N raise ValueError.
         """
         if not views:
             return {}
         nodes, p = list(views), self.field.modulus
         if not 1 <= min(nodes) <= max(nodes) <= self.N:
             raise ValueError(f"node indices must lie in 1..{self.N}")
-        distinct = list(set(views.values()))
+        reduced = {view: tuple(map(self.field.residue, view)) for view in set(views.values())}
+        distinct = list(set(reduced.values()))
         if any(len(view) != self.K for view in distinct):
             raise ValueError("a view must contain exactly one payload per shard")
         varying = [k for k, values in enumerate(zip(*distinct)) if len(set(values)) > 1]
         common = list(distinct[0])
         for k in varying:
             common[k] = 0
-        coded = (0, *self.encode(common))  # coded[n]: node n's code of the common shards
+        coded = (0, *self._columns.apply(common))  # coded[n]: node n's code of the common shards
         if not varying:
             return dict(zip(nodes, map(coded.__getitem__, nodes)))
         # rows[n]: node n's Lagrange coefficients on the varying shards
         rows = (None, *zip(*[self._transposed[k] for k in varying]))
-        payloads = {view: list(map(view.__getitem__, varying)) for view in distinct}
+        payloads = {view: list(map(r.__getitem__, varying)) for view, r in reduced.items()}
         dots = map(sum, map(map, itertools.repeat(mul), map(rows.__getitem__, nodes),
                             map(payloads.__getitem__, views.values())))
         return {n: (c + d) % p for n, c, d in zip(nodes, map(coded.__getitem__, nodes), dots)}
@@ -142,8 +152,6 @@ class EncodingParams:
     def default(cls, K: int, N: int, d: int, field: PrimeField) -> "EncodingParams":
         """Canonical layout: shard k at k, node n at K+n (distinct by construction)."""
         return cls(
-            K=K,
-            N=N,
             omegas=tuple(field(k) for k in range(1, K + 1)),
             alphas=tuple(field(K + n) for n in range(1, N + 1)),
             d=d,

@@ -76,15 +76,14 @@ class ShardChain:
 
 
 class NodeState:
-    """One node: its evaluation point, its coded chain, and (driver bookkeeping)
-    the id of the accepted-block history its coded entries are evaluations of."""
+    """One node: its coded chain and (driver bookkeeping) the id of the accepted-block
+    history its coded entries are evaluations of. Node n's evaluation point is
+    `params.alphas[n - 1]`; whether it is adversarial is read from the simulation."""
 
-    __slots__ = ("node", "alpha", "role", "coded_chain", "chain")
+    __slots__ = ("node", "coded_chain", "chain")
 
-    def __init__(self, node: int, alpha: FieldElement, coded_genesis: FieldElement):
+    def __init__(self, node: int, coded_genesis: FieldElement):
         self.node = node
-        self.alpha = alpha
-        self.role = "honest"
         self.coded_chain: list[FieldElement] = [coded_genesis]
         self.chain = 0  # every node starts on the genesis chain
 
@@ -124,7 +123,11 @@ class EpochReport:
 
 
 class Simulation:
-    """Driver state: encoding constants, chains, nodes, and epoch policies."""
+    """Driver state: encoding constants, chains, nodes, and epoch policies.
+
+    `epoch` counts completed epochs, and `adversarial_nodes` is the adversarial set of
+    the last one (empty before the first); every other node is honest.
+    """
 
     def __init__(
         self,
@@ -148,12 +151,13 @@ class Simulation:
         self.invalid_proposer_shards = invalid_proposer_shards
         self.failure_policy = failure_policy
         self.epoch = 0
+        self.adversarial_nodes: frozenset[int] = frozenset()
         # genesis block of shard k is the public constant k
         self.chains = [ShardChain(k, field(k)) for k in range(1, params.K + 1)]
         genesis = tuple(c.history[0].value for c in self.chains)
         self.history_polys: list[Polynomial] = [build_coded_poly(genesis, params)]
         self.nodes = [
-            NodeState(n, params.alphas[n - 1], encode_at_node(genesis, params, n))
+            NodeState(n, encode_at_node(genesis, params, n))
             for n in range(1, params.N + 1)
         ]
         # (parent chain id, appended block residues) -> chain id; 0 is genesis.
@@ -162,7 +166,7 @@ class Simulation:
         self.chain_ids: dict[tuple[int, tuple[int, ...]], int] = {}
 
     def honest_nodes(self) -> list[NodeState]:
-        return [node for node in self.nodes if node.role == "honest"]
+        return [node for node in self.nodes if node.node not in self.adversarial_nodes]
 
     def chain_divergence(self) -> int:
         return len({node.chain for node in self.honest_nodes()})
@@ -194,9 +198,12 @@ def run_epoch(
     """Advance the simulation by one epoch and report what every node saw.
 
     Delivery, encoding, broadcast corruption, decoding and appends happen in
-    node-index order; decode failure is recorded, never raised. An adversary
-    index outside 1..N or 1..K, or a targeted map without some honest node,
-    raises ValueError before any state changes.
+    node-index order; decode failure is recorded, never raised. The simulation
+    changes only after every step that can raise has run: `epoch` and
+    `adversarial_nodes` are set together just before the appends, on the stall
+    path too, so an epoch that raises (an adversary index outside 1..N or 1..K, a
+    targeted map without some honest node, a `DegreeOverflow` from a wrongly
+    declared check) leaves it as it was.
     """
     if isinstance(rng, int):
         rng = random.Random(rng)
@@ -208,7 +215,7 @@ def run_epoch(
         for index in sorted(indices):
             if not 1 <= index <= top:
                 raise ValueError(f"adversarial {kind} {index} out of range 1..{top}")
-    honest_ids = [node.node for node in sim.nodes if node.node not in adv_nodes]
+    honest_ids = [n for n in range(1, params.N + 1) if n not in adv_nodes]
 
     # 1. proposals: honest shards broadcast one block; captured shards unicast versions
     base = [x.value for x in propose_blocks(sim.chains, fn, rng, sim.invalid_proposer_shards)]
@@ -225,19 +232,16 @@ def run_epoch(
                         for k in range(1, params.K + 1))
              for tup in {ones, *node_tuples.values()}}
     first_view = built[ones]
-    views = {node.node: built[node_tuples.get(node.node, ones)] for node in sim.nodes}
+    views = {n: built[node_tuples.get(n, ones)] for n in range(1, params.N + 1)}
     for k in producers:
         delivered = {view[k - 1] for view in built.values()}
         if len(delivered) > adversary.v:
             raise AssertionError("injection cap violated")
-    for node in sim.nodes:
-        node.role = "adversarial" if node.node in adv_nodes else "honest"
 
     # 2. each honest node encodes its view and verifies against its coded chain
-    honest = [node for node in sim.nodes if node.role == "honest"]
-    coded = params.encode_each({node.node: views[node.node] for node in honest})
+    coded = params.encode_each({n: views[n] for n in honest_ids})
     results: dict[int, FieldElement | None] = {
-        node.node: fn.evaluate(field(coded[node.node]), node.coded_chain) for node in honest
+        n: fn.evaluate(field(coded[n]), sim.nodes[n - 1].coded_chain) for n in honest_ids
     }
 
     # 3. adversarial nodes broadcast per strategy
@@ -252,17 +256,13 @@ def run_epoch(
             [(n, params.alphas[n - 1]) for n in sorted(adv_nodes)],
             adversary.broadcast_strategy,
             rng,
-            field=field,
             poly=target_poly,
         )
         results.update(corrupted)
         n_silent = sum(1 for v in corrupted.values() if v is None)
 
     broadcast = BroadcastSet(
-        [
-            BroadcastEntry(node.node, node.alpha, results[node.node])
-            for node in sim.nodes
-        ]
+        [BroadcastEntry(n, alpha, results[n]) for n, alpha in enumerate(params.alphas, 1)]
     )
 
     # 4. every honest node decodes the same broadcast set
@@ -275,31 +275,25 @@ def run_epoch(
         outcome = DecodeOutcome(status=FAILURE, diagnostics=str(exc))
     diagnostics = outcome.diagnostics
 
-    # 5. appends
+    # 5. appends: every step that can raise has run, so the simulation changes from here
     bits: list[int] | None = None
     recovered_values: list[int] | None = None
-    stalled = False
+    canonical = None
     if outcome.recovered:
         h = recover_outputs(outcome.poly, params)
         recovered_values = [value.value for value in h]
         bits = accept_bits(h, sim.accept_set)
-        canonical = _canonical_blocks(sim, outcome.poly, first_view, views, producers)
-        _append_epoch(sim, canonical, bits, views)
+        canonical, mask = _canonical_blocks(sim, outcome.poly, first_view, views, producers), bits
     elif sim.failure_policy == "append_own_view":
-        _append_epoch(sim, first_view, [1] * params.K, views)
-    else:
-        stalled = True
+        canonical, mask = first_view, [1] * params.K
+    sim.epoch, sim.adversarial_nodes = t, adv_nodes
+    stalled = canonical is None
+    if not stalled:
+        _append_epoch(sim, canonical, mask, views)
 
-    sim.epoch = t
-    statuses = {
-        node.node: ("adversarial" if node.role == "adversarial" else outcome.status)
-        for node in sim.nodes
-    }
-    accepted = {
-        node.node: (list(bits) if bits is not None else None)
-        for node in sim.nodes
-        if node.role == "honest"
-    }
+    statuses = {n: "adversarial" if n in adv_nodes else outcome.status
+                for n in range(1, params.N + 1)}
+    accepted = dict.fromkeys(honest_ids, bits)
     messages = {
         "unicast": len(producers) * params.N,
         "broadcast": (params.K - len(producers)) * params.N
@@ -344,12 +338,12 @@ def _append_epoch(sim, canonical, bits, views):
     its chain-id key; only the K accepted blocks and the coded entries are boxed, for
     `VerificationFn` histories.
     Honest nodes encode *their own* received view, so a node whose view lost
-    the decode silently diverges; adversarial nodes track the canonical chain.
+    the decode silently diverges; the epoch's adversarial nodes track the canonical chain.
     """
     params = sim.params
     masked = {view: tuple(map(mul, bits, view)) for view in {canonical, *views.values()}}
-    owns = {node.node: masked[views[node.node] if node.role == "honest" else canonical]
-            for node in sim.nodes}
+    owns = {n: masked[canonical if n in sim.adversarial_nodes else view]
+            for n, view in views.items()}
     coded = params.encode_each(owns)
     accepted = masked[canonical]
     for chain, block in zip(sim.chains, accepted):

@@ -48,13 +48,15 @@ def _check_counts(**counts: int) -> None:
 
 @dataclass(frozen=True)
 class AnalysisParams:
-    """A concrete adversarial layout to rank-check: points, partition, tuples."""
+    """A concrete adversarial layout to rank-check: points, partition, tuples.
 
-    N: int
-    K: int
+    The counts are read off the sets they count: K is the number of shard points,
+    beta_prime the number of captured producers, and N the retained points plus the
+    2*beta dropped evaluation rows.
+    """
+
     d: int
     beta: int
-    beta_prime: int
     v: int
     omegas: tuple[FieldElement, ...]
     partition: tuple[tuple[FieldElement, ...], ...]  # alpha points per version cell
@@ -62,29 +64,29 @@ class AnalysisParams:
 
     def __post_init__(self):
         _check_counts(K=self.K, v=self.v, d=self.d, beta=self.beta, beta_prime=self.beta_prime)
-        if self.beta_prime > self.K:
-            raise ValueError("cannot capture more producers than shards")
-        if len(self.producers) != self.beta_prime:
-            raise ValueError("producer list must have beta_prime entries")
         if len(set(self.producers)) != len(self.producers):
             raise ValueError(f"producers must be distinct, got {self.producers}")
         if any(not 1 <= k <= self.K for k in self.producers):
             raise ValueError(f"producers must lie in 1..K = 1..{self.K}, got {self.producers}")
-        if len(self.omegas) != self.K:
-            raise ValueError(f"omegas must hold K = {self.K} points, got {len(self.omegas)}")
         if len(self.partition) != self.v**self.beta_prime:
             raise ValueError("one cell per version tuple is required")
-        retained = sum(len(cell) for cell in self.partition)
-        if retained != self.N - 2 * self.beta:
-            raise ValueError(
-                f"partition holds {retained} points, expected N - 2*beta = "
-                f"{self.N - 2 * self.beta}"
-            )
         points = [x.value for x in self.omegas] + [
             x.value for cell in self.partition for x in cell
         ]
         if len(set(points)) != len(points):
             raise ValueError("evaluation points must be pairwise distinct")
+
+    @property
+    def N(self) -> int:
+        return sum(self.cell_sizes) + 2 * self.beta
+
+    @property
+    def K(self) -> int:
+        return len(self.omegas)
+
+    @property
+    def beta_prime(self) -> int:
+        return len(self.producers)
 
     @property
     def field(self) -> PrimeField:
@@ -146,12 +148,11 @@ def proof_params(
             raise ValueError("explicit partition must have one cell per tuple")
         if cap is not None and any(len(cell) > cap for cell in cells):
             raise InfeasiblePartition("a cell reaches d(K-1)+1 points and would decode alone")
+        if sum(map(len, cells)) != retained:
+            raise ValueError(f"explicit partition must hold N - 2*beta = {retained} points")
     return AnalysisParams(
-        N=N,
-        K=K,
         d=d,
         beta=beta,
-        beta_prime=beta_prime,
         v=v,
         omegas=omegas,
         partition=tuple(tuple(cell) for cell in cells),
@@ -310,7 +311,7 @@ def _lift(sys: SystemMatrices, vec: Sequence[FieldElement]) -> tuple[FieldElemen
     return (*(P.coefficient(j) for P in polys for j in range(width - 1, -1, -1)), *z)
 
 
-def unique_decodability(sys: SystemMatrices, K: int, beta_prime: int) -> RankReport:
+def unique_decodability(sys: SystemMatrices) -> RankReport:
     """Rank test: outputs are unique iff no column relation touches the output block.
 
     One left-to-right reduction of R, the system on ker A, answers all of it, as
@@ -321,10 +322,7 @@ def unique_decodability(sys: SystemMatrices, K: int, beta_prime: int) -> RankRep
     against the layout's equations: two explanations of the same broadcasts that
     disagree on the honest outputs.
     """
-    z_width = K - beta_prime
-    if z_width != sys.z_width:
-        raise ValueError("K and beta_prime do not match the system's output block")
-    field, h_cols = sys.params.field, sys.ncols - z_width
+    field, h_cols = sys.params.field, sys.ncols - sys.z_width
     pivots = echelon(sys.R, sys.ncols, field.modulus)
     free_z = next((c for c in range(h_cols, sys.ncols) if c not in pivots), None)
     return RankReport(
@@ -413,9 +411,7 @@ def empirical_threshold(
                 )
             )
             continue
-        report = unique_decodability(
-            build_system(params), params.K, params.beta_prime
-        )
+        report = unique_decodability(build_system(params))
         rows.append(
             SweepRow(
                 N=N,

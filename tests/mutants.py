@@ -1,0 +1,118 @@
+"""Pinned mutants: small edits to the library that named tests must catch.
+
+Each registry entry replaces one snippet of one file. The runner copies the tree to a
+temporary directory, applies one mutant there, and runs the mutant's test files with
+`-x` and CI=1 (the derandomized hypothesis profile). The mutant is caught when they
+fail. The working tree is never edited.
+
+    python tests/mutants.py          # every mutant
+    python tests/mutants.py NAME...  # the named ones
+
+The exit status is nonzero when a mutant not marked equivalent survives, when a
+snippet does not occur exactly once, or when the unmutated tests already fail.
+An equivalent mutant changes code that correct inputs never reach, so no test can
+catch it; it is run and reported all the same.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from dataclasses import dataclass
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SIM = "src/shardlab/polyshard_sim.py"
+SIM_TESTS = ("tests/test_polyshard_sim.py",)
+
+
+@dataclass(frozen=True)
+class Mutant:
+    name: str
+    file: str  # relative to the repository root
+    old: str  # must occur exactly once in the file
+    new: str
+    tests: tuple[str, ...]  # test files, relative to the repository root
+    equivalent: bool = False
+
+
+MUTANTS = (
+    Mutant("accept-mask-dropped", SIM,
+           "masked = {view: tuple(map(mul, bits, view)) for view",
+           "masked = {view: tuple(view) for view", SIM_TESTS),
+    Mutant("known-behavior-agreement-check-dropped", "src/shardlab/decoder.py",
+           "if out.poly(omega) != ref.poly(omega):",
+           "if False:", ("tests/test_decoder.py",)),
+    Mutant("honest-looking-targets-another-view", SIM,
+           "build_coded_poly(first_view, params), sim.history_polys, fn",
+           "build_coded_poly(built[max(built)], params), sim.history_polys, fn", SIM_TESTS),
+    Mutant("injection-cap-raise-deleted", SIM,
+           'raise AssertionError("injection cap violated")',
+           "pass", SIM_TESTS, equivalent=True),
+    Mutant("adversarial-set-assigned-before-the-epoch-runs", SIM,
+           "    honest_ids = [n for n in range(1, params.N + 1) if n not in adv_nodes]\n",
+           "    sim.adversarial_nodes = adv_nodes\n"
+           "    honest_ids = [n for n in range(1, params.N + 1) if n not in adv_nodes]\n",
+           SIM_TESTS),
+    Mutant("adversaries-append-their-own-view", SIM,
+           "masked[canonical if n in sim.adversarial_nodes else view]",
+           "masked[view]", SIM_TESTS),
+)
+
+IGNORE = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", ".hypothesis",
+                                "*.egg-info", "results")
+
+
+def tests_fail(tree: Path, tests: tuple[str, ...]) -> bool:
+    """Run the tests in a copied tree; True when some test fails or cannot be collected."""
+    env = dict(os.environ, CI="1", PYTHONPATH=str(tree / "src"))
+    done = subprocess.run(
+        [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *tests],
+        cwd=tree, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+    )
+    if done.returncode not in (0, 1, 2):  # 1: a test failed, 2: a collection error
+        raise RuntimeError(f"pytest exited {done.returncode} on {' '.join(tests)}")
+    return done.returncode != 0
+
+
+def caught(mutant: Mutant, root: Path = ROOT) -> bool:
+    """Apply the mutant to a copy of the tree at root and run its tests there."""
+    with tempfile.TemporaryDirectory() as tmp:
+        tree = Path(shutil.copytree(root, Path(tmp) / "tree", ignore=IGNORE))
+        path = tree / mutant.file
+        text = path.read_text()
+        if text.count(mutant.old) != 1:
+            raise ValueError(f"{mutant.name}: the old snippet occurs {text.count(mutant.old)} "
+                             f"times in {mutant.file}, not once")
+        path.write_text(text.replace(mutant.old, mutant.new))
+        return tests_fail(tree, mutant.tests)
+
+
+def main(names: list[str]) -> int:
+    unknown = set(names) - {m.name for m in MUTANTS}
+    if unknown:
+        print(f"unknown mutants: {', '.join(sorted(unknown))}", file=sys.stderr)
+        return 2
+    chosen = [m for m in MUTANTS if not names or m.name in names]
+    with tempfile.TemporaryDirectory() as tmp:
+        tree = Path(shutil.copytree(ROOT, Path(tmp) / "tree", ignore=IGNORE))
+        if tests_fail(tree, tuple(sorted({t for m in chosen for t in m.tests}))):
+            print("the unmutated tests fail; no mutant can be judged", file=sys.stderr)
+            return 1
+    survivors = []
+    for mutant in chosen:
+        verdict = "caught" if caught(mutant) else "survived"
+        label = " (equivalent)" if mutant.equivalent else ""
+        print(f"{verdict:8} {mutant.name}{label}", flush=True)
+        if verdict == "survived" and not mutant.equivalent:
+            survivors.append(mutant.name)
+    if survivors:
+        print(f"{len(survivors)} mutant(s) survived: {', '.join(survivors)}", file=sys.stderr)
+    return 1 if survivors else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -154,11 +154,11 @@ def test_criterion_4_threshold_witness_exhaustive():
         for cell_one in itertools.combinations(alphas, size_one):
             cell_two = tuple(a for a in alphas if a not in cell_one)
             params = AnalysisParams(
-                N=N, K=K, d=d, beta=beta, beta_prime=beta_prime, v=v,
+                d=d, beta=beta, v=v,
                 omegas=omegas, partition=(cell_one, cell_two), producers=(1,),
             )
             sys_m = build_system(params)
-            result = unique_decodability(sys_m, K, beta_prime)
+            result = unique_decodability(sys_m)
             assert not result.unique_Z
             assert result.witness is not None
             assert all(x.value == 0 for x in dense_system(params).D.mul_vec(result.witness))
@@ -187,7 +187,6 @@ def test_criterion_6_known_behavior_at_upper_bound():
     assert N == 12
     params = EncodingParams.default(K, N, d, FIELD)
     f = power_check(d)
-    degree_bound = params.composed_degree
     for seed in range(100):
         rng = random.Random(seed)
         base = [FIELD.random(rng) for _ in range(K)]
@@ -209,9 +208,7 @@ def test_criterion_6_known_behavior_at_upper_bound():
                 y = y + FIELD.random_nonzero(rng)
             entries.append(BroadcastEntry(n, alpha, y))
         assignment = VersionAssignment(producers=(1,), v=v, node_tuples=node_tuples)
-        out = known_behavior_decode(
-            BroadcastSet(entries), assignment, degree_bound, beta, params
-        )
+        out = known_behavior_decode(BroadcastSet(entries), assignment, beta, params)
         assert out.recovered
         for k in (2, 3):  # the honest producers
             assert out.poly(params.omegas[k - 1]) == f.evaluate(base[k - 1], ())
@@ -222,7 +219,6 @@ def test_criterion_7_three_shard_expansion():
     """Four composed quartics have pairwise-distinct coefficients; the coded
     polynomial matches the hand expansion at 10 random points."""
     params = EncodingParams(
-        K=3, N=1,
         omegas=(FIELD(1), FIELD(2), FIELD(3)), alphas=(FIELD(4),), d=2,
     )
     f = power_check(2)

@@ -139,7 +139,7 @@ class TestAssignVersions:
         with pytest.raises(ValueError, match="node 2: no version tuple"):
             run_epoch(sim, cfg, rng=0)
         assert sim.epoch == 0
-        assert [node.role for node in sim.nodes] == ["honest"] * 9
+        assert [node.node in sim.adversarial_nodes for node in sim.nodes] == [False] * 9
         assert all(len(c.history) == 1 for c in sim.chains)
 
     def test_version_cap_validated(self):
@@ -150,24 +150,24 @@ class TestAssignVersions:
 class TestCorruptResults:
     def test_silent(self, field, rng):
         out = corrupt_results(
-            [(1, field(4)), (2, field(5))], "silent", rng, field=field
+            [(1, field(4)), (2, field(5))], "silent", rng
         )
         assert out == {1: None, 2: None}
 
     def test_garbage_values_in_field(self, field, rng):
-        out = corrupt_results([(1, field(4))], "garbage", rng, field=field)
+        out = corrupt_results([(1, field(4))], "garbage", rng)
         assert out[1] is not None
 
     def test_honest_looking_fits_polynomial(self, field, rng):
         poly = Polynomial(field, [3, 1, 4, 1, 5])
         entries = [(n, field(10 + n)) for n in range(1, 6)]
-        out = corrupt_results(entries, "honest_looking", rng, field=field, poly=poly)
+        out = corrupt_results(entries, "honest_looking", rng, poly=poly)
         for n, alpha in entries:
             assert out[n] == poly(alpha)
 
     def test_honest_looking_requires_poly(self, field, rng):
         with pytest.raises(ValueError):
-            corrupt_results([(1, field(4))], "honest_looking", rng, field=field)
+            corrupt_results([(1, field(4))], "honest_looking", rng)
 
 
 class TestNoAttackEquivalence:

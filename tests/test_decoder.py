@@ -378,7 +378,7 @@ class TestKnownBehaviorDecode:
         assignment = VersionAssignment(
             producers=(1,), v=1, node_tuples={n: (1,) for n in range(1, 10)}
         )
-        out = known_behavior_decode(b, assignment, 4, 1, params)
+        out = known_behavior_decode(b, assignment, 1, params)
         plain = rs_decode(b, 4, 1)
         assert out.recovered and plain.recovered and out.poly == plain.poly
 
@@ -401,7 +401,7 @@ class TestKnownBehaviorDecode:
                     y = y + field.random_nonzero(rng)
                 entries.append(BroadcastEntry(n, alpha, y))
             assignment = VersionAssignment(producers=(1,), v=2, node_tuples=node_tuples)
-            out = known_behavior_decode(BroadcastSet(entries), assignment, 4, 1, params)
+            out = known_behavior_decode(BroadcastSet(entries), assignment, 1, params)
             assert out.recovered
             # honest shards 2 and 3 evaluate identically under either version
             for k in (2, 3):
@@ -422,7 +422,7 @@ class TestKnownBehaviorDecode:
             },
         )
         with pytest.raises(InsufficientEvaluations):
-            known_behavior_decode(BroadcastSet(entries), assignment, 4, 1, params)
+            known_behavior_decode(BroadcastSet(entries), assignment, 1, params)
 
     def test_uncovered_node_rejected(self, field, rng):
         params = EncodingParams.default(3, 6, 2, field)
@@ -434,7 +434,7 @@ class TestKnownBehaviorDecode:
             producers=(1,), v=2, node_tuples={n: (1,) for n in range(1, 6)}
         )
         with pytest.raises(ValueError):
-            known_behavior_decode(BroadcastSet(entries), assignment, 4, 1, params)
+            known_behavior_decode(BroadcastSet(entries), assignment, 1, params)
 
     def test_uncovered_node_named(self, field, rng):
         params = EncodingParams.default(3, 6, 2, field)
@@ -445,4 +445,20 @@ class TestKnownBehaviorDecode:
             producers=(1,), v=2, node_tuples={n: (1,) for n in (1, 2, 4, 5, 6)}
         )
         with pytest.raises(ValueError, match="^assignment does not cover node 3$"):
-            known_behavior_decode(BroadcastSet(entries), assignment, 4, 1, params)
+            known_behavior_decode(BroadcastSet(entries), assignment, 1, params)
+
+    def test_certified_cells_disagreeing_at_an_honest_shard_fail(self, field):
+        # every broadcast of cell (2,) is corrupted consistently, onto the composition of
+        # a view that also differs at honest shard 2; with max_errors understated as 0
+        # both cells certify, and the decoder must report their disagreement
+        params = EncodingParams.default(3, 10, 2, field)
+        f = power_check(2)
+        views = {1: (field(5), field(6), field(7)), 2: (field(12), field(7), field(7))}
+        polys = {i: self._composed(params, view, f) for i, view in views.items()}
+        node_tuples = {n: (1 if n <= 5 else 2,) for n in range(1, 11)}
+        entries = [BroadcastEntry(n, alpha, polys[node_tuples[n][0]](alpha))
+                   for n, alpha in enumerate(params.alphas, 1)]
+        assignment = VersionAssignment(producers=(1,), v=2, node_tuples=node_tuples)
+        out = known_behavior_decode(BroadcastSet(entries), assignment, 0, params)
+        assert not out.recovered
+        assert out.diagnostics == "cells (1,) and (2,) disagree at honest shard 2"

@@ -48,7 +48,6 @@ class TestParams:
     def test_point_collision_rejected(self, gf97):
         with pytest.raises(ValueError):
             EncodingParams(
-                K=2, N=1,
                 omegas=(gf97(1), gf97(2)), alphas=(gf97(2),), d=1,
             )
 
@@ -56,8 +55,8 @@ class TestParams:
         for omegas, alphas in (((gf97(1), gf97(2)), (gf7(3), gf7(4))),
                                ((gf97(1), gf7(2)), (gf97(3), gf97(4)))):
             with pytest.raises(ValueError, match=r"must lie in omegas\[0\]'s GF\(97\)"):
-                EncodingParams(K=2, N=2, d=1, omegas=omegas, alphas=alphas)
-        params = EncodingParams(K=2, N=2, d=1, omegas=(gf97(1), gf97(2)),
+                EncodingParams(d=1, omegas=omegas, alphas=alphas)
+        params = EncodingParams(d=1, omegas=(gf97(1), gf97(2)),
                                 alphas=(gf97(3), gf97(4)))
         with pytest.raises(ValueError, match="different field"):
             build_coded_poly((gf97(1), gf7(1)), params)
@@ -73,8 +72,9 @@ class TestParams:
         assert (info.misses, info.hits) == (1, 2)
 
     def test_bad_counts(self, gf97):
-        with pytest.raises(ValueError):
-            EncodingParams(K=2, N=1, omegas=(gf97(1),), alphas=(gf97(3),), d=1)
+        # K and N are the point counts, so no node point is N = 0
+        with pytest.raises(ValueError, match="K, N and d must all be >= 1"):
+            EncodingParams(omegas=(gf97(1),), alphas=(), d=1)
         with pytest.raises(ValueError):
             EncodingParams.default(0, 3, 1, gf97)
 
@@ -118,7 +118,7 @@ class TestLagrangeBasis:
         # and every Lagrange-matrix entry equals the product formula's
         gf97 = PrimeField(97)
         K = min(K, len(points) - 1)
-        params = EncodingParams(K=K, N=len(points) - K, omegas=tuple(map(gf97, points[:K])),
+        params = EncodingParams(omegas=tuple(map(gf97, points[:K])),
                                 alphas=tuple(map(gf97, points[K:])), d=1)
         for k in range(1, K + 1):
             oracle = Polynomial(gf97, [1])
@@ -161,7 +161,7 @@ class TestEncodeAtNode:
     def test_matches_basis_sum_on_custom_layout(self, gf97, rng):
         # the cached basis, the Lagrange matrix and the coded polynomial against
         # the product formula and a fresh interpolation, on two layouts
-        custom = EncodingParams(K=4, N=5, omegas=tuple(map(gf97, (90, 3, 41, 17))),
+        custom = EncodingParams(omegas=tuple(map(gf97, (90, 3, 41, 17))),
                                 alphas=tuple(map(gf97, (0, 96, 55, 8, 23))), d=2)
         for params in (EncodingParams.default(4, 5, 2, gf97), custom):
             for k in range(1, 5):
@@ -227,7 +227,7 @@ class TestEncodeAllNodes:
             assert coded == [encode_at_node(view, params, n).value for n in range(1, N + 1)]
 
     def test_matches_encode_at_node_on_custom_layout(self, gf97, gf7, rng):
-        params = EncodingParams(K=4, N=5, omegas=tuple(map(gf97, (90, 3, 41, 17))),
+        params = EncodingParams(omegas=tuple(map(gf97, (90, 3, 41, 17))),
                                 alphas=tuple(map(gf97, (0, 96, 55, 8, 23))), d=2)
         for _ in range(20):
             residues = tuple(rng.randrange(-200, 300) for _ in range(4))
@@ -259,6 +259,23 @@ class TestEncodeAllNodes:
             coded = params.encode_each(views)
             assert list(coded) == nodes
             assert coded == {n: encode_at_node(view, params, n).value for n, view in views.items()}
+
+    def test_each_matches_encode_at_node_on_element_views(self, gf97, gf7, rng):
+        # same-field element views that differ at one shard, alone or beside int views,
+        # as `encode` and `encode_at_node` take them
+        params = EncodingParams.default(3, 6, 2, gf97)
+        for _ in range(20):
+            v1 = tuple(gf97.random(rng) for _ in range(3))
+            v2 = (v1[0], v1[1] + gf97.random_nonzero(rng), v1[2])
+            for views in ({1: v1, 2: v2}, {1: v1, 3: v2, 4: v1, 6: v2},
+                          {2: v2, 5: tuple(x.value + 97 for x in v1)}):
+                assert params.encode_each(views) == {
+                    n: encode_at_node(view, params, n).value for n, view in views.items()}
+        # an element of another field raises as in `encode`, on a varying shard or not
+        foreign = (v1[0], gf7(3), v1[2])
+        for views in ({1: v1, 2: foreign}, {1: foreign, 2: foreign}):
+            with pytest.raises(ValueError, match="different field"):
+                params.encode_each(views)
 
     def test_each_rejects_bad_nodes_and_views(self, field):
         params = EncodingParams.default(3, 8, 2, field)

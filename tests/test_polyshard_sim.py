@@ -7,10 +7,12 @@ from hypothesis import strategies as st
 
 from shardlab import (
     AdversaryConfig,
+    DegreeOverflow,
     EncodingParams,
     FieldElement,
     Polynomial,
     Simulation,
+    build_coded_poly,
     comm_load,
     compose_verification,
     encode_at_node,
@@ -20,7 +22,7 @@ from shardlab import (
 )
 from shardlab import field_poly, polyshard_sim
 from shardlab.field_poly import point_set
-from shardlab.polyshard_sim import history_power_check, power_check
+from shardlab.polyshard_sim import VerificationFn, history_power_check, power_check
 
 
 def make_sim(field, K=5, N=20, d=2, **kw):
@@ -174,14 +176,91 @@ class TestRunEpoch:
     def test_bad_adversary_index_raises_before_any_change(self, field, nodes, producers, bad):
         sim = make_sim(field, K=3, N=12)
         run_epoch(sim, garbage_adversary({11}), rng=1)
-        roles = [node.role for node in sim.nodes]
+        roles = [node.node in sim.adversarial_nodes for node in sim.nodes]
         adversary = AdversaryConfig(adversarial_nodes=frozenset(nodes),
                                     adversarial_producers=producers)
         with pytest.raises(ValueError, match=f"adversarial {bad} out of range"):
             run_epoch(sim, adversary, rng=2)
         assert sim.epoch == 1
-        assert [node.role for node in sim.nodes] == roles
+        assert [node.node in sim.adversarial_nodes for node in sim.nodes] == roles
         assert all(len(c.history) == 2 for c in sim.chains)
+
+    def test_raising_epoch_changes_nothing(self, field):
+        # the check declares degree 2 but computes x^3: composing it for the
+        # honest_looking broadcasts overflows, after the adversarial set is known
+        params = EncodingParams.default(3, 12, 2, field)
+        fn = VerificationFn(degree=2, evaluate=lambda x, history: x**3,
+                            valid_block=lambda history: history[0].field.zero)
+        sim = Simulation(params, fn)
+        adversary = AdversaryConfig(adversarial_nodes=frozenset({11, 12}),
+                                    adversarial_producers=(1,), v=2,
+                                    broadcast_strategy="honest_looking")
+
+        def state():
+            return (sim.epoch, sim.adversarial_nodes, [node.node for node in sim.honest_nodes()],
+                    [list(c.history) for c in sim.chains],
+                    [list(node.coded_chain) for node in sim.nodes],
+                    [node.chain for node in sim.nodes], dict(sim.chain_ids),
+                    list(sim.history_polys))
+
+        before = state()
+        assert before[:3] == (0, frozenset(), list(range(1, 13)))
+        with pytest.raises(DegreeOverflow):
+            run_epoch(sim, adversary, rng=1)
+        assert state() == before
+
+    def test_rejected_shard_appends_zero_and_masked_encodings(self, field, monkeypatch):
+        # shard 2's proposer is invalid: its accept bit is 0, so its chain appends
+        # e_2 * X_2 = 0, and every node encodes its view masked the same way
+        sim = make_sim(field, K=4, N=20, invalid_proposer_shards=frozenset({2}))
+        owns, append = [], polyshard_sim._append_epoch
+
+        def recording_append(sim, canonical, bits, views):
+            owns.append({n: tuple(b * x for b, x in zip(
+                bits, canonical if n in sim.adversarial_nodes else view))
+                for n, view in views.items()})
+            append(sim, canonical, bits, views)
+
+        monkeypatch.setattr(polyshard_sim, "_append_epoch", recording_append)
+        for t in range(2):
+            report = run_epoch(sim, None, rng=t)
+            assert report.accepted[1] == [1, 0, 1, 1]
+            for node in sim.nodes:
+                own = owns[-1][node.node]
+                assert own[1] == 0
+                assert node.coded_chain[-1] == encode_at_node(own, sim.params, node.node)
+        assert sim.chains[1].history == [field(2), field.zero, field.zero]
+
+    def test_honest_looking_broadcasts_fit_the_version_1_view(self, field, monkeypatch):
+        # two realized views of shard 1: the adversarial broadcasts evaluate the
+        # composition of version 1's view, the view of nodes outside the assignment
+        forged, broadcasts = [], []
+        forge, decode = polyshard_sim.forge_versions, polyshard_sim.rs_decode
+
+        def recording_forge(*args, **kwargs):
+            forged.append(forge(*args, **kwargs))
+            return forged[-1]
+
+        def recording_decode(b, *args):
+            broadcasts.append(b)
+            return decode(b, *args)
+
+        monkeypatch.setattr(polyshard_sim, "forge_versions", recording_forge)
+        monkeypatch.setattr(polyshard_sim, "rs_decode", recording_decode)
+        sim = make_sim(field, K=3, N=12)
+        adversary = AdversaryConfig(adversarial_nodes=frozenset({11, 12}),
+                                    adversarial_producers=(1,), v=2,
+                                    broadcast_strategy="honest_looking")
+        for t in range(2):
+            history = list(sim.history_polys)
+            base = [sim.fn.valid_block(c.history) for c in sim.chains]
+            run_epoch(sim, adversary, rng=90 + t)
+            entries = {e.node: e for e in broadcasts[-1]}
+            targets = [compose_verification(build_coded_poly((version, *base[1:]), sim.params),
+                                            history, sim.fn) for version in forged[-1]]
+            for n in (11, 12):
+                alpha = sim.params.alphas[n - 1]
+                assert entries[n].value == targets[0](alpha) != targets[1](alpha)
 
     def test_decoded_dominant_version_is_appended(self, gf97, monkeypatch):
         # 16 honest nodes see version 2 of shard 1 and 2 see version 1: the
@@ -207,8 +286,8 @@ class TestRunEpoch:
         assert report.accepted[1] == [1, 1, 1]
         assert sim.chains[0].history[-1] == forged[0][1] != forged[0][0]
         for node in sim.nodes:
-            on_canonical = node.coded_chain[-1] == sim.history_polys[-1](node.alpha)
-            assert on_canonical == (node.node <= 16 or node.role == "adversarial")
+            on_canonical = node.coded_chain[-1] == sim.history_polys[-1](params.alphas[node.node - 1])
+            assert on_canonical == (node.node <= 16 or node.node in sim.adversarial_nodes)
         assert report.chain_divergence == 2
 
     def test_recovered_epoch_boxes_at_most_n_plus_k_products(self, field, monkeypatch):
@@ -247,7 +326,7 @@ class TestCodedChainSoundness:
             run_epoch(sim, None, rng=t)
         for m in range(0, 4):  # epoch 0 is genesis
             pts = [
-                (sim.nodes[n - 1].alpha, sim.nodes[n - 1].coded_chain[m])
+                (sim.params.alphas[n - 1], sim.nodes[n - 1].coded_chain[m])
                 for n in (1, 4, 7, 10)
             ]
             poly = lagrange_interpolate(pts)
@@ -291,7 +370,7 @@ class TestDivergence:
 
         def recording_append(sim, canonical, bits, views):
             for node in sim.nodes:
-                view = views[node.node] if node.role == "honest" else canonical
+                view = views[node.node] if node.node not in sim.adversarial_nodes else canonical
                 histories[node.node].append(tuple(field.residue(b * x) for b, x in zip(bits, view)))
             append(sim, canonical, bits, views)
 
@@ -308,10 +387,12 @@ class TestDivergence:
             divergence.append(report.chain_divergence)
             for node in sim.nodes:
                 assert len(node.coded_chain) == len(sim.history_polys)
-                if node.role == "adversarial" and not report.stalled:
+                if node.node in sim.adversarial_nodes and not report.stalled:
                     # adversarial nodes hold the canonical coded entry
-                    assert node.coded_chain[-1] == sim.history_polys[-1](node.alpha)
-        assert all(node.coded_chain[0] == sim.history_polys[0](node.alpha) for node in sim.nodes)
+                    alpha = sim.params.alphas[node.node - 1]
+                    assert node.coded_chain[-1] == sim.history_polys[-1](alpha)
+        assert all(node.coded_chain[0] == sim.history_polys[0](sim.params.alphas[node.node - 1])
+                   for node in sim.nodes)
         assert (max(divergence) > 1) == (policy == "append_own_view")
 
 
@@ -323,7 +404,7 @@ class TestManyViewEpochs:
 
         def recording_append(sim, canonical, bits, views):
             owns.append({node.node: tuple(b * x for b, x in zip(
-                bits, views[node.node] if node.role == "honest" else canonical))
+                bits, views[node.node] if node.node not in sim.adversarial_nodes else canonical))
                 for node in sim.nodes})
             append(sim, canonical, bits, views)
 

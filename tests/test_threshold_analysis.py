@@ -131,14 +131,14 @@ class TestUniqueDecodability:
     def test_v1_at_exact_count_is_unique(self, field):
         width = 2 * (3 - 1) + 1
         params = proof_params(1, 1, 2, 3, 0, width, field)
-        report = unique_decodability(build_system(params), 3, 1)
+        report = unique_decodability(build_system(params))
         assert report.unique_Z
         assert report.witness is None
 
     def test_below_threshold_has_witness(self, field):
         params = proof_params(2, 1, 2, 3, 1, 9, field)
         sys_m = build_system(params)
-        report = unique_decodability(sys_m, 3, 1)
+        report = unique_decodability(sys_m)
         assert not report.unique_Z
         assert report.witness is not None
         assert all(x.value == 0 for x in dense_system(params).D.mul_vec(report.witness))
@@ -148,7 +148,7 @@ class TestUniqueDecodability:
         for N in (7, 9, 10):
             params = proof_params(2, 1, 2, 3, 1, N, field)
             sys_m = build_system(params)
-            report = unique_decodability(sys_m, 3, 1)
+            report = unique_decodability(sys_m)
             assert report.unique_Z == (
                 report.rank_D == report.rank_D_without_Z_columns + sys_m.z_width
             )
@@ -159,7 +159,7 @@ class TestUniqueDecodability:
         omegas = tuple(field(k) for k in (1, 2, 3))
         alphas = tuple(field(4 + i) for i in range(7))
         params = AnalysisParams(
-            N=9, K=3, d=2, beta=1, beta_prime=1, v=2,
+            d=2, beta=1, v=2,
             omegas=omegas,
             partition=(alphas[:5], alphas[5:]),
             producers=(1,),
@@ -173,7 +173,7 @@ class TestUniqueDecodability:
         alphas = tuple(field(4 + i) for i in range(7))
         for split in (3, 5):
             params = AnalysisParams(
-                N=9, K=3, d=2, beta=1, beta_prime=1, v=2,
+                d=2, beta=1, v=2,
                 omegas=omegas,
                 partition=(alphas[:split], alphas[split:]),
                 producers=(1,),
@@ -187,7 +187,7 @@ class TestUniqueDecodability:
         # two solution vectors under identical broadcasts, different honest outputs
         analysis = proof_params(2, 1, 2, 3, 1, 9, field)
         enc = EncodingParams(
-            K=3, N=7, omegas=analysis.omegas,
+            omegas=analysis.omegas,
             alphas=tuple(a for cell in analysis.partition for a in cell), d=2,
         )
         sys_m = build_system(analysis)
@@ -197,7 +197,7 @@ class TestUniqueDecodability:
             field.zero for _ in range(D.nrows - len(y_vec))
         )
         assert D.mul_vec(tuple(x_vec) + tuple(z_vec)) == rhs
-        report = unique_decodability(sys_m, 3, 1)
+        report = unique_decodability(sys_m)
         shifted = [a + b for a, b in zip(tuple(x_vec) + tuple(z_vec), report.witness)]
         assert D.mul_vec(shifted) == rhs  # same broadcasts explained
         assert shifted[-sys_m.z_width:] != z_vec  # yet the honest outputs differ
@@ -216,7 +216,7 @@ class TestUniqueDecodability:
         assignment = VersionAssignment(producers=(1,), v=2, node_tuples=node_tuples)
         with pytest.raises(InsufficientEvaluations):
             known_behavior_decode(
-                BroadcastSet(entries), assignment, analysis.block_width - 1, 1, enc
+                BroadcastSet(entries), assignment, 1, enc
             )
 
 
@@ -252,7 +252,7 @@ class TestOneEliminationVerdict:
                 continue
             sys_m = build_system(params)
             dense = dense_system(params)
-            report = unique_decodability(sys_m, params.K, params.beta_prime)
+            report = unique_decodability(sys_m)
             rank_full, rank_reduced, unique, witness = three_elimination_verdict(dense)
             assert (report.rank_D, report.rank_D_without_Z_columns, report.unique_Z) == (
                 rank_full, rank_reduced, unique
@@ -295,7 +295,7 @@ def assert_matches_full_d(params):
     """unique_decodability, which reduces only R, agrees with the reduction of D."""
     sys_m = build_system(params)
     dense = dense_system(params)
-    report = unique_decodability(sys_m, params.K, params.beta_prime)
+    report = unique_decodability(sys_m)
     oracle = full_d_verdict(dense)
     assert (report.rank_D, report.rank_D_without_Z_columns, report.unique_Z) == (
         oracle.rank_D, oracle.rank_D_without_Z_columns, oracle.unique_Z
@@ -312,7 +312,7 @@ def explicit_params(field, v, beta_prime, d, K, beta, sizes):
     """Layout with the given cell sizes over canonical points."""
     alphas = iter(field(K + n) for n in range(1, sum(sizes) + 1))
     return AnalysisParams(
-        N=sum(sizes) + 2 * beta, K=K, d=d, beta=beta, beta_prime=beta_prime, v=v,
+        d=d, beta=beta, v=v,
         omegas=tuple(field(k) for k in range(1, K + 1)),
         partition=tuple(tuple(next(alphas) for _ in range(size)) for size in sizes),
         producers=tuple(range(1, beta_prime + 1)),
@@ -528,15 +528,14 @@ class TestProofParams:
 
     @pytest.mark.parametrize(
         "producers, n_omegas, field_name",
-        [((0,), 3, "producers"), ((4,), 3, "producers"), ((1, 1), 3, "producers"),
-         ((1,), 2, "omegas")],
+        [((0,), 3, "producers"), ((4,), 3, "producers"), ((1, 1), 3, "producers")],
     )
     def test_bad_producers_and_omegas_rejected(self, field, producers, n_omegas, field_name):
         alphas = [field(4 + i) for i in range(7)]
         n_cells = 2 ** len(producers)
         with pytest.raises(ValueError, match=field_name):
             AnalysisParams(
-                N=9, K=3, d=2, beta=1, beta_prime=len(producers), v=2,
+                d=2, beta=1, v=2,
                 omegas=tuple(field(k) for k in range(1, n_omegas + 1)),
                 partition=tuple(tuple(alphas[i::n_cells]) for i in range(n_cells)),
                 producers=producers,
@@ -544,32 +543,33 @@ class TestProofParams:
 
     @pytest.mark.parametrize(
         "name, overrides",
-        [("v", dict(v=0, N=2, partition=())),
+        [("v", dict(v=0, partition=())),
          ("d", dict(d=0)),
-         ("beta", dict(beta=-1, N=0, partition=((4,), (5,)))),
-         ("K", dict(K=0, omegas=(), beta_prime=0, producers=(), partition=(tuple(range(4, 11)),))),
-         ("beta_prime", dict(beta_prime=-1, producers=()))],
+         ("beta", dict(beta=-1, partition=((4,), (5,)))),
+         ("K", dict(omegas=(), producers=(), partition=(tuple(range(4, 11)),)))],
     )
     def test_bad_counts_rejected(self, field, name, overrides):
         # the layout and proof_params on the same counts name the same bad one
         layout = dict(
-            N=9, K=3, d=2, beta=1, beta_prime=1, v=2,
+            d=2, beta=1, v=2,
             omegas=(1, 2, 3), partition=((4, 6, 8, 10), (5, 7, 9)), producers=(1,),
         )
         layout.update(overrides)
+        counts = dict(v=layout["v"], beta_prime=len(layout["producers"]), d=layout["d"],
+                      K=len(layout["omegas"]), beta=layout["beta"],
+                      N=sum(map(len, layout["partition"])) + 2 * layout["beta"])
         layout["omegas"] = tuple(map(field, layout["omegas"]))
         layout["partition"] = tuple(tuple(map(field, cell)) for cell in layout["partition"])
         with pytest.raises(ValueError, match=f"^{name} must be at least"):
             AnalysisParams(**layout)
-        counts = [layout[key] for key in ("v", "beta_prime", "d", "K", "beta", "N")]
-        with pytest.raises(ValueError, match=f"^{name} must be at least .*, got {layout[name]}$"):
-            proof_params(*counts, field)
+        with pytest.raises(ValueError, match=f"^{name} must be at least .*, got {counts[name]}$"):
+            proof_params(*counts.values(), field)
+
+    def test_negative_beta_prime_rejected(self, field):
+        # a layout reads beta' off its producers; proof_params takes it as a count
+        with pytest.raises(ValueError, match="^beta_prime must be at least 0, got -1$"):
+            proof_params(2, -1, 2, 3, 1, 9, field)
 
     def test_partition_size_checked(self, field):
-        with pytest.raises(ValueError):
-            AnalysisParams(
-                N=9, K=3, d=2, beta=1, beta_prime=1, v=2,
-                omegas=tuple(field(k) for k in (1, 2, 3)),
-                partition=((field(4),), (field(5),)),
-                producers=(1,),
-            )
+        with pytest.raises(ValueError, match="must hold N - 2[*]beta = 7 points"):
+            proof_params(2, 1, 2, 3, 1, 9, field, cells=((field(4),), (field(5),)))
