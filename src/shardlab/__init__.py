@@ -11,6 +11,7 @@ from .field_poly import (
     FieldElement,
     Polynomial,
     PrimeField,
+    ResidueVector,
     lagrange_interpolate,
 )
 from .lcc import (

@@ -11,7 +11,7 @@ and the extended Euclidean algorithm steps on residue lists.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Container, Sequence
+from typing import Container, NamedTuple, Sequence
 
 from .adversary import VersionAssignment
 from .field_poly import (
@@ -31,8 +31,7 @@ class InsufficientEvaluations(ValueError):
     """Too few present evaluations to attempt a decode at the requested radius."""
 
 
-@dataclass(frozen=True)
-class BroadcastEntry:
+class BroadcastEntry(NamedTuple):
     """One node's broadcast result; value None models a silent adversary."""
 
     node: int
@@ -51,8 +50,10 @@ class BroadcastSet:
             raise ValueError("duplicate node index in broadcast set")
         if entries:
             field = entries[0].point.field
-            for e in entries:
-                if e.point.field != field or (e.value is not None and e.value.field != field):
+            for e in entries:  # an epoch's entries share one field object: identity first
+                if (e.point.field is not field and e.point.field != field) or (
+                        e.value is not None and e.value.field is not field
+                        and e.value.field != field):
                     raise ValueError(f"node {e.node}: point and value must lie in {field}, "
                                      f"the field of the first entry's point")
         self.entries = tuple(entries)

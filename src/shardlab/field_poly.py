@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import accumulate, repeat, zip_longest
-from operator import mul
+from operator import add, mul, sub
 from typing import Iterable, Sequence
 
 # Mersenne prime: large enough that random-instance degeneracies have
@@ -196,6 +196,44 @@ class FieldElement:
 
     def __repr__(self) -> str:
         return f"{self.value}"
+
+
+class ResidueVector:
+    """Immutable sequence of residues in [0, p), one per node, with elementwise `+ - *` and
+    `**` by an int, so a `VerificationFn` runs at every node at once. It mixes with ints,
+    same-field elements and equal-length vectors; another field or length raises ValueError."""
+
+    __slots__ = ("values", "field")
+
+    def __init__(self, values: Iterable[int], field: PrimeField):
+        self.values, self.field = tuple(values), field
+
+    def _apply(self, op, other):
+        if isinstance(other, ResidueVector):
+            if other.field.modulus != self.field.modulus or len(other.values) != len(self.values):
+                raise ValueError("vectors must share one field and one length")
+            theirs = other.values
+        elif isinstance(other, (FieldElement, int)):
+            theirs = repeat(self.field.residue(other))
+        else:
+            return NotImplemented
+        p = self.field.modulus
+        return ResidueVector([x % p for x in map(op, self.values, theirs)], self.field)
+
+    def __add__(self, other): return self._apply(add, other)
+    def __sub__(self, other): return self._apply(sub, other)
+    def __rsub__(self, other): return self._apply(lambda mine, theirs: theirs - mine, other)
+    def __mul__(self, other): return self._apply(mul, other)
+    def __neg__(self): return 0 - self
+    __radd__, __rmul__ = __add__, __mul__
+
+    def __len__(self) -> int: return len(self.values)
+    def __getitem__(self, i: int) -> int: return self.values[i]
+
+    def __pow__(self, e: int):
+        if e < 0 and 0 in self.values:
+            raise ZeroDivisionError("zero has no multiplicative inverse")
+        return ResidueVector([pow(x, e, self.field.modulus) for x in self.values], self.field)
 
 
 class Polynomial:

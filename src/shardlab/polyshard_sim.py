@@ -25,7 +25,7 @@ from .decoder import (
     recover_outputs,
     rs_decode,
 )
-from .field_poly import FieldElement, Polynomial
+from .field_poly import FieldElement, Polynomial, ResidueVector
 from .lcc import EncodingParams, build_coded_poly, compose_verification, encode_at_node
 
 
@@ -33,13 +33,15 @@ from .lcc import EncodingParams, build_coded_poly, compose_verification, encode_
 class VerificationFn:
     """A total-degree-d check of a proposed block against its shard history.
 
-    `evaluate(x, history)` uses only `+ - * **`, so it runs on field values and,
-    composed, on coded `Polynomial`s; the history is the stored chain, read-only.
+    `evaluate(x, history)` uses only `+ - * **`, so it runs on field values, on coded
+    `Polynomial`s when composed, and once an epoch in `run_epoch` on `ResidueVector`s of all
+    N nodes' coded blocks (x) and coded entries (history[t] for epoch t). History is read-only.
     `valid_block`, when present, constructs a block the check accepts.
     """
 
     degree: int
-    evaluate: Callable[[FieldElement | Polynomial, Sequence], FieldElement | Polynomial]
+    evaluate: Callable[[FieldElement | ResidueVector | Polynomial, Sequence],
+                       FieldElement | ResidueVector | Polynomial]
     valid_block: Callable[[Sequence[FieldElement]], FieldElement] | None = None
 
 
@@ -76,16 +78,23 @@ class ShardChain:
 
 
 class NodeState:
-    """One node: its coded chain and (driver bookkeeping) the id of the accepted-block
-    history its coded entries are evaluations of. Node n's evaluation point is
-    `params.alphas[n - 1]`; whether it is adversarial is read from the simulation."""
+    """Read-only view of node n: its coded chain, boxed from the simulation's columns on
+    each read, and the id of the accepted-block history its coded entries evaluate. Its
+    point is `params.alphas[n - 1]`; whether it is adversarial is read from the simulation."""
 
-    __slots__ = ("node", "coded_chain", "chain")
+    __slots__ = ("sim", "node")
 
-    def __init__(self, node: int, coded_genesis: FieldElement):
-        self.node = node
-        self.coded_chain: list[FieldElement] = [coded_genesis]
-        self.chain = 0  # every node starts on the genesis chain
+    def __init__(self, sim: Simulation, node: int):
+        self.sim, self.node = sim, node
+
+    @property
+    def coded_chain(self) -> list[FieldElement]:
+        return [FieldElement(column.values[self.node - 1], self.sim.params.field)
+                for column in self.sim.coded_columns]
+
+    @property
+    def chain(self) -> int:
+        return self.sim.node_chains[self.node - 1]
 
 
 @dataclass
@@ -123,10 +132,11 @@ class EpochReport:
 
 
 class Simulation:
-    """Driver state: encoding constants, chains, nodes, and epoch policies.
+    """Driver state: encoding constants, chains, coded columns, and epoch policies.
 
-    `epoch` counts completed epochs, and `adversarial_nodes` is the adversarial set of
-    the last one (empty before the first); every other node is honest.
+    `coded_columns[t]` holds every node's coded entry of epoch t, `node_chains[n - 1]` node
+    n's chain id, and `nodes` views them. `epoch` counts completed epochs; `adversarial_nodes`
+    is the last one's adversarial set (empty before the first), every other node honest.
     """
 
     def __init__(
@@ -155,21 +165,32 @@ class Simulation:
         # genesis block of shard k is the public constant k
         self.chains = [ShardChain(k, field(k)) for k in range(1, params.K + 1)]
         genesis = tuple(c.history[0].value for c in self.chains)
-        self.history_polys: list[Polynomial] = [build_coded_poly(genesis, params)]
-        self.nodes = [
-            NodeState(n, encode_at_node(genesis, params, n))
-            for n in range(1, params.N + 1)
-        ]
+        self.coded_columns = [ResidueVector(
+            [encode_at_node(genesis, params, n).value for n in range(1, params.N + 1)], field)]
+        self.node_chains = [0] * params.N  # every node starts on the genesis chain
+        self._history_polys: list[Polynomial] = []
         # (parent chain id, appended block residues) -> chain id; 0 is genesis.
         # Two nodes share an id iff their coded entries are evaluations of the
         # same accepted-block polynomials, which is what diverges under attack.
         self.chain_ids: dict[tuple[int, tuple[int, ...]], int] = {}
 
+    @property
+    def nodes(self) -> list[NodeState]:  # built per read: stored views would form a ref cycle
+        return [NodeState(self, n) for n in range(1, self.params.N + 1)]
+
+    @property
+    def history_polys(self) -> list[Polynomial]:
+        """Each epoch's coded accepted blocks, from the shard chains, extended on each read."""
+        for blocks in zip(*(c.history[len(self._history_polys):] for c in self.chains)):
+            self._history_polys.append(build_coded_poly(blocks, self.params))
+        return self._history_polys
+
     def honest_nodes(self) -> list[NodeState]:
         return [node for node in self.nodes if node.node not in self.adversarial_nodes]
 
     def chain_divergence(self) -> int:
-        return len({node.chain for node in self.honest_nodes()})
+        adversarial = self.adversarial_nodes
+        return len({c for n, c in enumerate(self.node_chains, 1) if n not in adversarial})
 
 
 def propose_blocks(
@@ -198,7 +219,8 @@ def run_epoch(
     """Advance the simulation by one epoch and report what every node saw.
 
     Delivery, encoding, broadcast corruption, decoding and appends happen in
-    node-index order; decode failure is recorded, never raised. The simulation
+    node-index order; decode failure is recorded, never raised. Every node's
+    verification is one `fn.evaluate` call on `ResidueVector`s. The simulation
     changes only after every step that can raise has run: `epoch` and
     `adversarial_nodes` are set together just before the appends, on the stall
     path too, so an epoch that raises (an adversary index outside 1..N or 1..K, a
@@ -228,9 +250,12 @@ def run_epoch(
     # one residue view per distinct version tuple, shared by every node holding
     # it; version 1 of every captured shard is the view of nodes outside the assignment
     ones = (1,) * len(producers)
-    built = {tup: tuple(versions[k][tup[producers.index(k)] - 1] if k in producers else base[k - 1]
-                        for k in range(1, params.K + 1))
-             for tup in {ones, *node_tuples.values()}}
+    built = {}
+    for tup in {ones, *node_tuples.values()}:
+        view = base.copy()
+        for k, version in zip(producers, tup):
+            view[k - 1] = versions[k][version - 1]
+        built[tup] = tuple(view)
     first_view = built[ones]
     views = {n: built[node_tuples.get(n, ones)] for n in range(1, params.N + 1)}
     for k in producers:
@@ -238,11 +263,10 @@ def run_epoch(
         if len(delivered) > adversary.v:
             raise AssertionError("injection cap violated")
 
-    # 2. each honest node encodes its view and verifies against its coded chain
-    coded = params.encode_each({n: views[n] for n in honest_ids})
-    results: dict[int, FieldElement | None] = {
-        n: fn.evaluate(field(coded[n]), sim.nodes[n - 1].coded_chain) for n in honest_ids
-    }
+    # 2. every node encodes its own view; one vector call checks them all, honest ones kept
+    checked = fn.evaluate(ResidueVector(params.encode_each(views).values(), field),
+                          sim.coded_columns).values
+    results = {n: FieldElement(checked[n - 1], field) for n in honest_ids}
 
     # 3. adversarial nodes broadcast per strategy
     n_silent = 0
@@ -332,27 +356,23 @@ def _canonical_blocks(sim, decoded_poly, first_view, views, producers):
 
 
 def _append_epoch(sim, canonical, bits, views):
-    """Append e_k * X_k per shard and the matching coded entries per node.
+    """Append e_k * X_k per shard and the column of matching coded entries.
 
     Views are residue tuples, each distinct one masked once into what a node encodes and
-    its chain-id key; only the K accepted blocks and the coded entries are boxed, for
-    `VerificationFn` histories.
+    its chain-id key; only the K accepted blocks are boxed, and the coded entries are
+    appended as one column of residues.
     Honest nodes encode *their own* received view, so a node whose view lost
     the decode silently diverges; the epoch's adversarial nodes track the canonical chain.
     """
-    params = sim.params
+    field, chains = sim.params.field, sim.node_chains
     masked = {view: tuple(map(mul, bits, view)) for view in {canonical, *views.values()}}
     owns = {n: masked[canonical if n in sim.adversarial_nodes else view]
             for n, view in views.items()}
-    coded = params.encode_each(owns)
-    accepted = masked[canonical]
-    for chain, block in zip(sim.chains, accepted):
-        chain.history.append(params.field(block))
-    sim.history_polys.append(build_coded_poly(accepted, params))
-    for node in sim.nodes:
-        node.coded_chain.append(params.field(coded[node.node]))
-        node.chain = sim.chain_ids.setdefault((node.chain, owns[node.node]),
-                                              len(sim.chain_ids) + 1)
+    for chain, block in zip(sim.chains, masked[canonical]):
+        chain.history.append(FieldElement(block, field))
+    sim.coded_columns.append(ResidueVector(sim.params.encode_each(owns).values(), field))
+    for n, own in owns.items():
+        chains[n - 1] = sim.chain_ids.setdefault((chains[n - 1], own), len(sim.chain_ids) + 1)
 
 
 @dataclass(frozen=True)

@@ -60,6 +60,16 @@ MUTANTS = (
     Mutant("adversaries-append-their-own-view", SIM,
            "masked[canonical if n in sim.adversarial_nodes else view]",
            "masked[view]", SIM_TESTS),
+    Mutant("vector-rsub-operands-swapped", "src/shardlab/field_poly.py",
+           "lambda mine, theirs: theirs - mine",
+           "lambda mine, theirs: mine - theirs", ("tests/test_field_poly.py",)),
+    Mutant("coded-column-appended-one-node-off", SIM,
+           "ResidueVector(sim.params.encode_each(owns).values(), field)",
+           "ResidueVector([*list(sim.params.encode_each(owns).values())[1:], 0], field)",
+           SIM_TESTS),
+    Mutant("history-polys-memo-stops-at-genesis", SIM,
+           "c.history[len(self._history_polys):]",
+           "c.history[len(self._history_polys):1]", SIM_TESTS),
 )
 
 IGNORE = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", ".hypothesis",

@@ -295,7 +295,8 @@ class TestPointSetCache:
     def test_two_point_sets_for_every_epoch_and_seed(self, field, strategy):
         # four bad broadcasters at N=20, K=4, d=2 are within the radius: every epoch
         # decodes, and a fixed silent set leaves the same heard points every epoch, so
-        # the shard points and the heard points are each set up once
+        # the shard points (for the Lagrange matrix, at genesis) and the heard points
+        # are each set up once; the epochs build no coded polynomial
         params = EncodingParams.default(K=4, N=20, d=2, field=field)
         attack = AdversaryConfig(adversarial_nodes=frozenset({17, 18, 19, 20}),
                                  broadcast_strategy=strategy)
@@ -308,7 +309,12 @@ class TestPointSetCache:
                 recovered += report.statuses[1] == "recovered"
         assert recovered == 8
         info = point_set.cache_info()
-        assert (info.misses, info.hits) == (2, 17)
+        assert (info.misses, info.hits) == (2, 7)
+        # the first read of history_polys interpolates genesis and the 4 appended epochs
+        # on the cached shard points; a second read interpolates nothing
+        assert len(sim.history_polys) == len(sim.history_polys) == 5
+        info = point_set.cache_info()
+        assert (info.misses, info.hits) == (2, 12)
 
 
 class TestRecoverOutputs:

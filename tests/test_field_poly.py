@@ -18,7 +18,8 @@ from shardlab import (
 )
 from shardlab import field_poly
 from shardlab.field_poly import (
-    _MR_EXACT_BELOW, PackedMap, PointSet, _pack, _slot_width, _unpack, batch_inverse, echelon, is_prime,
+    _MR_EXACT_BELOW, PackedMap, PointSet, ResidueVector, _pack, _slot_width, _unpack,
+    batch_inverse, echelon, is_prime,
     kernel_vector, nullspace_vector, point_set, poly_divmod, poly_mul, vanishing_polynomial,
 )
 from dense_system import Matrix, matrix_rank, nullspace_basis, vandermonde
@@ -107,6 +108,54 @@ class TestFieldAxioms:
     def test_cross_field_rejected(self, gf7, gf97):
         with pytest.raises(ValueError):
             gf7(1) + gf97(1)
+
+
+class TestResidueVector:
+    """Every operation against the same operation on each entry's `FieldElement`."""
+
+    @given(xs=st.lists(residues, min_size=1, max_size=8), data=st.data())
+    def test_ops_match_the_per_element_oracle(self, xs, data):
+        ys = data.draw(st.lists(residues, min_size=len(xs), max_size=len(xs)))
+        c = data.draw(st.integers(min_value=-200, max_value=200))
+        e = data.draw(elements)
+        vx, vy = ResidueVector(xs, GF97), ResidueVector(ys, GF97)
+        x, y = list(map(GF97, xs)), list(map(GF97, ys))
+        cases = [
+            (vx + vy, [a + b for a, b in zip(x, y)]),
+            (vx - vy, [a - b for a, b in zip(x, y)]),
+            (vx * vy, [a * b for a, b in zip(x, y)]),
+            (-vx, [-a for a in x]),
+            (vx + c, [a + c for a in x]), (c + vx, [c + a for a in x]),
+            (vx - c, [a - c for a in x]), (c - vx, [c - a for a in x]),
+            (vx * c, [a * c for a in x]), (c * vx, [c * a for a in x]),
+            (vx + e, [a + e for a in x]), (e + vx, [e + a for a in x]),
+            (vx - e, [a - e for a in x]), (e - vx, [e - a for a in x]),
+            (vx * e, [a * e for a in x]), (e * vx, [e * a for a in x]),
+        ]
+        for exponent in (0, 1, 2, 5):
+            cases.append((vx ** exponent, [a ** exponent for a in x]))
+        if all(xs):
+            cases.append((vx ** -3, [a ** -3 for a in x]))
+        for vector, expected in cases:
+            assert isinstance(vector, ResidueVector) and vector.field is GF97
+            assert list(vector) == [a.value for a in expected]
+            assert len(vector) == len(xs)
+
+    def test_foreign_field_and_length_mismatch_raise(self, gf7):
+        v = ResidueVector([1, 2, 3], GF97)
+        for other in (gf7(1), ResidueVector([1, 2, 3], gf7), ResidueVector([1, 2], GF97)):
+            for op in (lambda a, b: a + b, lambda a, b: b - a, lambda a, b: b * a):
+                with pytest.raises(ValueError):
+                    op(v, other)
+
+    def test_negative_power_of_zero(self):
+        with pytest.raises(ZeroDivisionError):
+            ResidueVector([3, 0, 5], GF97) ** -1
+        assert list(ResidueVector([3, 0], GF97) ** 0) == [1, 1]
+
+    def test_unsupported_operands_are_not_implemented(self):
+        with pytest.raises(TypeError):
+            ResidueVector([1, 2], GF97) + 1.5
 
 
 class TestPolynomial:

@@ -6,12 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from shardlab import (
+    DEFAULT_MODULUS,
     AdversaryConfig,
     DegreeOverflow,
     EncodingParams,
     FieldElement,
     Polynomial,
+    PrimeField,
     Simulation,
+    all_version_tuples,
     build_coded_poly,
     comm_load,
     compose_verification,
@@ -21,8 +24,9 @@ from shardlab import (
     run_epoch,
 )
 from shardlab import field_poly, polyshard_sim
-from shardlab.field_poly import point_set
+from shardlab.field_poly import ResidueVector, point_set
 from shardlab.polyshard_sim import VerificationFn, history_power_check, power_check
+from epoch_oracle import OracleSimulation
 
 
 def make_sim(field, K=5, N=20, d=2, **kw):
@@ -63,6 +67,39 @@ class TestVerificationFns:
     def test_power_check(self, field):
         fn = power_check(2)
         assert fn.evaluate(field(5), ()) == field(25)
+
+
+class TestVectorVerification:
+    @pytest.mark.parametrize("make_check", [
+        pytest.param(lambda field: power_check(3), id="power_check"),
+        pytest.param(lambda field: history_power_check(2, field(3)), id="history_power_check"),
+        pytest.param(lambda field: VerificationFn(
+            degree=2, evaluate=lambda x, history: (7 - x) * history[-1] + history[0] ** 2 + 11),
+            id="custom-constant-and-int-minus-x"),
+    ])
+    def test_one_vector_call_equals_the_per_node_calls(self, field, rng, make_check):
+        fn, N = make_check(field), 9
+        x = [rng.randrange(field.modulus) for _ in range(N)]
+        columns = [ResidueVector([rng.randrange(field.modulus) for _ in range(N)], field)
+                   for _ in range(4)]
+        vector = fn.evaluate(ResidueVector(x, field), columns)
+        for n in range(N):
+            history = [field(column[n]) for column in columns]
+            assert vector[n] == fn.evaluate(field(x[n]), history).value
+
+    def test_one_evaluate_call_per_epoch(self, field):
+        inner = history_power_check(2, field(3))
+        calls = []
+
+        def evaluate(x, history):
+            calls.append(len(x))
+            return inner.evaluate(x, history)
+
+        sim = Simulation(EncodingParams.default(5, 20, 2, field),
+                         VerificationFn(2, evaluate, inner.valid_block))
+        for t, adversary in enumerate([None, garbage_adversary({19, 20}), None]):
+            report = run_epoch(sim, adversary, rng=t)
+            assert not report.stalled and calls == [20] * (t + 1)
 
 
 class TestProposeBlocks:
@@ -473,3 +510,55 @@ class TestCommLoad:
     def test_unknown_mitigation(self, field):
         with pytest.raises(ValueError):
             comm_load(EncodingParams.default(2, 5, 1, field), "prayer")
+
+
+@st.composite
+def adversaries(draw, K, N):
+    """None, or an adversary of any broadcast and assignment strategy on K shards, N nodes."""
+    if not draw(st.integers(0, 3)):
+        return None
+    nodes = draw(st.sets(st.integers(1, N), min_size=1, max_size=N))
+    producers = draw(st.lists(st.integers(1, K), unique=True, max_size=min(K, len(nodes))))
+    v = draw(st.integers(1, 3))
+    assignment = draw(st.sampled_from(["balanced", "random", "targeted"]))
+    targeted_map = None
+    if assignment == "targeted":
+        tuples = all_version_tuples(v, len(producers))
+        targeted_map = {n: draw(st.sampled_from(tuples)) for n in range(1, N + 1)}
+    return AdversaryConfig(
+        adversarial_nodes=frozenset(nodes), adversarial_producers=tuple(producers), v=v,
+        assignment_strategy=assignment, targeted_map=targeted_map,
+        broadcast_strategy=draw(st.sampled_from(["silent", "garbage", "honest_looking"])),
+        valid_first=draw(st.booleans()),
+    )
+
+
+@st.composite
+def epoch_runs(draw):
+    field = PrimeField(draw(st.sampled_from([97, DEFAULT_MODULUS])))
+    K, d = draw(st.integers(1, 5)), draw(st.integers(1, 3))
+    N = draw(st.integers(d * (K - 1) + 1, 30))
+    fn = draw(st.sampled_from([power_check(d), history_power_check(d, field(3))]))
+    config = dict(invalid_proposer_shards=frozenset(draw(st.sets(st.integers(1, K)))),
+                  failure_policy=draw(st.sampled_from(["stall", "append_own_view"])))
+    epochs = draw(st.lists(adversaries(K, N), min_size=1, max_size=3))
+    return field, K, N, d, fn, config, epochs, draw(st.integers(0, 2**32))
+
+
+class TestEpochOracle:
+    @given(run=epoch_runs())
+    @settings(max_examples=150, deadline=None)
+    def test_run_epoch_matches_the_literal_epoch(self, run):
+        field, K, N, d, fn, config, epochs, seed = run
+        sim = Simulation(EncodingParams.default(K, N, d, field), fn, **config)
+        oracle = OracleSimulation(K, N, d, field, fn, **config)
+        for t, adversary in enumerate(epochs):
+            report = run_epoch(sim, adversary, rng=seed + t).to_json_dict()
+            expected = oracle.run_epoch(adversary, rng=seed + t)
+            if report["recovered_values"] is None:  # the two decoders word failures apart
+                report["diagnostics"] = expected["diagnostics"] = None
+            assert report == expected
+            assert [c.history for c in sim.chains] == [c.history for c in oracle.chains]
+            assert [n.coded_chain for n in sim.nodes] == list(oracle.coded_chains.values())
+            assert [n.chain for n in sim.nodes] == list(oracle.node_chains.values())
+            assert sim.chain_ids == oracle.chain_ids
