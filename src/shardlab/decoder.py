@@ -5,7 +5,8 @@ explains the broadcast values, so a broadcast set that mixes evaluations of
 several polynomials fails cleanly instead of producing a silent wrong answer.
 It runs on int residues: the interpolation runs on the cached `point_set` of the
 points heard, set up once per heard point set, products are Kronecker products,
-and the extended Euclidean algorithm steps on residue lists.
+and the extended Euclidean algorithm steps on one packed int per polynomial
+(`field_poly.euclid_until`).
 """
 
 from __future__ import annotations
@@ -15,8 +16,7 @@ from typing import Container, NamedTuple, Sequence
 
 from .adversary import VersionAssignment
 from .field_poly import (
-    DuplicateAbscissa, FieldElement, Polynomial, point_set, poly_divmod, poly_mul, poly_sub,
-    poly_values,
+    DuplicateAbscissa, FieldElement, Polynomial, euclid_until, point_set, poly_divmod, poly_values,
 )
 from .lcc import EncodingParams, all_version_tuples
 
@@ -93,7 +93,8 @@ def rs_decode(b: BroadcastSet, degree_bound: int, max_errors: int) -> DecodeOutc
     at this radius is a multiple of (t, r), so one exists exactly when deg t <= max_errors
     and deg r - deg t <= degree_bound, and then Q/E = r/t. Missing entries are dropped
     first (shortening), so max_errors counts among the present ones and the
-    interpolation runs on the cached `point_set` of the present entries' points.
+    interpolation runs on the cached `point_set` of the present entries' points. The
+    Euclid is `euclid_until`, which steps on packed ints and unpacks (r, t) once.
     Every entry's point, silent or not, must be distinct, and that is checked first.
     """
     if degree_bound < 0 or max_errors < 0:
@@ -111,11 +112,8 @@ def rs_decode(b: BroadcastSet, degree_bound: int, max_errors: int) -> DecodeOutc
     field = present[0].point.field
     p = field.modulus
     heard = point_set(tuple(e.point.value for e in present), p)
-    r0, r = heard.master, heard.interpolate([e.value.value for e in present])
-    t0, t = [], [1]
-    while len(r) > degree_bound + 1 + max_errors:
-        q, rem = poly_divmod(r0, r, p)
-        r0, r, t0, t = r, rem, t, poly_sub(t0, poly_mul(q, t, p), p)
+    r, t = euclid_until(heard.master, heard.interpolate([e.value.value for e in present]),
+                        degree_bound + 1 + max_errors, p)
     if len(t) - 1 > max_errors or len(r) - (len(t) - 1) > degree_bound + 1:
         return _failure("no error locator explains the broadcast values")
     poly, rem = poly_divmod(r, t, p)

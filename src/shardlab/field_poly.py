@@ -403,11 +403,6 @@ def _strip(cs: list[int]) -> list[int]:
     return cs
 
 
-def poly_sub(a: Sequence[int], b: Sequence[int], p: int) -> list[int]:
-    """a - b on ascending residue lists, without trailing zeros."""
-    return _strip([(x - y) % p for x, y in zip_longest(a, b, fillvalue=0)])
-
-
 def poly_divmod(a: Sequence[int], b: Sequence[int], p: int) -> tuple[list[int], list[int]]:
     """Quotient and remainder of ascending residue lists by long division. The remainder
     has no trailing zeros. A zero divisor raises ZeroDivisionError, and any other divisor
@@ -427,6 +422,45 @@ def poly_divmod(a: Sequence[int], b: Sequence[int], p: int) -> tuple[list[int], 
             # reduced once at the end: each step adds less than p^2 to an entry
             rem[i - dd:i] = [r - c * d for r, d in zip(rem[i - dd:i], b)]
     return quot, _strip([r % p for r in rem[:dd]])
+
+
+def euclid_until(r0: Sequence[int], r: Sequence[int], stop: int,
+                 p: int) -> tuple[list[int], list[int]]:
+    """The extended Euclidean algorithm on ascending residue lists without trailing zeros,
+    len(r) <= len(r0): (r0, r, t0, t) -> (r, r0 mod r, t, t0 - (r0 div r) t) from t0 = 0,
+    t = 1, until len(r) <= stop. Returns that r and its cofactor t.
+
+    Each of r0, r, t0 and t is one packed int, a slot per coefficient, every slot in
+    [0, 2p). A step is a long division on the packed ints: from the top down, it reads
+    the quotient coefficient q_j off one slot of the partial remainder X and adds
+    (-q_j mod p) times r and t shifted j slots, with small-int multiplies. It keeps
+    len(r) - 1 slots of X, drops the top slots that vanish mod p, and brings every slot of
+    X and of the new t back under 2p by one packed Barrett step (Barrett 1986),
+    X - ((X M >> B) & low) p with M = 2^B // p. A slot holds less than
+    2p + len(r0) (p - 1) 2p < 2^B before it, so W >= 2B - bitlen(p) + 1 bits per slot hold
+    X M with no carry, and `low` keeps the W - B bits of each slot of X M >> B that hold
+    its quotient, not the fraction shifted down from the slot above.
+    """
+    n0, n = len(r0), len(r)
+    big = (2 * p + n0 * (p - 1) * 2 * p).bit_length()
+    width = (2 * big - p.bit_length() + 8) // 8
+    bits, m = 8 * width, (1 << big) // p
+    slot, low = (1 << bits) - 1, _pack([(1 << bits - big) - 1] * n0, width)
+    rs0, rs, ts0, ts, nt = _pack(r0, width), _pack(r, width), 0, 1, 1
+    while n > stop:
+        inv, x, y = pow((rs >> (n - 1) * bits) % p, -1, p), rs0, ts0
+        for j in range(n0 - n, -1, -1):  # q_j from the exact slot n - 1 + j of x
+            c = -((x >> (n - 1 + j) * bits) & slot) * inv % p
+            x += c * (rs << j * bits)
+            y += c * (ts << j * bits)
+        x &= (1 << (n - 1) * bits) - 1
+        x -= ((x * m >> big) & low) * p
+        ts0, ts, nt = ts, y - ((y * m >> big) & low) * p, nt + n0 - n
+        n0, n = n, n - 1
+        while n and not (x >> (n - 1) * bits) % p:  # the slots above are 0 or p
+            n -= 1
+        rs0, rs = rs, x if n == n0 - 1 else x & ((1 << n * bits) - 1)
+    return _unpack(rs, n, width, p), _unpack(ts, nt, width, p)
 
 
 def vanishing_polynomial(xs: Iterable[int | FieldElement], field: PrimeField) -> Polynomial:

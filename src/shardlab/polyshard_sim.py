@@ -264,8 +264,8 @@ def run_epoch(
             raise AssertionError("injection cap violated")
 
     # 2. every node encodes its own view; one vector call checks them all, honest ones kept
-    checked = fn.evaluate(ResidueVector(params.encode_each(views).values(), field),
-                          sim.coded_columns).values
+    coded = params.encode_each(views)
+    checked = fn.evaluate(ResidueVector(coded.values(), field), sim.coded_columns).values
     results = {n: FieldElement(checked[n - 1], field) for n in honest_ids}
 
     # 3. adversarial nodes broadcast per strategy
@@ -313,7 +313,7 @@ def run_epoch(
     sim.epoch, sim.adversarial_nodes = t, adv_nodes
     stalled = canonical is None
     if not stalled:
-        _append_epoch(sim, canonical, mask, views)
+        _append_epoch(sim, canonical, mask, views, coded)
 
     statuses = {n: "adversarial" if n in adv_nodes else outcome.status
                 for n in range(1, params.N + 1)}
@@ -355,12 +355,13 @@ def _canonical_blocks(sim, decoded_poly, first_view, views, producers):
     return first_view
 
 
-def _append_epoch(sim, canonical, bits, views):
+def _append_epoch(sim, canonical, bits, views, coded):
     """Append e_k * X_k per shard and the column of matching coded entries.
 
     Views are residue tuples, each distinct one masked once into what a node encodes and
     its chain-id key; only the K accepted blocks are boxed, and the coded entries are
-    appended as one column of residues.
+    appended as one column of residues. `coded` is step 2's encoding of `views`, appended
+    as it is when every node's masked own view is its view.
     Honest nodes encode *their own* received view, so a node whose view lost
     the decode silently diverges; the epoch's adversarial nodes track the canonical chain.
     """
@@ -370,7 +371,9 @@ def _append_epoch(sim, canonical, bits, views):
             for n, view in views.items()}
     for chain, block in zip(sim.chains, masked[canonical]):
         chain.history.append(FieldElement(block, field))
-    sim.coded_columns.append(ResidueVector(sim.params.encode_each(owns).values(), field))
+    if owns != views:
+        coded = sim.params.encode_each(owns)
+    sim.coded_columns.append(ResidueVector(coded.values(), field))
     for n, own in owns.items():
         chains[n - 1] = sim.chain_ids.setdefault((chains[n - 1], own), len(sim.chain_ids) + 1)
 

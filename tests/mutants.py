@@ -1,9 +1,10 @@
 """Pinned mutants: small edits to the library that named tests must catch.
 
 Each registry entry replaces one snippet of one file. The runner copies the tree to a
-temporary directory, applies one mutant there, and runs the mutant's test files with
-`-x` and CI=1 (the derandomized hypothesis profile). The mutant is caught when they
-fail. The working tree is never edited.
+temporary directory, applies one mutant there, and runs each of the mutant's tests (a
+test file, class or function, as pytest names it) on its own, with `-x` and CI=1 (the
+derandomized hypothesis profile). The mutant is caught when every one of them fails.
+The working tree is never edited.
 
     python tests/mutants.py          # every mutant
     python tests/mutants.py NAME...  # the named ones
@@ -27,6 +28,10 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SIM = "src/shardlab/polyshard_sim.py"
 SIM_TESTS = ("tests/test_polyshard_sim.py",)
+FIELD = "src/shardlab/field_poly.py"
+EUCLID = "tests/test_field_poly.py::TestPackedEuclid"
+EPOCH_ORACLE = "tests/test_polyshard_sim.py::TestEpochOracle"
+RUN_EPOCH = "tests/test_polyshard_sim.py::TestRunEpoch"
 
 
 @dataclass(frozen=True)
@@ -35,7 +40,7 @@ class Mutant:
     file: str  # relative to the repository root
     old: str  # must occur exactly once in the file
     new: str
-    tests: tuple[str, ...]  # test files, relative to the repository root
+    tests: tuple[str, ...]  # pytest node ids, relative to the repository root; each fails
     equivalent: bool = False
 
 
@@ -59,17 +64,35 @@ MUTANTS = (
            SIM_TESTS),
     Mutant("adversaries-append-their-own-view", SIM,
            "masked[canonical if n in sim.adversarial_nodes else view]",
-           "masked[view]", SIM_TESTS),
+           "masked[view]", (RUN_EPOCH + "::test_decoded_dominant_version_is_appended",
+                            EPOCH_ORACLE)),
     Mutant("vector-rsub-operands-swapped", "src/shardlab/field_poly.py",
            "lambda mine, theirs: theirs - mine",
            "lambda mine, theirs: mine - theirs", ("tests/test_field_poly.py",)),
     Mutant("coded-column-appended-one-node-off", SIM,
-           "ResidueVector(sim.params.encode_each(owns).values(), field)",
-           "ResidueVector([*list(sim.params.encode_each(owns).values())[1:], 0], field)",
+           "coded_columns.append(ResidueVector(coded.values(), field))",
+           "coded_columns.append(ResidueVector([*list(coded.values())[1:], 0], field))",
            SIM_TESTS),
+    Mutant("append-always-reuses-step-2-column", SIM,
+           "    if owns != views:\n        coded = sim.params.encode_each(owns)\n", "",
+           (RUN_EPOCH + "::test_rejected_shard_appends_zero_and_masked_encodings",
+            EPOCH_ORACLE)),
     Mutant("history-polys-memo-stops-at-genesis", SIM,
            "c.history[len(self._history_polys):]",
            "c.history[len(self._history_polys):1]", SIM_TESTS),
+    Mutant("euclid-barrett-mask-dropped", FIELD,
+           "low = (1 << bits) - 1, _pack([(1 << bits - big) - 1] * n0, width)",
+           "low = (1 << bits) - 1, -1",
+           (EUCLID + "::test_matches_the_list_euclid",)),
+    Mutant("euclid-strip-loop-deleted", FIELD,
+           "        while n and not (x >> (n - 1) * bits) % p:  # the slots above are 0 or p\n"
+           "            n -= 1\n", "", (EUCLID + "::test_matches_the_list_euclid",)),
+    Mutant("euclid-slot-width-without-len-r0", FIELD,
+           "big = (2 * p + n0 * (p - 1) * 2 * p).bit_length()",
+           "big = (2 * p + (p - 1) * 2 * p).bit_length()", (EUCLID + "::test_fullest_slots",)),
+    Mutant("euclid-cofactor-unreduced", FIELD,
+           "ts0, ts, nt = ts, y - ((y * m >> big) & low) * p, nt + n0 - n",
+           "ts0, ts, nt = ts, y, nt + n0 - n", (EUCLID + "::test_matches_the_list_euclid",)),
 )
 
 IGNORE = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", ".hypothesis",
@@ -89,7 +112,7 @@ def tests_fail(tree: Path, tests: tuple[str, ...]) -> bool:
 
 
 def caught(mutant: Mutant, root: Path = ROOT) -> bool:
-    """Apply the mutant to a copy of the tree at root and run its tests there."""
+    """Apply the mutant to a copy of the tree at root and run each of its tests there."""
     with tempfile.TemporaryDirectory() as tmp:
         tree = Path(shutil.copytree(root, Path(tmp) / "tree", ignore=IGNORE))
         path = tree / mutant.file
@@ -98,7 +121,7 @@ def caught(mutant: Mutant, root: Path = ROOT) -> bool:
             raise ValueError(f"{mutant.name}: the old snippet occurs {text.count(mutant.old)} "
                              f"times in {mutant.file}, not once")
         path.write_text(text.replace(mutant.old, mutant.new))
-        return tests_fail(tree, mutant.tests)
+        return all(tests_fail(tree, (test,)) for test in mutant.tests)
 
 
 def main(names: list[str]) -> int:

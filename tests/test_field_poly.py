@@ -1,5 +1,8 @@
+import ast
+import inspect
 import random
 from functools import reduce
+from itertools import zip_longest
 from math import prod
 
 import pytest
@@ -19,11 +22,12 @@ from shardlab import (
 from shardlab import field_poly
 from shardlab.field_poly import (
     _MR_EXACT_BELOW, PackedMap, PointSet, ResidueVector, _pack, _slot_width, _unpack,
-    batch_inverse, echelon, is_prime,
-    kernel_vector, nullspace_vector, point_set, poly_divmod, poly_mul, vanishing_polynomial,
+    batch_inverse, echelon, euclid_until, is_prime,
+    kernel_vector, nullspace_vector, point_set, poly_divmod, poly_mul, poly_values,
+    vanishing_polynomial,
 )
 from dense_system import Matrix, matrix_rank, nullspace_basis, vandermonde
-from poly_oracle import schoolbook_mul
+from poly_oracle import euclid_steps, schoolbook_mul
 from rs_oracle import solve_linear
 
 GF97 = PrimeField(97)
@@ -407,6 +411,79 @@ class TestSubproductTree:
             point_set((4, 9, 4), 97)
         with pytest.raises(DuplicateAbscissa):
             both_forms((4, 9, 4), 97)
+
+
+EUCLID_MODULI = (7, 13, 97, DEFAULT_MODULUS, 2**61 - 1)
+
+
+@st.composite
+def euclid_inputs(draw):
+    """(p, r0, r) with len(r) <= len(r0), neither with trailing zeros. Mostly Gao's pair:
+    the master polynomial of distinct points and an interpolant through them that is zero,
+    of degree < 3 (a long first quotient) or of any degree; else any two residue lists."""
+    p = draw(st.sampled_from(EUCLID_MODULI))
+    coeffs = st.integers(0, p - 1)
+    kind = draw(st.sampled_from(["zero", "low", "any", "lists"]))
+    if kind == "lists":
+        r0 = draw(st.lists(coeffs, min_size=1, max_size=30))
+        r = draw(st.lists(coeffs, max_size=len(r0)))
+        r0[-1] = r0[-1] or 1
+        return p, r0, list(Polynomial(PrimeField(p), r).coeffs)
+    xs = draw(st.lists(coeffs, min_size=1, max_size=min(p, 40), unique=True))
+    if kind == "zero":
+        ys = [0] * len(xs)
+    elif kind == "low":
+        ys = poly_values(draw(st.lists(coeffs, min_size=1, max_size=3)), xs, p)
+    else:
+        ys = draw(st.lists(coeffs, min_size=len(xs), max_size=len(xs)))
+    form = PointSet(tuple(xs), p)
+    return p, list(form.master), form.interpolate(ys)
+
+
+class TestPackedEuclid:
+    """`euclid_until` against `euclid_steps`, the list Euclid it replaced, at every stop."""
+
+    @staticmethod
+    def assert_matches_the_list_euclid(r0, r, p):
+        for stop in range(len(r0) + 1):
+            assert euclid_until(r0, r, stop, p) == euclid_steps(r0, r, stop, p)
+
+    @given(case=euclid_inputs())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_list_euclid(self, case):
+        p, r0, r = case
+        self.assert_matches_the_list_euclid(r0, r, p)
+
+    @pytest.mark.parametrize("p", [*EUCLID_MODULI, P_MAX])
+    def test_fullest_slots(self, p):
+        # every coefficient p - 1: a quotient as long as r0, and long quotients by long
+        # divisors, whose products each add to the slots they overlap
+        n = 64
+        for r in ([p - 1], [p - 1] * 2, [p - 1] * (n // 2), [p - 1] * (n - 1)):
+            self.assert_matches_the_list_euclid([p - 1] * n, r, p)
+        q, r = [1] * (n // 2), [p - 1] * (n // 2)  # -q_j = p - 1 for every j
+        for rem in ([], [p - 1] * (n // 2 - 1)):
+            r0 = [(a + b) % p for a, b in zip_longest(schoolbook_mul(q, r, p), rem, fillvalue=0)]
+            self.assert_matches_the_list_euclid(r0, r, p)
+
+    def test_by_hand(self):
+        # over GF(7): z^2 - 1 = 3 (2 + 5 z^2), so one step leaves r = 0 and t = -(2 + 5 z^2)
+        assert euclid_until([6, 0, 1], [3], 0, 7) == ([], [5, 0, 2])
+        assert euclid_until([6, 0, 1], [3], 1, 7) == ([3], [1])
+        assert euclid_until([6, 0, 1], [], 0, 7) == ([], [1])
+
+    def test_explicit_byte_order(self):
+        # Python 3.10 has no default length or byte order for int.to_bytes/int.from_bytes
+        tree = ast.parse(inspect.getsource(field_poly))
+        for call in ast.walk(tree):
+            if not isinstance(call, ast.Call):
+                continue
+            func = call.func
+            if isinstance(func, ast.Attribute) and func.attr in ("to_bytes", "from_bytes"):
+                assert len(call.args) + len(call.keywords) >= 2, ast.unparse(call)
+            if isinstance(func, ast.Name) and func.id == "map" and ast.unparse(call.args[0]) in (
+                    "int.to_bytes", "int.from_bytes"):
+                assert len(call.args) >= 3, ast.unparse(call)
 
 
 class TestVandermonde:

@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from shardlab import (
@@ -252,11 +252,11 @@ class TestRunEpoch:
         sim = make_sim(field, K=4, N=20, invalid_proposer_shards=frozenset({2}))
         owns, append = [], polyshard_sim._append_epoch
 
-        def recording_append(sim, canonical, bits, views):
+        def recording_append(sim, canonical, bits, views, coded):
             owns.append({n: tuple(b * x for b, x in zip(
                 bits, canonical if n in sim.adversarial_nodes else view))
                 for n, view in views.items()})
-            append(sim, canonical, bits, views)
+            append(sim, canonical, bits, views, coded)
 
         monkeypatch.setattr(polyshard_sim, "_append_epoch", recording_append)
         for t in range(2):
@@ -405,11 +405,11 @@ class TestDivergence:
         histories = {node.node: [] for node in sim.nodes}
         append = polyshard_sim._append_epoch
 
-        def recording_append(sim, canonical, bits, views):
+        def recording_append(sim, canonical, bits, views, coded):
             for node in sim.nodes:
                 view = views[node.node] if node.node not in sim.adversarial_nodes else canonical
                 histories[node.node].append(tuple(field.residue(b * x) for b, x in zip(bits, view)))
-            append(sim, canonical, bits, views)
+            append(sim, canonical, bits, views, coded)
 
         monkeypatch.setattr(polyshard_sim, "_append_epoch", recording_append)
         # adversaries come and go, so nodes switch roles between epochs
@@ -439,11 +439,11 @@ class TestManyViewEpochs:
         sim = make_sim(field, K=6, N=40, failure_policy="append_own_view")
         owns, append = [], polyshard_sim._append_epoch
 
-        def recording_append(sim, canonical, bits, views):
+        def recording_append(sim, canonical, bits, views, coded):
             owns.append({node.node: tuple(b * x for b, x in zip(
                 bits, views[node.node] if node.node not in sim.adversarial_nodes else canonical))
                 for node in sim.nodes})
-            append(sim, canonical, bits, views)
+            append(sim, canonical, bits, views, coded)
 
         monkeypatch.setattr(polyshard_sim, "_append_epoch", recording_append)
         adversary = discrepancy_adversary(range(35, 41), producers=(1, 2, 3, 4))
@@ -512,19 +512,38 @@ class TestCommLoad:
             comm_load(EncodingParams.default(2, 5, 1, field), "prayer")
 
 
+class AcceptAll:
+    """An accept set holding every value, so a forged block that wins the decode is appended."""
+
+    def __contains__(self, value):
+        return True
+
+
+ACCEPT_ALL = AcceptAll()
+
+
 @st.composite
 def adversaries(draw, K, N):
     """None, or an adversary of any broadcast and assignment strategy on K shards, N nodes."""
     if not draw(st.integers(0, 3)):
         return None
-    nodes = draw(st.sets(st.integers(1, N), min_size=1, max_size=N))
-    producers = draw(st.lists(st.integers(1, K), unique=True, max_size=min(K, len(nodes))))
-    v = draw(st.integers(1, 3))
-    assignment = draw(st.sampled_from(["balanced", "random", "targeted"]))
+    assignment = draw(st.sampled_from(["balanced", "random", "targeted", "dominant"]))
+    # "dominant": one tuple, mostly not version 1's, for all but a few nodes, and few
+    # adversarial nodes, so that the epoch often decodes to a view other than version 1's
+    dominant = assignment == "dominant"
+    nodes = draw(st.sets(st.integers(1, N), min_size=1, max_size=N // 6 + 1 if dominant else N))
+    producers = draw(st.lists(st.integers(1, K), unique=True, min_size=int(dominant),
+                              max_size=min(K, len(nodes))))
+    v = draw(st.integers(1 + dominant, 3))
     targeted_map = None
-    if assignment == "targeted":
+    if assignment in ("targeted", "dominant"):
         tuples = all_version_tuples(v, len(producers))
         targeted_map = {n: draw(st.sampled_from(tuples)) for n in range(1, N + 1)}
+        if dominant:
+            top = draw(st.sampled_from(tuples[::-1]))
+            few = draw(st.sets(st.integers(1, N), max_size=N // 6))
+            targeted_map = {n: tup if n in few else top for n, tup in targeted_map.items()}
+            assignment = "targeted"
     return AdversaryConfig(
         adversarial_nodes=frozenset(nodes), adversarial_producers=tuple(producers), v=v,
         assignment_strategy=assignment, targeted_map=targeted_map,
@@ -540,13 +559,28 @@ def epoch_runs(draw):
     N = draw(st.integers(d * (K - 1) + 1, 30))
     fn = draw(st.sampled_from([power_check(d), history_power_check(d, field(3))]))
     config = dict(invalid_proposer_shards=frozenset(draw(st.sets(st.integers(1, K)))),
-                  failure_policy=draw(st.sampled_from(["stall", "append_own_view"])))
+                  failure_policy=draw(st.sampled_from(["stall", "append_own_view"])),
+                  accept_set=draw(st.sampled_from([None, ACCEPT_ALL])))
     epochs = draw(st.lists(adversaries(K, N), min_size=1, max_size=3))
     return field, K, N, d, fn, config, epochs, draw(st.integers(0, 2**32))
 
 
+GF97 = PrimeField(97)
+
+
 class TestEpochOracle:
     @given(run=epoch_runs())
+    # 16 honest nodes hold version 2 of shard 1 and win the decode: the adversarial
+    # nodes 19 and 20 must append that view, not their own version 1 view
+    @example(run=(GF97, 3, 20, 2, power_check(2),
+                  dict(invalid_proposer_shards=frozenset(), failure_policy="stall",
+                       accept_set=ACCEPT_ALL),
+                  [AdversaryConfig(adversarial_nodes=frozenset({19, 20}),
+                                   adversarial_producers=(1,), v=2,
+                                   assignment_strategy="targeted",
+                                   targeted_map={n: (2,) if n <= 16 else (1,)
+                                                 for n in range(1, 19)})],
+                  5))
     @settings(max_examples=150, deadline=None)
     def test_run_epoch_matches_the_literal_epoch(self, run):
         field, K, N, d, fn, config, epochs, seed = run
