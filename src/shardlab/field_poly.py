@@ -9,7 +9,8 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import accumulate, repeat, zip_longest
 from operator import add, mul, sub
-from typing import Iterable, Sequence
+from struct import unpack
+from typing import Iterable, Iterator, Sequence
 
 # Mersenne prime: large enough that random-instance degeneracies have
 # probability ~N/p, small enough for fast native arithmetic.
@@ -351,10 +352,15 @@ def _pack(cs: Sequence[int], width: int) -> int:
                           "little")
 
 
+def _slots(x: int, n: int, width: int) -> Iterator[int]:
+    """The first n byte slots of `width` of a packed x >= 0, split by one struct call."""
+    raw = x.to_bytes(n * width, "little")
+    return map(int.from_bytes, unpack(f"{width}s" * n, raw), repeat("little"))
+
+
 def _unpack(x: int, n: int, width: int, p: int) -> list[int]:
     """The first n byte slots of `width` of a packed x >= 0, each reduced mod p."""
-    raw, from_bytes = x.to_bytes(n * width, "little"), int.from_bytes
-    return [from_bytes(raw[i:i + width], "little") % p for i in range(0, n * width, width)]
+    return [a % p for a in _slots(x, n, width)]
 
 
 class PackedMap:
@@ -565,31 +571,64 @@ def lagrange_interpolate(points: Sequence[tuple[FieldElement, FieldElement]]) ->
 
 
 def echelon(rows: Iterable[Sequence[int]], ncols: int, p: int) -> dict[int, list[int]]:
-    """Echelon basis over GF(p) of the span of residue rows, keyed by leading column.
+    """Echelon basis over GF(p) of the span of rows of ncols canonical residues, each in
+    [0, p), keyed by leading column; an entry outside raises ValueError.
 
     Each row is reduced left to right against the rows kept so far; a nonzero
     remainder is kept, scaled to 1 at its leading column. Every echelon basis of
     a row space leads at its RREF pivot columns, so the keys are those.
+
+    Delayed reduction on packed rows (Dumas, Giorgi & Pernet, FFLAS-FFPACK, 2008): a row
+    whose leading column has no pivot yet is scaled straight from its list. Any other row
+    is one packed int x, a slot per column from its leading one up, the current column c
+    in the low slot. A step reads f = (low slot) mod p, adds (p - f) times kept row c,
+    packed from column c at its first use, and shifts the low slot out: only additions
+    happen, so nothing borrows. A slot starts below p and gains at most one product below
+    (p - 1)^2 per pivot left of it, so `_slot_width(p, ncols + 1)` bytes never carry. A
+    run of integer-zero slots goes in one shift, to the lowest set bit of x. A row that
+    finds a new pivot is read back through its top set bit and scaled in the same pass.
     """
-    kept: dict[int, list[int]] = {}
-    for row in rows:
-        row = list(row)
-        for c in range(ncols):
-            f = row[c]
-            if f and c in kept:
-                # both rows are zero left of c, so only columns c.. change
-                row[c:] = [(a - f * b) % p for a, b in zip(row[c:], kept[c][c:])]
-            elif f:
+    width = _slot_width(p, ncols + 1)
+    bits = 8 * width
+    slot, pair = (1 << bits) - 1, (1 << 2 * bits) - 1  # the low slot, the two low slots
+    tails: dict[int, list[int]] = {}  # kept row c from column c on, less trailing zeros
+    packed: dict[int, int] = {}
+    for i, row in enumerate(rows):
+        if row and (min(row) < 0 or max(row) >= p):
+            j = next(j for j, a in enumerate(row) if not 0 <= a < p)
+            raise ValueError(f"row {i}, column {j}: {row[j]} is not a residue in [0, {p})")
+        c = next((c for c, a in enumerate(row) if a), ncols)
+        if c == ncols:
+            continue
+        if c not in tails:
+            inv = pow(row[c], -1, p)
+            tails[c] = _strip([a * inv % p for a in row[c:]])
+            continue
+        x = _pack(row[c:], width)
+        while x:
+            f = (x & slot) % p
+            if not f:  # one slot if either low slot is nonzero, else to the lowest set bit
+                step = 1 if x & pair else ((x & -x).bit_length() - 1) // bits
+                x >>= step * bits
+                c += step
+            elif c in tails:
+                if c not in packed:
+                    packed[c] = _pack(tails[c], width)
+                x = (x + (p - f) * packed[c]) >> bits
+                c += 1
+            else:  # read up to the top set bit: the slots above it are zero
                 inv = pow(f, -1, p)
-                row[c:] = [x * inv % p for x in row[c:]]
-                kept[c] = row
+                tails[c] = [a * inv % p for a in _slots(x, -(-x.bit_length() // bits), width)]
                 break
-    return kept
+    return {c: [0] * c + tail + [0] * (ncols - c - len(tail)) for c, tail in tails.items()}
 
 
 def kernel_vector(pivots: dict[int, list[int]], ncols: int, p: int, free: int) -> list[int]:
     """The x with r @ x = 0 for each row r of `pivots = echelon(...)`, 1 at the non-pivot
-    column `free` and 0 at the other non-pivot columns, by back-substitution."""
+    column `free` and 0 at the other non-pivot columns, by back-substitution. A `free`
+    that is a pivot or outside range(ncols) raises ValueError."""
+    if free in pivots or not 0 <= free < ncols:
+        raise ValueError(f"column {free} is not a non-pivot column in range({ncols})")
     vec = [0] * ncols
     vec[free] = 1
     for c in sorted(pivots, reverse=True):
@@ -601,7 +640,7 @@ def nullspace_vector(rows: Sequence[Sequence[int]], ncols: int, field: PrimeFiel
                      pivots: dict[int, list[int]], free: int) -> tuple[FieldElement, ...]:
     """The x with r @ x = 0 for each residue row r, 1 at free column `free` and 0 at the
     other free columns, from `kernel_vector` on `pivots = echelon(rows, ...)`, re-verified
-    by multiplication."""
+    by multiplication. A `free` that is not a free column raises ValueError."""
     p = field.modulus
     vec = kernel_vector(pivots, ncols, p, free)
     if any(sum(map(mul, row, vec)) % p for row in rows):

@@ -9,7 +9,8 @@ runs, so the oracle shares no elimination code with the library.
 `Matrix`, `vandermonde`, `matrix_rank` and `nullspace_basis` are the dense
 layer the library used to export. The library runs its linear algebra on rows
 of residues; here they hold D and the oracles' systems, and the rank and
-nullspace helpers run on the library's `echelon` and `nullspace_vector`.
+nullspace helpers run on `echelon_rows`, the list elimination the library's packed
+`echelon` replaced, and on the library's `nullspace_vector`.
 
 Columns of D: one width-(d(K-1)+1) block of composed-polynomial coefficients
 per version tuple (descending degree, tuples in lexicographic order), then one
@@ -21,7 +22,7 @@ from operator import mul
 from typing import Iterable, Sequence
 
 from shardlab import AnalysisParams, FieldElement, PrimeField
-from shardlab.field_poly import echelon, nullspace_vector
+from shardlab.field_poly import nullspace_vector
 from shardlab.threshold_analysis import _c_row_blocks
 
 
@@ -90,14 +91,37 @@ def vandermonde(xs: Sequence[FieldElement], degree: int,
     return Matrix(field, rows, ncols=degree + 1)
 
 
+def echelon_rows(rows: Iterable[Sequence[int]], ncols: int, p: int) -> dict[int, list[int]]:
+    """Echelon basis over GF(p) of the span of residue rows, keyed by leading column.
+
+    Each row is reduced left to right against the rows kept so far; a nonzero
+    remainder is kept, scaled to 1 at its leading column. Every echelon basis of
+    a row space leads at its RREF pivot columns, so the keys are those.
+    """
+    kept: dict[int, list[int]] = {}
+    for row in rows:
+        row = list(row)
+        for c in range(ncols):
+            f = row[c]
+            if f and c in kept:
+                # both rows are zero left of c, so only columns c.. change
+                row[c:] = [(a - f * b) % p for a, b in zip(row[c:], kept[c][c:])]
+            elif f:
+                inv = pow(f, -1, p)
+                row[c:] = [x * inv % p for x in row[c:]]
+                kept[c] = row
+                break
+    return kept
+
+
 def matrix_rank(m: Matrix) -> int:
-    """Rank over the matrix's field: the leading columns of `echelon`."""
-    return len(echelon(m.rows, m.ncols, m.field.modulus))
+    """Rank over the matrix's field: the leading columns of `echelon_rows`."""
+    return len(echelon_rows(m.rows, m.ncols, m.field.modulus))
 
 
 def nullspace_basis(m: Matrix) -> list[tuple[FieldElement, ...]]:
     """Basis of {x : m @ x = 0}, one `nullspace_vector` per free column."""
-    pivots = echelon(m.rows, m.ncols, m.field.modulus)
+    pivots = echelon_rows(m.rows, m.ncols, m.field.modulus)
     return [nullspace_vector(m.rows, m.ncols, m.field, pivots, f)
             for f in range(m.ncols) if f not in pivots]
 

@@ -30,6 +30,7 @@ SIM = "src/shardlab/polyshard_sim.py"
 SIM_TESTS = ("tests/test_polyshard_sim.py",)
 FIELD = "src/shardlab/field_poly.py"
 EUCLID = "tests/test_field_poly.py::TestPackedEuclid"
+ECHELON = "tests/test_field_poly.py::TestPackedEchelon"
 EPOCH_ORACLE = "tests/test_polyshard_sim.py::TestEpochOracle"
 RUN_EPOCH = "tests/test_polyshard_sim.py::TestRunEpoch"
 
@@ -93,6 +94,17 @@ MUTANTS = (
     Mutant("euclid-cofactor-unreduced", FIELD,
            "ts0, ts, nt = ts, y - ((y * m >> big) & low) * p, nt + n0 - n",
            "ts0, ts, nt = ts, y, nt + n0 - n", (EUCLID + "::test_matches_the_list_euclid",)),
+    Mutant("echelon-slot-read-unreduced", FIELD,
+           "f = (x & slot) % p", "f = x & slot", (ECHELON + "::test_matches_the_list_echelon",)),
+    Mutant("echelon-zero-run-skip-one-slot-too-far", FIELD,
+           "((x & -x).bit_length() - 1) // bits", "((x & -x).bit_length() - 1) // bits + 1",
+           (ECHELON + "::test_matches_the_list_echelon",)),
+    Mutant("echelon-new-pivot-unnormalized", FIELD,
+           "tails[c] = [a * inv % p for a in _slots(", "tails[c] = [a % p for a in _slots(",
+           (ECHELON + "::test_matches_the_list_echelon",)),
+    Mutant("echelon-slot-width-one-term", FIELD,
+           "width = _slot_width(p, ncols + 1)", "width = _slot_width(p, 1)",
+           (ECHELON + "::test_fullest_slots",)),
 )
 
 IGNORE = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", ".hypothesis",

@@ -16,9 +16,9 @@ from shardlab.decoder import (
     InsufficientEvaluations,
     _failure,
 )
-from shardlab.field_poly import FieldElement, Polynomial, echelon, kernel_vector
+from shardlab.field_poly import FieldElement, Polynomial, kernel_vector
 
-from dense_system import Matrix
+from dense_system import Matrix, echelon_rows
 
 
 def solve_linear(m: Matrix, rhs: Sequence[int | FieldElement]) -> list[FieldElement] | None:
@@ -28,7 +28,7 @@ def solve_linear(m: Matrix, rhs: Sequence[int | FieldElement]) -> list[FieldElem
         raise ValueError("rhs length does not match row count")
     p = m.field.modulus
     rows = [[*row, -m.field.residue(b) % p] for row, b in zip(m.rows, rhs)]
-    pivots = echelon(rows, m.ncols + 1, p)
+    pivots = echelon_rows(rows, m.ncols + 1, p)
     if m.ncols in pivots:
         return None
     sol = kernel_vector(pivots, m.ncols + 1, p, m.ncols)[:-1]

@@ -18,6 +18,7 @@ from shardlab import (
     build_system,
     lagrange_interpolate,
     proof_params,
+    recovery_threshold,
 )
 from shardlab import field_poly
 from shardlab.field_poly import (
@@ -26,7 +27,7 @@ from shardlab.field_poly import (
     kernel_vector, nullspace_vector, point_set, poly_divmod, poly_mul, poly_values,
     vanishing_polynomial,
 )
-from dense_system import Matrix, matrix_rank, nullspace_basis, vandermonde
+from dense_system import Matrix, echelon_rows, matrix_rank, nullspace_basis, vandermonde
 from poly_oracle import euclid_steps, schoolbook_mul
 from rs_oracle import solve_linear
 
@@ -486,6 +487,84 @@ class TestPackedEuclid:
                 assert len(call.args) >= 3, ast.unparse(call)
 
 
+ECHELON_MODULI = (2, 3, 97, DEFAULT_MODULUS, 2**61 - 1, P_MAX)
+
+
+@st.composite
+def echelon_systems(draw):
+    """(rows, ncols, p): up to 40 rows of up to 40 residues, drawn densely, from
+    {0, 1, p - 1}, or with at most a tenth of each row nonzero, plus zero, duplicate and
+    dependent rows, in any order."""
+    p = draw(st.sampled_from(ECHELON_MODULI))
+    ncols = draw(st.integers(0, 40))
+    residue = st.integers(0, p - 1)
+    dense = st.lists(draw(st.sampled_from([residue, st.sampled_from([0, 1, p - 1])])),
+                     min_size=ncols, max_size=ncols)
+    sparse = st.dictionaries(st.integers(0, max(ncols - 1, 0)), st.integers(1, p - 1),
+                             max_size=ncols // 10).map(
+        lambda at: [at.get(j, 0) for j in range(ncols)])
+    rows = draw(st.lists(st.one_of(dense, sparse), max_size=34))
+    for _ in range(draw(st.integers(0, 6 if rows else 0))):
+        i, j, a, b = (draw(st.integers(0, len(rows) - 1)), draw(st.integers(0, len(rows) - 1)),
+                      draw(residue), draw(residue))
+        rows.append(draw(st.sampled_from([
+            [0] * ncols, list(rows[i]), [(a * x + b * y) % p for x, y in zip(rows[i], rows[j])],
+        ])))
+    return draw(st.permutations(rows)), ncols, p
+
+
+def fullest_slots(n, p):
+    """n rows of rank n whose last row meets a multiplier of p - 1 and a kept entry of
+    p - 1 at every column: its slot j gains j products (p - 1)^2, the most any slot can."""
+    kept = [[0] * c + [1] + [p - 1] * (n - c - 1) for c in range(n - 1)]
+    # after the pivots left of j, slot j reads x_j + j (p - 1)^2 = x_j + j = 1 mod p
+    return [*kept, [1, *((1 - j) % p for j in range(1, n))]]
+
+
+class TestPackedEchelon:
+    """`echelon` against `echelon_rows`, the list elimination it replaced."""
+
+    @given(case=echelon_systems())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_list_echelon(self, case):
+        rows, ncols, p = case
+        assert echelon(rows, ncols, p) == echelon_rows(rows, ncols, p)
+
+    @pytest.mark.parametrize("p", ECHELON_MODULI)
+    def test_fullest_slots(self, p):
+        for n in (2, 3, 5, 17, 40):
+            rows = fullest_slots(n, p)
+            kept = echelon(rows, n, p)
+            assert kept == echelon_rows(rows, n, p) and len(kept) == n
+        # rows of p - 1 on ever longer prefixes, full rank: each reduces through every
+        # pivot before it
+        rows = [[p - 1] * (i + 1) + [0] * (n - i - 1) for i in range(n)]
+        assert echelon(rows, n, p) == echelon_rows(rows, n, p)
+
+    @pytest.mark.parametrize("config, ns", [
+        ((3, 2, 2, 8, 1), None), ((2, 2, 3, 6, 2), None), ((3, 3, 2, 6, 1), (40,)),
+    ])
+    def test_rank_systems(self, field, config, ns):
+        # sweep_rank's layouts at every N it sweeps, and a 153 x 262 system
+        th = recovery_threshold(*config)
+        for n in ns or range(th - 8, th + 3):
+            sys_m = build_system(proof_params(*config, n, field))
+            assert echelon(sys_m.R, sys_m.ncols, field.modulus) == echelon_rows(
+                sys_m.R, sys_m.ncols, field.modulus)
+
+    @pytest.mark.parametrize("bad, column", [(-1, 1), (97, 2), (10**30, 0)])
+    def test_rejects_entries_outside_the_residues(self, bad, column):
+        rows = [[1, 2, 3], [4, 5, 6]]
+        rows[1][column] = bad
+        with pytest.raises(ValueError, match=f"row 1, column {column}: {bad} is not a residue"):
+            echelon(rows, 3, 97)
+
+    def test_accepts_p_minus_one(self):
+        rows = [[96, 96, 0], [96, 0, 96], [0, 96, 96]]
+        assert echelon(rows, 3, 97) == echelon_rows(rows, 3, 97) == {
+            0: [1, 1, 0], 1: [0, 1, 96], 2: [0, 0, 1]}
+
+
 class TestVandermonde:
     def test_descending_two_rows(self, gf97):
         a1, a2 = gf97(5), gf97(11)
@@ -540,6 +619,17 @@ class TestRankNullspace:
         assert nullspace_vector([[1, 2]], 2, gf97, pivots, 1) == (gf97(-2), gf97(1))
         with pytest.raises(AssertionError, match="failed verification"):
             nullspace_vector([[1, 1]], 2, gf97, pivots, 1)
+
+    def test_kernel_vector_needs_a_free_column(self, gf97):
+        # column 1 is a pivot, -1 would index from the end, 3 is past the last column
+        rows = [[1, 2, 3], [0, 1, 4]]
+        pivots = echelon(rows, 3, 97)
+        assert nullspace_vector(rows, 3, gf97, pivots, 2) == (gf97(5), gf97(-4), gf97(1))
+        for free in (0, 1, -1, 3):
+            with pytest.raises(ValueError, match=f"column {free} is not a non-pivot column"):
+                kernel_vector(pivots, 3, 97, free)
+            with pytest.raises(ValueError, match=f"column {free} is not a non-pivot column"):
+                nullspace_vector(rows, 3, gf97, pivots, free)
 
     def test_nullity_plus_rank(self, gf97, rng):
         for _ in range(20):
