@@ -43,7 +43,6 @@ from .adversary import (
 from .polyshard_sim import (
     CommLoad,
     EpochReport,
-    NodeState,
     ShardChain,
     Simulation,
     VerificationFn,
@@ -68,7 +67,6 @@ from .threshold_analysis import (
     recovery_threshold,
     sweep_to_csv,
     unique_decodability,
-    versions_match_set,
 )
 
 __version__ = "0.1.0"

@@ -16,7 +16,7 @@ from .lcc import VersionTuple, all_version_tuples
 
 
 class InfeasiblePartition(ValueError):
-    """A balanced version assignment cannot respect the requested cell cap."""
+    """A balanced split cannot respect the requested cell cap."""
 
 
 @dataclass(frozen=True)
@@ -135,7 +135,6 @@ def balanced_cells(items: Sequence, n_cells: int, cap: int | None = None) -> lis
 def assign_versions(
     nodes: Sequence[int],
     config: AdversaryConfig,
-    cap: int | None = None,
     rng=None,
 ) -> VersionAssignment:
     """Assign a version tuple to every node per the configured strategy.
@@ -146,7 +145,7 @@ def assign_versions(
     tuples = all_version_tuples(config.v, config.beta_prime)
     strategy = config.assignment_strategy
     if strategy == "balanced":
-        cells = balanced_cells(nodes, len(tuples), cap)
+        cells = balanced_cells(nodes, len(tuples))
         mapping = {node: t for t, cell in zip(tuples, cells) for node in cell}
     elif strategy == "random":
         if rng is None:

@@ -377,8 +377,10 @@ class PackedMap:
         self.vectors = tuple(_pack(v, self.width) for v in vectors)
 
     def apply(self, cs: Sequence[int]) -> list[int]:
-        """sum_i cs[i] v_i, all n entries; cs must be canonical residues, in [0, p), or
-        the sum is not exact."""
+        """sum_i cs[i] v_i, all n entries; cs holds one residue in [0, p) per vector (another
+        count raises ValueError; a value outside [0, p) leaves the sum inexact)."""
+        if len(cs) != len(self.vectors):
+            raise ValueError(f"{len(cs)} coefficients for {len(self.vectors)} vectors")
         return _unpack(sum(map(mul, cs, self.vectors)), self.n, self.width, self.p)
 
 
@@ -539,7 +541,9 @@ class PointSet:
         self.weights = tuple(batch_inverse(derivs, p))
 
     def interpolate(self, ys: Sequence[int]) -> list[int]:
-        """Ascending residues of the polynomial of degree < len(xs) through the (x_j, y_j)."""
+        """Ascending residues of the polynomial of degree < len(xs) through one y_j per x_j."""
+        if len(ys) != len(self.weights):
+            raise ValueError(f"{len(ys)} values for {len(self.weights)} points")
         p = self.p
         cs = [y * w % p for y, w in zip(ys, self.weights)]
         if self._rows is not None:

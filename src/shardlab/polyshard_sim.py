@@ -77,26 +77,6 @@ class ShardChain:
         self.history: list[FieldElement] = [genesis]
 
 
-class NodeState:
-    """Read-only view of node n: its coded chain, boxed from the simulation's columns on
-    each read, and the id of the accepted-block history its coded entries evaluate. Its
-    point is `params.alphas[n - 1]`; whether it is adversarial is read from the simulation."""
-
-    __slots__ = ("sim", "node")
-
-    def __init__(self, sim: Simulation, node: int):
-        self.sim, self.node = sim, node
-
-    @property
-    def coded_chain(self) -> list[FieldElement]:
-        return [FieldElement(column.values[self.node - 1], self.sim.params.field)
-                for column in self.sim.coded_columns]
-
-    @property
-    def chain(self) -> int:
-        return self.sim.node_chains[self.node - 1]
-
-
 @dataclass
 class EpochReport:
     """Outcome of one epoch: decode statuses, accept bits, divergence, traffic.
@@ -134,9 +114,10 @@ class EpochReport:
 class Simulation:
     """Driver state: encoding constants, chains, coded columns, and epoch policies.
 
-    `coded_columns[t]` holds every node's coded entry of epoch t, `node_chains[n - 1]` node
-    n's chain id, and `nodes` views them. `epoch` counts completed epochs; `adversarial_nodes`
-    is the last one's adversarial set (empty before the first), every other node honest.
+    `coded_columns[t]` holds every node's coded entry of epoch t and `node_chains[n - 1]`
+    node n's chain id; node n's point is `params.alphas[n - 1]`. `epoch` counts completed
+    epochs; `adversarial_nodes` is the last one's adversarial set (empty before the first),
+    every other node honest.
     """
 
     def __init__(
@@ -175,18 +156,11 @@ class Simulation:
         self.chain_ids: dict[tuple[int, tuple[int, ...]], int] = {}
 
     @property
-    def nodes(self) -> list[NodeState]:  # built per read: stored views would form a ref cycle
-        return [NodeState(self, n) for n in range(1, self.params.N + 1)]
-
-    @property
     def history_polys(self) -> list[Polynomial]:
         """Each epoch's coded accepted blocks, from the shard chains, extended on each read."""
         for blocks in zip(*(c.history[len(self._history_polys):] for c in self.chains)):
             self._history_polys.append(build_coded_poly(blocks, self.params))
         return self._history_polys
-
-    def honest_nodes(self) -> list[NodeState]:
-        return [node for node in self.nodes if node.node not in self.adversarial_nodes]
 
     def chain_divergence(self) -> int:
         adversarial = self.adversarial_nodes
@@ -225,7 +199,9 @@ def run_epoch(
     `adversarial_nodes` are set together just before the appends, on the stall
     path too, so an epoch that raises (an adversary index outside 1..N or 1..K, a
     targeted map without some honest node, a `DegreeOverflow` from a wrongly
-    declared check) leaves it as it was.
+    declared check) leaves it as it was. Only `honest_looking` broadcasts and a decoded
+    epoch with captured producers compose the check, so only they raise that; elsewhere
+    the broadcasts exceed the degree bound and the decode reports failure.
     """
     if isinstance(rng, int):
         rng = random.Random(rng)
@@ -244,7 +220,7 @@ def run_epoch(
     versions = {k: [x.value for x in forge_versions(sim.chains[k - 1].history, adversary.v, rng,
                                                    fn=fn, valid_first=adversary.valid_first)]
                 for k in producers}
-    node_tuples = (assign_versions(honest_ids, adversary, cap=None, rng=rng).node_tuples
+    node_tuples = (assign_versions(honest_ids, adversary, rng=rng).node_tuples
                    if producers else {})
 
     # one residue view per distinct version tuple, shared by every node holding

@@ -32,13 +32,6 @@ from .field_poly import (
 from .lcc import VersionTuple, all_version_tuples
 
 
-def versions_match_set(vi: VersionTuple, vj: VersionTuple) -> frozenset[int]:
-    """Producer positions (0-based) where the two version tuples agree."""
-    if len(vi) != len(vj):
-        raise ValueError("version tuples must have equal length")
-    return frozenset(r for r, (a, b) in enumerate(zip(vi, vj)) if a == b)
-
-
 def _check_counts(**counts: int) -> None:
     """Name the first count below its least value; K first, as later checks read K points."""
     for name, least in (("K", 1), ("v", 1), ("d", 1), ("beta", 0), ("beta_prime", 0)):

@@ -87,7 +87,7 @@ class OracleSimulation:
         base = propose_blocks(self.chains, fn, rng, self.invalid_proposer_shards)
         versions = {k: forge_versions(self.chains[k - 1].history, adversary.v, rng, fn=fn,
                                       valid_first=adversary.valid_first) for k in producers}
-        node_tuples = (assign_versions(honest, adversary, cap=None, rng=rng).node_tuples
+        node_tuples = (assign_versions(honest, adversary, rng=rng).node_tuples
                        if producers else {})
 
         def view_of(tup):

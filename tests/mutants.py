@@ -29,10 +29,15 @@ ROOT = Path(__file__).resolve().parent.parent
 SIM = "src/shardlab/polyshard_sim.py"
 SIM_TESTS = ("tests/test_polyshard_sim.py",)
 FIELD = "src/shardlab/field_poly.py"
+DECODER = "src/shardlab/decoder.py"
 EUCLID = "tests/test_field_poly.py::TestPackedEuclid"
 ECHELON = "tests/test_field_poly.py::TestPackedEchelon"
 EPOCH_ORACLE = "tests/test_polyshard_sim.py::TestEpochOracle"
 RUN_EPOCH = "tests/test_polyshard_sim.py::TestRunEpoch"
+RS_DECODE = "tests/test_decoder.py::TestRsDecode"
+TREE = "tests/test_field_poly.py::TestSubproductTree"
+CHAIN_IDS = ("tests/test_polyshard_sim.py::TestDivergence::"
+             "test_chain_ids_match_full_masked_histories[append_own_view]")
 
 
 @dataclass(frozen=True)
@@ -49,7 +54,7 @@ MUTANTS = (
     Mutant("accept-mask-dropped", SIM,
            "masked = {view: tuple(map(mul, bits, view)) for view",
            "masked = {view: tuple(view) for view", SIM_TESTS),
-    Mutant("known-behavior-agreement-check-dropped", "src/shardlab/decoder.py",
+    Mutant("known-behavior-agreement-check-dropped", DECODER,
            "if out.poly(omega) != ref.poly(omega):",
            "if False:", ("tests/test_decoder.py",)),
     Mutant("honest-looking-targets-another-view", SIM,
@@ -105,6 +110,49 @@ MUTANTS = (
     Mutant("echelon-slot-width-one-term", FIELD,
            "width = _slot_width(p, ncols + 1)", "width = _slot_width(p, 1)",
            (ECHELON + "::test_fullest_slots",)),
+    Mutant("packed-map-length-check-dropped", FIELD,
+           "        if len(cs) != len(self.vectors):\n", "        if False:\n",
+           ("tests/test_field_poly.py::TestPackedSums::"
+            "test_packed_map_takes_one_coefficient_per_vector",)),
+    Mutant("interpolate-length-check-dropped", FIELD,
+           "        if len(ys) != len(self.weights):\n", "        if False:\n",
+           (TREE + "::test_one_value_per_point",)),
+    Mutant("tree-combine-sign-flipped", FIELD,
+           "nums = [[(u + v) % p for u, v in zip_longest(",
+           "nums = [[(u - v) % p for u, v in zip_longest(",
+           (TREE + "::test_matches_barycentric_sum",)),
+    Mutant("rows-cutoff-made-strict", FIELD,
+           "if len(xs) <= _ROWS_UP_TO:", "if len(xs) < _ROWS_UP_TO:",
+           (TREE + "::test_at_the_cutoff",)),
+    Mutant("gao-stops-one-degree-late", DECODER,
+           "degree_bound + 1 + max_errors, p)", "degree_bound + 2 + max_errors, p)",
+           (RS_DECODE + "::test_boundary_error_tolerance",)),
+    Mutant("gao-error-count-check-dropped", DECODER,
+           "if len(t) - 1 > max_errors or len(r)", "if len(r)",
+           (RS_DECODE + "::test_equivalent_to_exhaustive_oracle",)),
+    Mutant("gao-quotient-degree-check-dropped", DECODER,
+           "if len(t) - 1 > max_errors or len(r) - (len(t) - 1) > degree_bound + 1:",
+           "if len(t) - 1 > max_errors:",
+           ("tests/test_decoder.py::TestGaoMatchesBerlekampWelch::test_same_outcome",)),
+    Mutant("gao-remainder-check-dropped", DECODER, "    if rem:\n", "    if False:\n",
+           (RS_DECODE + "::test_soundness_of_recovered",)),
+    Mutant("recover-outputs-bound-raised-by-one", DECODER,
+           "> params.composed_degree:", "> params.composed_degree + 1:",
+           ("tests/test_decoder.py::TestRecoverOutputs::test_degree_guard",)),
+    Mutant("known-behavior-fit-check-without-max-errors", DECODER,
+           "if fit >= degree_bound + 1 + max_errors:", "if fit >= degree_bound + 1:",
+           ("tests/test_acceptance.py::test_criterion_6_known_behavior_at_upper_bound",)),
+    Mutant("encode-each-drops-a-varying-shard", "src/shardlab/lcc.py",
+           "if len(set(values)) > 1]", "if len(set(values)) > 1][1:]",
+           ("tests/test_lcc.py::TestEncodeAllNodes::test_each_matches_encode_at_node",)),
+    Mutant("chain-id-parent-set-to-genesis", SIM,
+           "setdefault((chains[n - 1], own)", "setdefault((0, own)", (CHAIN_IDS,)),
+    Mutant("messages-ignore-silent-nodes", SIM,
+           "+ (params.N - n_silent) * params.N,", "+ params.N * params.N,",
+           ("tests/test_polyshard_sim.py::TestCommLoad::"
+            "test_epoch_messages_total_matches_comm_load",)),
+    Mutant("chain-divergence-counts-adversaries", SIM,
+           "if n not in adversarial})", "})", (CHAIN_IDS,)),
 )
 
 IGNORE = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", ".hypothesis",

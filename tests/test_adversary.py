@@ -14,6 +14,7 @@ from shardlab import (
     forge_versions,
     run_epoch,
 )
+from shardlab.adversary import balanced_cells
 from shardlab.polyshard_sim import history_power_check
 
 
@@ -70,14 +71,14 @@ class TestForgeVersions:
 class TestAssignVersions:
     def test_balanced_seven_nodes(self):
         assignment = assign_versions(
-            list(range(1, 8)), config({9}, producers=(1,), v=2), cap=4
+            list(range(1, 8)), config({9}, producers=(1,), v=2)
         )
         sizes = sorted(len(ns) for ns in assignment.cells().values())
         assert sizes == [3, 4]
 
     def test_single_version_single_cell(self):
         assignment = assign_versions(
-            list(range(1, 6)), config({9}, producers=(1,), v=1), cap=None
+            list(range(1, 6)), config({9}, producers=(1,), v=1)
         )
         cells = assignment.cells()
         assert list(cells) == [(1,)]
@@ -85,7 +86,7 @@ class TestAssignVersions:
 
     def test_two_producers_twelve_nodes(self):
         assignment = assign_versions(
-            list(range(1, 13)), config({8, 9}, producers=(1, 2), v=2), cap=4
+            list(range(1, 13)), config({8, 9}, producers=(1, 2), v=2)
         )
         cells = assignment.cells()
         assert len(cells) == 4
@@ -99,18 +100,16 @@ class TestAssignVersions:
             nodes = list(range(1, n + 1))
             producers = tuple(range(1, bp + 1))
             assignment = assign_versions(
-                nodes, config({100 + i for i in range(bp)}, producers=producers, v=v),
-                cap=None,
+                nodes, config({100 + i for i in range(bp)}, producers=producers, v=v)
             )
             sizes = [len(ns) for ns in assignment.cells().values()]
             assert max(sizes) - min(sizes) <= 1
             assert sum(sizes) == n
 
     def test_infeasible_cap(self):
-        with pytest.raises(InfeasiblePartition):
-            assign_versions(
-                list(range(1, 10)), config({9}, producers=(1,), v=2), cap=4
-            )
+        with pytest.raises(InfeasiblePartition, match="9 points cannot be spread over 2 cells"):
+            balanced_cells(list(range(1, 10)), 2, cap=4)
+        assert balanced_cells(list(range(1, 9)), 2, cap=4) == [[1, 3, 5, 7], [2, 4, 6, 8]]
 
     def test_random_strategy(self, rng):
         cfg = config({9}, producers=(1,), v=3, assignment_strategy="random")
@@ -125,7 +124,7 @@ class TestAssignVersions:
             {9}, producers=(4,), v=2,
             assignment_strategy="targeted", targeted_map=explicit,
         )
-        assignment = assign_versions([1, 2, 3], cfg, cap=None)
+        assignment = assign_versions([1, 2, 3], cfg)
         assert {n: assignment.tuple_for(n) for n in (1, 2, 3)} == explicit
 
     def test_targeted_map_missing_node_is_named(self, field):
@@ -139,7 +138,7 @@ class TestAssignVersions:
         with pytest.raises(ValueError, match="node 2: no version tuple"):
             run_epoch(sim, cfg, rng=0)
         assert sim.epoch == 0
-        assert [node.node in sim.adversarial_nodes for node in sim.nodes] == [False] * 9
+        assert sim.adversarial_nodes == frozenset()
         assert all(len(c.history) == 1 for c in sim.chains)
 
     def test_version_cap_validated(self):

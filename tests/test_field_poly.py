@@ -329,6 +329,12 @@ class TestPackedSums:
             expected = [sum(c * v[i] for c, v in zip(cs, vectors)) % p for i in range(9)]
             assert packed.apply(cs) == expected
 
+    @pytest.mark.parametrize("count", [4, 6], ids=["short", "long"])
+    def test_packed_map_takes_one_coefficient_per_vector(self, count):
+        packed = PackedMap([[1, 2], [3, 4], [5, 6], [7, 8], [9, 10]], 97)
+        with pytest.raises(ValueError, match=f"{count} coefficients for 5 vectors"):
+            packed.apply([1] * count)
+
     def test_interpolate_matches_product_form(self):
         p, field = DEFAULT_MODULUS, PrimeField(DEFAULT_MODULUS)
         rng = random.Random(30)
@@ -406,6 +412,12 @@ class TestSubproductTree:
             assert form.weights == product_weights(xs, p)
         info = point_set.cache_info()
         assert (info.misses, info.hits) == (2, 2)
+
+    @pytest.mark.parametrize("count", [2, 4], ids=["short", "long"])
+    def test_one_value_per_point(self, count):
+        for form in both_forms((1, 2, 3), 97):
+            with pytest.raises(ValueError, match=f"{count} values for 3 points"):
+                form.interpolate([5] * count)
 
     def test_repeated_point(self):
         with pytest.raises(DuplicateAbscissa):

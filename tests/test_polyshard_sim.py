@@ -190,7 +190,7 @@ class TestRunEpoch:
             heard = point_set(tuple(alpha.value for alpha in sim.params.alphas), field.modulus)
             assert point_set.cache_info().misses == misses  # the decode's own point set
             assert (heard._rows is None) == (N > cutoff)
-            runs.append((reports, [(node.coded_chain, node.chain) for node in sim.nodes]))
+            runs.append((reports, [c.values for c in sim.coded_columns], sim.node_chains))
         assert runs[0] == runs[1]
 
     def test_determinism(self, field):
@@ -213,13 +213,13 @@ class TestRunEpoch:
     def test_bad_adversary_index_raises_before_any_change(self, field, nodes, producers, bad):
         sim = make_sim(field, K=3, N=12)
         run_epoch(sim, garbage_adversary({11}), rng=1)
-        roles = [node.node in sim.adversarial_nodes for node in sim.nodes]
+        roles = sim.adversarial_nodes
         adversary = AdversaryConfig(adversarial_nodes=frozenset(nodes),
                                     adversarial_producers=producers)
         with pytest.raises(ValueError, match=f"adversarial {bad} out of range"):
             run_epoch(sim, adversary, rng=2)
         assert sim.epoch == 1
-        assert [node.node in sim.adversarial_nodes for node in sim.nodes] == roles
+        assert sim.adversarial_nodes == roles
         assert all(len(c.history) == 2 for c in sim.chains)
 
     def test_raising_epoch_changes_nothing(self, field):
@@ -234,14 +234,12 @@ class TestRunEpoch:
                                     broadcast_strategy="honest_looking")
 
         def state():
-            return (sim.epoch, sim.adversarial_nodes, [node.node for node in sim.honest_nodes()],
-                    [list(c.history) for c in sim.chains],
-                    [list(node.coded_chain) for node in sim.nodes],
-                    [node.chain for node in sim.nodes], dict(sim.chain_ids),
-                    list(sim.history_polys))
+            return (sim.epoch, sim.adversarial_nodes, [list(c.history) for c in sim.chains],
+                    [c.values for c in sim.coded_columns], list(sim.node_chains),
+                    dict(sim.chain_ids), list(sim.history_polys))
 
         before = state()
-        assert before[:3] == (0, frozenset(), list(range(1, 13)))
+        assert before[:2] == (0, frozenset())
         with pytest.raises(DegreeOverflow):
             run_epoch(sim, adversary, rng=1)
         assert state() == before
@@ -262,10 +260,9 @@ class TestRunEpoch:
         for t in range(2):
             report = run_epoch(sim, None, rng=t)
             assert report.accepted[1] == [1, 0, 1, 1]
-            for node in sim.nodes:
-                own = owns[-1][node.node]
+            for n, own in owns[-1].items():
                 assert own[1] == 0
-                assert node.coded_chain[-1] == encode_at_node(own, sim.params, node.node)
+                assert sim.coded_columns[-1][n - 1] == encode_at_node(own, sim.params, n).value
         assert sim.chains[1].history == [field(2), field.zero, field.zero]
 
     def test_honest_looking_broadcasts_fit_the_version_1_view(self, field, monkeypatch):
@@ -322,9 +319,10 @@ class TestRunEpoch:
         assert report.statuses[1] == "recovered"
         assert report.accepted[1] == [1, 1, 1]
         assert sim.chains[0].history[-1] == forged[0][1] != forged[0][0]
-        for node in sim.nodes:
-            on_canonical = node.coded_chain[-1] == sim.history_polys[-1](params.alphas[node.node - 1])
-            assert on_canonical == (node.node <= 16 or node.node in sim.adversarial_nodes)
+        canonical = [sim.history_polys[-1](alpha).value for alpha in params.alphas]
+        on_canonical = [n for n, (own, value) in enumerate(
+            zip(sim.coded_columns[-1], canonical), 1) if own == value]
+        assert on_canonical == [*range(1, 17), 19, 20]
         assert report.chain_divergence == 2
 
     def test_recovered_epoch_boxes_at_most_n_plus_k_products(self, field, monkeypatch):
@@ -352,7 +350,8 @@ class TestRunEpoch:
             run_epoch(sim, None, rng=t)
             assert sim.epoch == t
             assert all(len(c.history) == t + 1 for c in sim.chains)
-            assert all(len(n.coded_chain) == t + 1 for n in sim.nodes)
+            assert len(sim.coded_columns) == t + 1
+            assert all(len(column) == 10 for column in sim.coded_columns)
 
 
 class TestCodedChainSoundness:
@@ -363,7 +362,7 @@ class TestCodedChainSoundness:
             run_epoch(sim, None, rng=t)
         for m in range(0, 4):  # epoch 0 is genesis
             pts = [
-                (sim.params.alphas[n - 1], sim.nodes[n - 1].coded_chain[m])
+                (sim.params.alphas[n - 1], field(sim.coded_columns[m][n - 1]))
                 for n in (1, 4, 7, 10)
             ]
             poly = lagrange_interpolate(pts)
@@ -402,13 +401,13 @@ class TestDivergence:
         # oracle: each node's whole history of masked block tuples, the chain
         # identity the interned ids stand for, rebuilt beside the simulation
         sim = make_sim(field, K=3, N=14, failure_policy=policy)
-        histories = {node.node: [] for node in sim.nodes}
+        histories = {n: [] for n in range(1, 15)}
         append = polyshard_sim._append_epoch
 
         def recording_append(sim, canonical, bits, views, coded):
-            for node in sim.nodes:
-                view = views[node.node] if node.node not in sim.adversarial_nodes else canonical
-                histories[node.node].append(tuple(field.residue(b * x) for b, x in zip(bits, view)))
+            for n, history in histories.items():
+                view = views[n] if n not in sim.adversarial_nodes else canonical
+                history.append(tuple(field.residue(b * x) for b, x in zip(bits, view)))
             append(sim, canonical, bits, views, coded)
 
         monkeypatch.setattr(polyshard_sim, "_append_epoch", recording_append)
@@ -419,17 +418,17 @@ class TestDivergence:
         divergence = []
         for t, adversary in enumerate(adversaries):
             report = run_epoch(sim, adversary, rng=70 + t)
-            honest = [histories[node.node] for node in sim.honest_nodes()]
+            honest = [h for n, h in histories.items() if n not in sim.adversarial_nodes]
             assert report.chain_divergence == len({tuple(h) for h in honest})
             divergence.append(report.chain_divergence)
-            for node in sim.nodes:
-                assert len(node.coded_chain) == len(sim.history_polys)
-                if node.node in sim.adversarial_nodes and not report.stalled:
-                    # adversarial nodes hold the canonical coded entry
-                    alpha = sim.params.alphas[node.node - 1]
-                    assert node.coded_chain[-1] == sim.history_polys[-1](alpha)
-        assert all(node.coded_chain[0] == sim.history_polys[0](sim.params.alphas[node.node - 1])
-                   for node in sim.nodes)
+            assert len(sim.coded_columns) == len(sim.history_polys)
+            if not report.stalled:
+                # adversarial nodes hold the canonical coded entry
+                for n in sim.adversarial_nodes:
+                    alpha = sim.params.alphas[n - 1]
+                    assert sim.coded_columns[-1][n - 1] == sim.history_polys[-1](alpha).value
+        assert list(sim.coded_columns[0]) == [sim.history_polys[0](alpha).value
+                                              for alpha in sim.params.alphas]
         assert (max(divergence) > 1) == (policy == "append_own_view")
 
 
@@ -440,9 +439,9 @@ class TestManyViewEpochs:
         owns, append = [], polyshard_sim._append_epoch
 
         def recording_append(sim, canonical, bits, views, coded):
-            owns.append({node.node: tuple(b * x for b, x in zip(
-                bits, views[node.node] if node.node not in sim.adversarial_nodes else canonical))
-                for node in sim.nodes})
+            owns.append({n: tuple(b * x for b, x in zip(
+                bits, view if n not in sim.adversarial_nodes else canonical))
+                for n, view in views.items()})
             append(sim, canonical, bits, views, coded)
 
         monkeypatch.setattr(polyshard_sim, "_append_epoch", recording_append)
@@ -450,9 +449,8 @@ class TestManyViewEpochs:
         for t in range(2):
             run_epoch(sim, adversary, rng=80 + t)
             assert len(owns) == t + 1 and len(set(owns[-1].values())) >= 8
-            for node in sim.nodes:
-                own = owns[-1][node.node]
-                assert node.coded_chain[-1] == encode_at_node(own, sim.params, node.node)
+            for n, own in owns[-1].items():
+                assert sim.coded_columns[-1][n - 1] == encode_at_node(own, sim.params, n).value
 
 
 class TestCommLoad:
@@ -593,6 +591,7 @@ class TestEpochOracle:
                 report["diagnostics"] = expected["diagnostics"] = None
             assert report == expected
             assert [c.history for c in sim.chains] == [c.history for c in oracle.chains]
-            assert [n.coded_chain for n in sim.nodes] == list(oracle.coded_chains.values())
-            assert [n.chain for n in sim.nodes] == list(oracle.node_chains.values())
+            assert [c.values for c in sim.coded_columns] == [
+                tuple(x.value for x in column) for column in zip(*oracle.coded_chains.values())]
+            assert sim.node_chains == list(oracle.node_chains.values())
             assert sim.chain_ids == oracle.chain_ids

@@ -27,7 +27,6 @@ from shardlab import (
     recovery_threshold,
     sweep_to_csv,
     unique_decodability,
-    versions_match_set,
 )
 from shardlab.field_poly import echelon, nullspace_vector, vanishing_polynomial
 from shardlab.lcc import EncodingParams, all_version_tuples
@@ -35,21 +34,6 @@ from shardlab.polyshard_sim import power_check
 from shardlab.threshold_analysis import _c_row_blocks, _lift
 
 from dense_system import Matrix, dense_system, matrix_rank, nullspace_basis, rref
-
-
-class TestVersionsMatchSet:
-    def test_identical_tuples(self):
-        assert versions_match_set((1, 2, 1), (1, 2, 1)) == {0, 1, 2}
-
-    def test_fully_different(self):
-        assert versions_match_set((1, 1), (2, 2)) == frozenset()
-
-    def test_first_position_only(self):
-        assert versions_match_set((1, 2), (1, 1)) == {0}
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            versions_match_set((1,), (1, 2))
 
 
 class TestBuildSystem:
