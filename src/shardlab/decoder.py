@@ -12,7 +12,7 @@ and the extended Euclidean algorithm steps on one packed int per polynomial
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Container, NamedTuple, Sequence
+from typing import Container, Iterable, NamedTuple, Sequence
 
 from .adversary import VersionAssignment
 from .field_poly import (
@@ -36,36 +36,35 @@ class BroadcastEntry(NamedTuple):
 
     node: int
     point: FieldElement
-    value: FieldElement | None
+    value: FieldElement | int | None
 
 
 class BroadcastSet:
-    """The results every node holds after the broadcast round."""
+    """The results every node holds after the broadcast round, as columns: entry i of the
+    (node, point, value) entries is node `nodes[i]`, with residues `points[i]` and `values[i]`
+    (None: silent). The first point's field is the set's `field`, None for no entries; every
+    other point and every value may be an element of it or an int, reduced mod p."""
 
-    __slots__ = ("entries",)
+    __slots__ = ("field", "nodes", "points", "values")
 
-    def __init__(self, entries: Sequence[BroadcastEntry]):
-        nodes = [e.node for e in entries]
+    def __init__(self, entries: Iterable[tuple]):
+        nodes, points, values = tuple(zip(*entries)) or ((), (), ())
         if len(set(nodes)) != len(nodes):
             raise ValueError("duplicate node index in broadcast set")
-        if entries:
-            field = entries[0].point.field
-            for e in entries:  # an epoch's entries share one field object: identity first
-                if (e.point.field is not field and e.point.field != field) or (
-                        e.value is not None and e.value.field is not field
-                        and e.value.field != field):
-                    raise ValueError(f"node {e.node}: point and value must lie in {field}, "
-                                     f"the field of the first entry's point")
-        self.entries = tuple(entries)
-
-    def present(self) -> list[BroadcastEntry]:
-        return [e for e in self.entries if e.value is not None]
-
-    def __iter__(self):
-        return iter(self.entries)
+        self.field = field = points[0].field if points else None
+        self.nodes = nodes
+        try:
+            self.points = tuple(map(field.residue, points)) if points else ()
+            self.values = tuple(None if y is None else field.residue(y) for y in values)
+        except ValueError:  # name the first node whose point or value is not in the field
+            node = next(n for n, x, y in zip(nodes, points, values) if not all(
+                z is None or isinstance(z, int) or getattr(z, "field", None) == field
+                for z in (x, y)))
+            raise ValueError(f"node {node}: point and value must lie in {field}, "
+                             f"the field of the first entry's point") from None
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self.nodes)
 
 
 @dataclass(frozen=True)
@@ -91,41 +90,37 @@ def rs_decode(b: BroadcastSet, degree_bound: int, max_errors: int) -> DecodeOutc
     algorithm on (prod (z - x), g1) up to the first remainder r of degree < degree_bound
     + 1 + max_errors, and divide r by its cofactor t. Every Berlekamp-Welch pair (E, Q)
     at this radius is a multiple of (t, r), so one exists exactly when deg t <= max_errors
-    and deg r - deg t <= degree_bound, and then Q/E = r/t. Missing entries are dropped
-    first (shortening), so max_errors counts among the present ones and the
-    interpolation runs on the cached `point_set` of the present entries' points. The
-    Euclid is `euclid_until`, which steps on packed ints and unpacks (r, t) once.
-    Every entry's point, silent or not, must be distinct, and that is checked first.
+    and deg r - deg t <= degree_bound, and then Q/E = r/t. Every point, heard or not,
+    must be distinct, and that is checked first. Silent entries are then dropped
+    (shortening), so max_errors counts among the heard ones, interpolated on the cached
+    `point_set` of their points; `euclid_until` steps on packed ints and unpacks (r, t) once.
     """
     if degree_bound < 0 or max_errors < 0:
         raise ValueError("degree_bound and max_errors must be >= 0")
-    if len({e.point.value for e in b}) != len(b):
+    if len(set(b.points)) != len(b.points):
         raise DuplicateAbscissa("interpolation points must have distinct x values")
-    present = b.present()
-    m = len(present)
-    needed = degree_bound + 1 + 2 * max_errors
+    heard = [i for i, y in enumerate(b.values) if y is not None]
+    xs, ys = tuple(map(b.points.__getitem__, heard)), list(map(b.values.__getitem__, heard))
+    m, needed = len(heard), degree_bound + 1 + 2 * max_errors
     if m < needed:
         raise InsufficientEvaluations(
             f"{m} present evaluations, {needed} required for degree {degree_bound} "
             f"with {max_errors} errors"
         )
-    field = present[0].point.field
-    p = field.modulus
-    heard = point_set(tuple(e.point.value for e in present), p)
-    r, t = euclid_until(heard.master, heard.interpolate([e.value.value for e in present]),
-                        degree_bound + 1 + max_errors, p)
+    p = b.field.modulus
+    form = point_set(xs, p)
+    r, t = euclid_until(form.master, form.interpolate(ys), degree_bound + 1 + max_errors, p)
     if len(t) - 1 > max_errors or len(r) - (len(t) - 1) > degree_bound + 1:
         return _failure("no error locator explains the broadcast values")
     poly, rem = poly_divmod(r, t, p)
     if rem:
         return _failure("error locator does not divide the numerator")
-    values = poly_values(poly, [e.point.value for e in present], p)
-    bad = frozenset(e.node for e, y in zip(present, values) if y != e.value.value)
+    bad = frozenset(b.nodes[i] for i, y, z in zip(heard, ys, poly_values(poly, xs, p)) if y != z)
     if len(bad) > max_errors:  # each disagreement is a root of t, so this cannot happen
         raise AssertionError(f"decoded polynomial disagrees with {len(bad)} entries")
     return DecodeOutcome(
         status=RECOVERED,
-        poly=Polynomial(field, poly),
+        poly=Polynomial(b.field, poly),
         error_positions=bad,
         diagnostics=f"{len(bad)} corrected among {m} present entries",
     )
@@ -163,25 +158,28 @@ def known_behavior_decode(
     must still agree at every honest shard point; disagreement means max_errors
     understated the corruption and is a diagnosed failure, not an answer.
     """
+    if max_errors < 0:
+        raise ValueError("max_errors must be >= 0")
     degree_bound = params.composed_degree
-    by_tuple: dict[tuple, list[BroadcastEntry]] = {}
-    for entry in b:
+    cells: dict[tuple, list[int]] = {}  # version tuple -> column indices of its nodes
+    for i, node in enumerate(b.nodes):
         try:
-            tup = assignment.tuple_for(entry.node)
+            tup = assignment.node_tuples[node]
         except KeyError:
-            raise ValueError(f"assignment does not cover node {entry.node}") from None
-        by_tuple.setdefault(tup, []).append(entry)
+            raise ValueError(f"assignment does not cover node {node}") from None
+        cells.setdefault(tup, []).append(i)
 
     attempted = 0
     certified: list[tuple[tuple, DecodeOutcome]] = []
     for tup in all_version_tuples(assignment.v, len(assignment.producers)):
-        cell = by_tuple.get(tup, [])
-        present = sum(1 for entry in cell if entry.value is not None)
+        cell = cells.get(tup, [])
+        present = sum(b.values[i] is not None for i in cell)
         budget = min(max_errors, (present - degree_bound - 1) // 2)
         if budget < 0:
             continue
         attempted += 1
-        out = rs_decode(BroadcastSet(cell), degree_bound, budget)
+        out = rs_decode(BroadcastSet((b.nodes[i], b.field(b.points[i]), b.values[i])
+                                     for i in cell), degree_bound, budget)
         if not out.recovered:
             continue
         fit = present - len(out.error_positions)

@@ -202,7 +202,8 @@ class FieldElement:
 class ResidueVector:
     """Immutable sequence of residues in [0, p), one per node, with elementwise `+ - *` and
     `**` by an int, so a `VerificationFn` runs at every node at once. It mixes with ints,
-    same-field elements and equal-length vectors; another field or length raises ValueError."""
+    same-field elements and equal-length vectors; another field or length raises ValueError.
+    Vectors are equal when their moduli and their values are."""
 
     __slots__ = ("values", "field")
 
@@ -230,6 +231,12 @@ class ResidueVector:
 
     def __len__(self) -> int: return len(self.values)
     def __getitem__(self, i: int) -> int: return self.values[i]
+    def __hash__(self) -> int: return hash((self.field.modulus, self.values))
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, ResidueVector):
+            return self.field.modulus == other.field.modulus and self.values == other.values
+        return NotImplemented
 
     def __pow__(self, e: int):
         if e < 0 and 0 in self.values:

@@ -6,10 +6,10 @@ payloads are single field elements; coding a vector payload would act
 componentwise and adds nothing to the phenomena studied here.
 
 The encoding is a fixed linear map, the N x K Lagrange matrix. `encode_at_node`
-applies one row of it; `EncodingParams.encode` applies all of it to one view as
-a single big-integer sum of the K columns, each packed into one int
-(`field_poly.PackedMap`); `EncodingParams.encode_each` encodes each node's own
-view, packing the shards on which the views agree.
+applies one row of it to one view; `EncodingParams.encode_each` takes one view per
+node, in node order, and applies the matrix to the shards on which the views agree
+as a single big-integer sum of their columns, each packed into one int
+(`field_poly.PackedMap`).
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from operator import mul
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from .field_poly import (
     FieldElement,
@@ -102,46 +102,33 @@ class EncodingParams:
         column packed as one int with a slot per node."""
         return PackedMap(self._transposed, self.field.modulus)
 
-    def encode(self, view: ReceivedProposals) -> list[int]:
-        """Coded residue at every node, index n-1 for node n, of a view of ints (reduced
-        mod p) or same-field elements; an element of another field raises ValueError.
-        One sum of view[k-1] times packed column k-1 of the Lagrange matrix, unpacked once."""
-        if len(view) != self.K:
-            raise ValueError("a view must contain exactly one payload per shard")
-        return self._columns.apply([self.field.residue(x) for x in view])
-
-    def encode_each(self, views: Mapping[int, ReceivedProposals]) -> dict[int, int]:
-        """Coded residue of each node's own view, keyed by node; views as in `encode`.
+    def encode_each(self, views: Sequence[ReceivedProposals]) -> list[int]:
+        """Entry n - 1 is node n's coded residue of views[n - 1], its view of ints (reduced
+        mod p) or same-field elements. A view count other than N raises ValueError, and
+        so do a view without one payload per shard and an element of another field.
 
         The encoding is linear in the view, so it splits by shard. Each distinct view is
         reduced to residues once. The shards on which all the views agree are encoded at
-        every node by one packed sum (as in `encode`); each node then adds a dot product of
-        its Lagrange row and its own view over the shards where the views differ: one
-        packed sum and one short dot product a node, however many distinct views there
-        are. Node indices outside 1..N raise ValueError.
+        every node by one sum of the packed Lagrange columns, unpacked once; each node then
+        adds the dot product of its Lagrange row and its own view over the shards where the
+        views differ, however many distinct views there are.
         """
-        if not views:
-            return {}
-        nodes, p = list(views), self.field.modulus
-        if not 1 <= min(nodes) <= max(nodes) <= self.N:
-            raise ValueError(f"node indices must lie in 1..{self.N}")
-        reduced = {view: tuple(map(self.field.residue, view)) for view in set(views.values())}
+        if len(views) != self.N:
+            raise ValueError(f"{len(views)} views given, one per node needs {self.N}")
+        reduced = {view: tuple(map(self.field.residue, view)) for view in set(views)}
         distinct = list(set(reduced.values()))
         if any(len(view) != self.K for view in distinct):
             raise ValueError("a view must contain exactly one payload per shard")
         varying = [k for k, values in enumerate(zip(*distinct)) if len(set(values)) > 1]
-        common = list(distinct[0])
-        for k in varying:
-            common[k] = 0
-        coded = (0, *self._columns.apply(common))  # coded[n]: node n's code of the common shards
+        common = [0 if k in varying else x for k, x in enumerate(distinct[0])]
+        coded = self._columns.apply(common)  # every node's code of the common shards
         if not varying:
-            return dict(zip(nodes, map(coded.__getitem__, nodes)))
-        # rows[n]: node n's Lagrange coefficients on the varying shards
-        rows = (None, *zip(*[self._transposed[k] for k in varying]))
+            return coded
+        rows = zip(*[self._transposed[k] for k in varying])  # Lagrange rows on varying shards
         payloads = {view: list(map(r.__getitem__, varying)) for view, r in reduced.items()}
-        dots = map(sum, map(map, itertools.repeat(mul), map(rows.__getitem__, nodes),
-                            map(payloads.__getitem__, views.values())))
-        return {n: (c + d) % p for n, c, d in zip(nodes, map(coded.__getitem__, nodes), dots)}
+        dots = map(sum, map(map, itertools.repeat(mul), rows, map(payloads.__getitem__, views)))
+        p = self.field.modulus
+        return [(c + d) % p for c, d in zip(coded, dots)]
 
     @property
     def composed_degree(self) -> int:
@@ -161,7 +148,7 @@ class EncodingParams:
 def encode_at_node(received: ReceivedProposals, params: EncodingParams, n: int) -> FieldElement:
     """Coded block at node n: one dot product of row n of the Lagrange matrix with a view
     of residues or same-field elements (an element of another field raises ValueError).
-    `EncodingParams.encode` gives every node's block at once; this is its one-node oracle."""
+    `EncodingParams.encode_each` gives every node's block at once; this is its one-node oracle."""
     if not 1 <= n <= params.N:
         raise ValueError(f"node index {n} out of range 1..{params.N}")
     if len(received) != params.K:

@@ -17,7 +17,6 @@ from typing import Callable, Sequence
 from .adversary import AdversaryConfig, assign_versions, corrupt_results, forge_versions
 from .decoder import (
     FAILURE,
-    BroadcastEntry,
     BroadcastSet,
     DecodeOutcome,
     InsufficientEvaluations,
@@ -233,19 +232,17 @@ def run_epoch(
             view[k - 1] = versions[k][version - 1]
         built[tup] = tuple(view)
     first_view = built[ones]
-    views = {n: built[node_tuples.get(n, ones)] for n in range(1, params.N + 1)}
+    views = [built[node_tuples.get(n, ones)] for n in range(1, params.N + 1)]
     for k in producers:
         delivered = {view[k - 1] for view in built.values()}
         if len(delivered) > adversary.v:
             raise AssertionError("injection cap violated")
 
-    # 2. every node encodes its own view; one vector call checks them all, honest ones kept
+    # 2. every node encodes its own view; one vector call checks them all
     coded = params.encode_each(views)
-    checked = fn.evaluate(ResidueVector(coded.values(), field), sim.coded_columns).values
-    results = {n: FieldElement(checked[n - 1], field) for n in honest_ids}
+    results = list(fn.evaluate(ResidueVector(coded, field), sim.coded_columns).values)
 
-    # 3. adversarial nodes broadcast per strategy
-    n_silent = 0
+    # 3. adversarial nodes overwrite their results per strategy
     if adv_nodes:
         target_poly = None
         if adversary.broadcast_strategy == "honest_looking":
@@ -258,17 +255,14 @@ def run_epoch(
             rng,
             poly=target_poly,
         )
-        results.update(corrupted)
-        n_silent = sum(1 for v in corrupted.values() if v is None)
-
-    broadcast = BroadcastSet(
-        [BroadcastEntry(n, alpha, results[n]) for n, alpha in enumerate(params.alphas, 1)]
-    )
+        for n, value in corrupted.items():
+            results[n - 1] = value
+    broadcast = BroadcastSet(zip(range(1, params.N + 1), params.alphas, results))
 
     # 4. every honest node decodes the same broadcast set
     degree_bound = params.composed_degree
-    present = len(broadcast.present())
-    max_errors = (present - degree_bound - 1) // 2
+    n_silent = broadcast.values.count(None)
+    max_errors = (params.N - n_silent - degree_bound - 1) // 2
     try:
         outcome = rs_decode(broadcast, degree_bound, max(max_errors, 0))
     except InsufficientEvaluations as exc:
@@ -322,7 +316,7 @@ def _canonical_blocks(sim, decoded_poly, first_view, views, producers):
     if not producers:
         return first_view
     params, fn = sim.params, sim.fn
-    for view in set(views.values()):
+    for view in set(views):
         composed = compose_verification(
             build_coded_poly(view, params), sim.history_polys, fn
         )
@@ -334,24 +328,24 @@ def _canonical_blocks(sim, decoded_poly, first_view, views, producers):
 def _append_epoch(sim, canonical, bits, views, coded):
     """Append e_k * X_k per shard and the column of matching coded entries.
 
-    Views are residue tuples, each distinct one masked once into what a node encodes and
-    its chain-id key; only the K accepted blocks are boxed, and the coded entries are
-    appended as one column of residues. `coded` is step 2's encoding of `views`, appended
-    as it is when every node's masked own view is its view.
+    `views[n - 1]` is node n's view, a residue tuple; each distinct one is masked once into
+    what a node encodes and its chain-id key. Only the K accepted blocks are boxed, and the
+    coded entries are appended as one column of residues. `coded` is step 2's encoding of
+    `views`, appended as it is when every node's masked own view is its view.
     Honest nodes encode *their own* received view, so a node whose view lost
     the decode silently diverges; the epoch's adversarial nodes track the canonical chain.
     """
     field, chains = sim.params.field, sim.node_chains
-    masked = {view: tuple(map(mul, bits, view)) for view in {canonical, *views.values()}}
-    owns = {n: masked[canonical if n in sim.adversarial_nodes else view]
-            for n, view in views.items()}
+    masked = {view: tuple(map(mul, bits, view)) for view in {canonical, *views}}
+    owns = [masked[canonical if n in sim.adversarial_nodes else view]
+            for n, view in enumerate(views, 1)]
     for chain, block in zip(sim.chains, masked[canonical]):
         chain.history.append(FieldElement(block, field))
     if owns != views:
         coded = sim.params.encode_each(owns)
-    sim.coded_columns.append(ResidueVector(coded.values(), field))
-    for n, own in owns.items():
-        chains[n - 1] = sim.chain_ids.setdefault((chains[n - 1], own), len(sim.chain_ids) + 1)
+    sim.coded_columns.append(ResidueVector(coded, field))
+    for i, own in enumerate(owns):
+        chains[i] = sim.chain_ids.setdefault((chains[i], own), len(sim.chain_ids) + 1)
 
 
 @dataclass(frozen=True)

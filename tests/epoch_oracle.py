@@ -115,7 +115,7 @@ class OracleSimulation:
         broadcast = BroadcastSet([BroadcastEntry(n, self.alphas[n - 1], results[n])
                                   for n in range(1, N + 1)])
         degree_bound = self.d * (K - 1)
-        present = len(broadcast.present())
+        present = sum(value is not None for value in broadcast.values)
         try:
             outcome = berlekamp_welch(broadcast, degree_bound,
                                       max((present - degree_bound - 1) // 2, 0))

@@ -76,9 +76,12 @@ MUTANTS = (
            "lambda mine, theirs: theirs - mine",
            "lambda mine, theirs: mine - theirs", ("tests/test_field_poly.py",)),
     Mutant("coded-column-appended-one-node-off", SIM,
-           "coded_columns.append(ResidueVector(coded.values(), field))",
-           "coded_columns.append(ResidueVector([*list(coded.values())[1:], 0], field))",
-           SIM_TESTS),
+           "coded_columns.append(ResidueVector(coded, field))",
+           "coded_columns.append(ResidueVector([*coded[1:], 0], field))", SIM_TESTS),
+    Mutant("results-column-written-one-node-off", SIM,
+           "results[n - 1] = value", "results[n % params.N] = value",
+           (RUN_EPOCH + "::test_honest_looking_broadcasts_fit_the_version_1_view",
+            EPOCH_ORACLE)),
     Mutant("append-always-reuses-step-2-column", SIM,
            "    if owns != views:\n        coded = sim.params.encode_each(owns)\n", "",
            (RUN_EPOCH + "::test_rejected_shard_appends_zero_and_masked_encodings",
@@ -124,6 +127,17 @@ MUTANTS = (
     Mutant("rows-cutoff-made-strict", FIELD,
            "if len(xs) <= _ROWS_UP_TO:", "if len(xs) < _ROWS_UP_TO:",
            (TREE + "::test_at_the_cutoff",)),
+    Mutant("slot-width-without-terms", FIELD,
+           "2 * (p - 1).bit_length() + terms.bit_length() + 7", "2 * (p - 1).bit_length() + 7",
+           ("tests/test_field_poly.py::TestKroneckerProduct::test_all_max_coefficients",)),
+    Mutant("silent-entries-decoded-as-zero", DECODER,
+           "    heard = [i for i, y in enumerate(b.values) if y is not None]\n"
+           "    xs, ys = tuple(map(b.points.__getitem__, heard)), "
+           "list(map(b.values.__getitem__, heard))\n",
+           "    heard = range(len(b.values))\n"
+           "    xs, ys = b.points, [y or 0 for y in b.values]\n",
+           (RS_DECODE + "::test_missing_entries_are_shortened",
+            "tests/test_decoder.py::TestSilentEntriesAreDropped")),
     Mutant("gao-stops-one-degree-late", DECODER,
            "degree_bound + 1 + max_errors, p)", "degree_bound + 2 + max_errors, p)",
            (RS_DECODE + "::test_boundary_error_tolerance",)),
@@ -146,13 +160,16 @@ MUTANTS = (
            "if len(set(values)) > 1]", "if len(set(values)) > 1][1:]",
            ("tests/test_lcc.py::TestEncodeAllNodes::test_each_matches_encode_at_node",)),
     Mutant("chain-id-parent-set-to-genesis", SIM,
-           "setdefault((chains[n - 1], own)", "setdefault((0, own)", (CHAIN_IDS,)),
+           "setdefault((chains[i], own)", "setdefault((0, own)", (CHAIN_IDS,)),
     Mutant("messages-ignore-silent-nodes", SIM,
            "+ (params.N - n_silent) * params.N,", "+ params.N * params.N,",
            ("tests/test_polyshard_sim.py::TestCommLoad::"
             "test_epoch_messages_total_matches_comm_load",)),
     Mutant("chain-divergence-counts-adversaries", SIM,
            "if n not in adversarial})", "})", (CHAIN_IDS,)),
+    Mutant("config-validator-without-integral-floats", "src/shardlab/cli.py",
+           "cls=_ConfigValidator", "cls=_Validator",
+           ("tests/test_cli.py::TestConfigValidation::test_integral_floats_are_config_errors",)),
 )
 
 IGNORE = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", ".hypothesis",

@@ -1,8 +1,9 @@
 """Berlekamp-Welch decoding through one dense linear solve: the oracle for `rs_decode`.
 
 `solve_linear` and `berlekamp_welch` are the library's former `field_poly.solve_linear`
-and `decoder.rs_decode`, unchanged: the decoder now runs Gao's algorithm, and these
-stay here so tests can check that both decoders give the same outcome.
+and `decoder.rs_decode`, unchanged but for reading the broadcast set's columns: the
+decoder now runs Gao's algorithm, and these stay here so tests can check that both
+decoders give the same outcome.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ def berlekamp_welch(b: BroadcastSet, degree_bound: int, max_errors: int) -> Deco
     """
     if degree_bound < 0 or max_errors < 0:
         raise ValueError("degree_bound and max_errors must be >= 0")
-    present = b.present()
+    present = [(node, x, y) for node, x, y in zip(b.nodes, b.points, b.values) if y is not None]
     m = len(present)
     needed = degree_bound + 1 + 2 * max_errors
     if m < needed:
@@ -53,15 +54,13 @@ def berlekamp_welch(b: BroadcastSet, degree_bound: int, max_errors: int) -> Deco
             f"{m} present evaluations, {needed} required for degree {degree_bound} "
             f"with {max_errors} errors"
         )
-    field = present[0].point.field
+    field = b.field
     p = field.modulus
     e = max_errors
     qn = degree_bound + e + 1  # numerator coefficient count
     rows = []
     rhs = []
-    for entry in present:
-        x = entry.point.value
-        y = entry.value.value
+    for _, x, y in present:
         powers = [1]
         for _ in range(degree_bound + e):
             powers.append(powers[-1] * x % p)
@@ -82,9 +81,7 @@ def berlekamp_welch(b: BroadcastSet, degree_bound: int, max_errors: int) -> Deco
         return _failure(
             f"candidate polynomial has degree {quotient.degree}, bound is {degree_bound}"
         )
-    bad = frozenset(
-        entry.node for entry in present if quotient(entry.point) != entry.value
-    )
+    bad = frozenset(node for node, x, y in present if quotient(field(x)) != y)
     if len(bad) > max_errors:
         return _failure(
             f"candidate polynomial disagrees with {len(bad)} entries, only "

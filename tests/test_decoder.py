@@ -37,22 +37,22 @@ def broadcast_from(points):
     )
 
 
-def exhaustive_fit(entries, degree_bound, max_errors):
+def exhaustive_fit(b, degree_bound, max_errors):
     """Brute-force oracle: search every error hypothesis for a consistent fit.
 
-    Tries each subset of at most max_errors positions as errors, interpolates
-    the first degree_bound+1 survivors and checks the rest; returns every
-    distinct polynomial that explains the data.
+    Tries each subset of at most max_errors of b's present entries as errors,
+    interpolates the first degree_bound+1 survivors and checks the rest; returns
+    every distinct polynomial that explains the data.
     """
+    entries = [(b.field(x), b.field(y)) for x, y in zip(b.points, b.values) if y is not None]
     fits = []
     for r in range(max_errors + 1):
         for bad in itertools.combinations(range(len(entries)), r):
             kept = [e for i, e in enumerate(entries) if i not in bad]
             if len(kept) < degree_bound + 1:
                 continue
-            head = [(e.point, e.value) for e in kept[: degree_bound + 1]]
-            poly = lagrange_interpolate(head)
-            if all(poly(e.point) == e.value for e in kept):
+            poly = lagrange_interpolate(kept[: degree_bound + 1])
+            if all(poly(x) == y for x, y in kept):
                 if poly not in fits:
                     fits.append(poly)
     return fits
@@ -73,7 +73,7 @@ class TestRsDecode:
         points[2] = (gf7(3), gf7.zero)  # corrupt the node at x=3
         b = broadcast_from(points)
         # brute force over all single-error hypotheses: unique explanation
-        fits = exhaustive_fit(b.present(), 1, 1)
+        fits = exhaustive_fit(b, 1, 1)
         assert fits == [poly]
         out = rs_decode(b, degree_bound=1, max_errors=1)
         assert out.recovered
@@ -94,7 +94,7 @@ class TestRsDecode:
             for n in range(1, 13)
         ]
         b = broadcast_from(entries)
-        assert exhaustive_fit(b.present(), 4, 1) == []  # no poly fits within 1 error
+        assert exhaustive_fit(b, 4, 1) == []  # no poly fits within 1 error
         out = rs_decode(b, degree_bound=4, max_errors=1)
         assert not out.recovered
 
@@ -135,6 +135,17 @@ class TestRsDecode:
             broadcast_from(points)
         with pytest.raises(ValueError, match="node 3: "):  # a silent entry's point counts
             broadcast_from(points[:2] + [(gf97(4), None)])
+
+    def test_columns_hold_residues_and_int_values_are_reduced(self, gf97, gf7):
+        b = BroadcastSet([BroadcastEntry(4, gf97(10), gf97(3)), BroadcastEntry(2, gf97(11), 200),
+                          BroadcastEntry(9, gf97(12), None), (7, gf97(13), -1)])
+        assert b.field == gf97 and len(b) == 4
+        assert (b.nodes, b.points, b.values) == ((4, 2, 9, 7), (10, 11, 12, 13), (3, 6, None, 96))
+        empty = BroadcastSet([])
+        assert (empty.field, empty.nodes, empty.points, empty.values) == (None, (), (), ())
+        for bad in (gf7(5), "x"):  # ints pass, elements of another field and non-numbers not
+            with pytest.raises(ValueError, match="^node 2: .* GF\\(97\\)"):
+                BroadcastSet([(1, gf97(1), 5), (2, gf97(2), bad), (3, gf97(3), gf7(1))])
 
     def test_missing_entries_are_shortened(self, gf97, rng):
         poly = Polynomial(gf97, [3, 1, 4])
@@ -198,7 +209,7 @@ class TestRsDecode:
                 x, y = points[i]
                 points[i] = (x, y + gf97.random_nonzero(rng))
             b = broadcast_from(points)
-            fits = exhaustive_fit(b.present(), degree, budget)
+            fits = exhaustive_fit(b, degree, budget)
             assert len(fits) <= 1
             out = rs_decode(b, degree, budget)
             if fits:
@@ -226,7 +237,8 @@ class TestRsDecode:
         assert out.poly == poly
         assert out.error_positions == frozenset(nodes[:budget])
         assert out.diagnostics == f"{budget} corrected among {heard} present entries"
-        form = point_set(tuple(e.point.value for e in b.present()), field.modulus)
+        form = point_set(tuple(x for x, y in zip(b.points, b.values) if y is not None),
+                         field.modulus)
         assert (form._rows is None) == (heard > field_poly._ROWS_UP_TO)
 
     def test_soundness_of_recovered(self, field, rng):
@@ -282,7 +294,8 @@ class TestSilentEntriesAreDropped:
     @settings(max_examples=200, deadline=None)
     def test_same_outcome_as_the_heard_entries_alone(self, case):
         b, d, _ = case
-        heard = BroadcastSet(b.present())
+        heard = BroadcastSet((n, b.field(x), y) for n, x, y in zip(b.nodes, b.points, b.values)
+                             if y is not None)
         assume(len(heard) < len(b))
         for e in range((len(heard) - d - 1) // 2 + 1):
             full, dropped = rs_decode(b, d, e), rs_decode(heard, d, e)
@@ -452,6 +465,19 @@ class TestKnownBehaviorDecode:
         )
         with pytest.raises(ValueError, match="^assignment does not cover node 3$"):
             known_behavior_decode(BroadcastSet(entries), assignment, 1, params)
+
+    def test_negative_max_errors_rejected(self, gf97, rng):
+        # two cells of 6 nodes each hold the D + 1 = 5 evaluations a cell needs: the fault
+        # is the negative budget, as in rs_decode, not too few evaluations
+        params = EncodingParams.default(3, 12, 2, gf97)
+        entries = [BroadcastEntry(n, alpha, gf97.random(rng))
+                   for n, alpha in enumerate(params.alphas, 1)]
+        assignment = VersionAssignment(producers=(1,), v=2,
+                                       node_tuples={n: ((n > 6) + 1,) for n in range(1, 13)})
+        with pytest.raises(ValueError, match="^max_errors must be >= 0$"):
+            known_behavior_decode(BroadcastSet(entries), assignment, -1, params)
+        with pytest.raises(ValueError, match=">= 0"):
+            rs_decode(BroadcastSet(entries), params.composed_degree, -1)
 
     def test_certified_cells_disagreeing_at_an_honest_shard_fail(self, field):
         # every broadcast of cell (2,) is corrupted consistently, onto the composition of

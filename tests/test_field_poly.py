@@ -162,6 +162,16 @@ class TestResidueVector:
         with pytest.raises(TypeError):
             ResidueVector([1, 2], GF97) + 1.5
 
+    def test_equal_moduli_and_values_compare_and_hash_equal(self, gf7):
+        v = ResidueVector([1, 2], GF97)
+        same = ResidueVector((x for x in (1, 2)), PrimeField(97))
+        assert v == same and hash(v) == hash(same) and len({v, same}) == 1
+        for other in (ResidueVector([1, 2], gf7), ResidueVector([2, 1], GF97),
+                      ResidueVector([1, 2, 0], GF97)):
+            assert v != other and other != v
+        for other in ((1, 2), [1, 2], GF97(1)):  # a vector equals only a vector
+            assert v != other and other != v
+
 
 class TestPolynomial:
     def test_eval_square(self, gf7):

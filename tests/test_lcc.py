@@ -213,7 +213,7 @@ class TestEncodeAtNode:
 
 
 class TestEncodeAllNodes:
-    """`EncodingParams.encode` against its one-node oracle `encode_at_node`."""
+    """`EncodingParams.encode_each` against its one-node oracle `encode_at_node`."""
 
     @pytest.mark.parametrize("K, N", [(1, 1), (1, 7), (4, 9), (20, 120), (30, 12)])
     def test_matches_encode_at_node_on_default_layout(self, field, rng, K, N):
@@ -223,7 +223,7 @@ class TestEncodeAllNodes:
                  tuple(rng.randrange(-2 * p, 3 * p) for _ in range(K))]  # ints out of range
         views.append(tuple(x.value for x in views[0]))
         for view in views:
-            coded = params.encode(view)
+            coded = params.encode_each([view] * N)
             assert coded == [encode_at_node(view, params, n).value for n in range(1, N + 1)]
 
     def test_matches_encode_at_node_on_custom_layout(self, gf97, gf7, rng):
@@ -233,14 +233,15 @@ class TestEncodeAllNodes:
             residues = tuple(rng.randrange(-200, 300) for _ in range(4))
             elements = tuple(map(gf97, residues))
             expected = [encode_at_node(residues, params, n).value for n in range(1, 6)]
-            assert params.encode(residues) == params.encode(elements) == expected
+            assert (params.encode_each([residues] * 5) == params.encode_each([elements] * 5)
+                    == expected)
         for k in range(4):
             for view in (elements, residues):
                 mixed = view[:k] + (gf7(3),) + view[k + 1:]
                 with pytest.raises(ValueError, match="different field"):
-                    params.encode(mixed)
+                    params.encode_each([mixed] * 5)
         with pytest.raises(ValueError, match="one payload per shard"):
-            params.encode(residues[:3])
+            params.encode_each([residues[:3]] * 5)
 
     @pytest.mark.parametrize("K, N", [(1, 1), (3, 8), (6, 40), (20, 120)])
     def test_each_matches_encode_at_node(self, field, K, N):
@@ -254,11 +255,9 @@ class TestEncodeAllNodes:
                 for k in varying:
                     view[k] = rng.choice((0, p - 1, p, rng.randrange(p)))
                 pool.append(tuple(view))
-            nodes = rng.sample(range(1, N + 1), rng.randrange(1, N + 1))
-            views = {n: rng.choice(pool) for n in nodes}
-            coded = params.encode_each(views)
-            assert list(coded) == nodes
-            assert coded == {n: encode_at_node(view, params, n).value for n, view in views.items()}
+            views = [rng.choice(pool) for _ in range(N)]
+            assert params.encode_each(views) == [
+                encode_at_node(view, params, n).value for n, view in enumerate(views, 1)]
 
     def test_each_matches_encode_at_node_on_element_views(self, gf97, gf7, rng):
         # same-field element views that differ at one shard, alone or beside int views,
@@ -267,24 +266,23 @@ class TestEncodeAllNodes:
         for _ in range(20):
             v1 = tuple(gf97.random(rng) for _ in range(3))
             v2 = (v1[0], v1[1] + gf97.random_nonzero(rng), v1[2])
-            for views in ({1: v1, 2: v2}, {1: v1, 3: v2, 4: v1, 6: v2},
-                          {2: v2, 5: tuple(x.value + 97 for x in v1)}):
-                assert params.encode_each(views) == {
-                    n: encode_at_node(view, params, n).value for n, view in views.items()}
-        # an element of another field raises as in `encode`, on a varying shard or not
+            ints = tuple(x.value + 97 for x in v1)
+            for views in ([v1, v2] * 3, [v1, v1, v2, v1, v1, v2], [ints, v2, v1, v1, ints, v2]):
+                assert params.encode_each(views) == [
+                    encode_at_node(view, params, n).value for n, view in enumerate(views, 1)]
+        # an element of another field raises, on a varying shard or not
         foreign = (v1[0], gf7(3), v1[2])
-        for views in ({1: v1, 2: foreign}, {1: foreign, 2: foreign}):
+        for views in ([v1, foreign] * 3, [foreign] * 6):
             with pytest.raises(ValueError, match="different field"):
                 params.encode_each(views)
 
     def test_each_rejects_bad_nodes_and_views(self, field):
         params = EncodingParams.default(3, 8, 2, field)
-        assert params.encode_each({}) == {}
-        for bad in (0, 9, -1):
-            with pytest.raises(ValueError, match="node indices"):
-                params.encode_each({1: (1, 2, 3), bad: (1, 2, 3)})
+        for count in (0, 1, 7, 9):
+            with pytest.raises(ValueError, match=f"^{count} views given, one per node needs 8$"):
+                params.encode_each([(1, 2, 3)] * count)
         with pytest.raises(ValueError, match="one payload per shard"):
-            params.encode_each({1: (1, 2, 3), 2: (1, 2)})
+            params.encode_each([(1, 2, 3)] * 7 + [(1, 2)])
 
 
 class TestBuildCodedPoly:

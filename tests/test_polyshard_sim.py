@@ -197,12 +197,13 @@ class TestRunEpoch:
         def runs():
             sim = make_sim(field, K=4, N=14)
             adv = discrepancy_adversary({13, 14}, v=2)
-            return [
+            reports = [
                 run_epoch(sim, adv if t == 1 else None, rng=1000 + t).to_json_dict()
                 for t in range(3)
             ]
+            return reports, sim.coded_columns, sim.node_chains
 
-        assert runs() == runs()
+        assert runs() == runs()  # coded columns compare by modulus and residues
 
     @pytest.mark.parametrize("nodes, producers, bad", [
         pytest.param({12}, (0,), "producer 0", id="producer-0"),
@@ -251,16 +252,16 @@ class TestRunEpoch:
         owns, append = [], polyshard_sim._append_epoch
 
         def recording_append(sim, canonical, bits, views, coded):
-            owns.append({n: tuple(b * x for b, x in zip(
+            owns.append([tuple(b * x for b, x in zip(
                 bits, canonical if n in sim.adversarial_nodes else view))
-                for n, view in views.items()})
+                for n, view in enumerate(views, 1)])
             append(sim, canonical, bits, views, coded)
 
         monkeypatch.setattr(polyshard_sim, "_append_epoch", recording_append)
         for t in range(2):
             report = run_epoch(sim, None, rng=t)
             assert report.accepted[1] == [1, 0, 1, 1]
-            for n, own in owns[-1].items():
+            for n, own in enumerate(owns[-1], 1):
                 assert own[1] == 0
                 assert sim.coded_columns[-1][n - 1] == encode_at_node(own, sim.params, n).value
         assert sim.chains[1].history == [field(2), field.zero, field.zero]
@@ -289,12 +290,12 @@ class TestRunEpoch:
             history = list(sim.history_polys)
             base = [sim.fn.valid_block(c.history) for c in sim.chains]
             run_epoch(sim, adversary, rng=90 + t)
-            entries = {e.node: e for e in broadcasts[-1]}
+            values = dict(zip(broadcasts[-1].nodes, broadcasts[-1].values))
             targets = [compose_verification(build_coded_poly((version, *base[1:]), sim.params),
                                             history, sim.fn) for version in forged[-1]]
             for n in (11, 12):
                 alpha = sim.params.alphas[n - 1]
-                assert entries[n].value == targets[0](alpha) != targets[1](alpha)
+                assert values[n] == targets[0](alpha).value != targets[1](alpha).value
 
     def test_decoded_dominant_version_is_appended(self, gf97, monkeypatch):
         # 16 honest nodes see version 2 of shard 1 and 2 see version 1: the
@@ -406,7 +407,7 @@ class TestDivergence:
 
         def recording_append(sim, canonical, bits, views, coded):
             for n, history in histories.items():
-                view = views[n] if n not in sim.adversarial_nodes else canonical
+                view = views[n - 1] if n not in sim.adversarial_nodes else canonical
                 history.append(tuple(field.residue(b * x) for b, x in zip(bits, view)))
             append(sim, canonical, bits, views, coded)
 
@@ -439,17 +440,17 @@ class TestManyViewEpochs:
         owns, append = [], polyshard_sim._append_epoch
 
         def recording_append(sim, canonical, bits, views, coded):
-            owns.append({n: tuple(b * x for b, x in zip(
+            owns.append([tuple(b * x for b, x in zip(
                 bits, view if n not in sim.adversarial_nodes else canonical))
-                for n, view in views.items()})
+                for n, view in enumerate(views, 1)])
             append(sim, canonical, bits, views, coded)
 
         monkeypatch.setattr(polyshard_sim, "_append_epoch", recording_append)
         adversary = discrepancy_adversary(range(35, 41), producers=(1, 2, 3, 4))
         for t in range(2):
             run_epoch(sim, adversary, rng=80 + t)
-            assert len(owns) == t + 1 and len(set(owns[-1].values())) >= 8
-            for n, own in owns[-1].items():
+            assert len(owns) == t + 1 and len(set(owns[-1])) >= 8
+            for n, own in enumerate(owns[-1], 1):
                 assert sim.coded_columns[-1][n - 1] == encode_at_node(own, sim.params, n).value
 
 
@@ -553,17 +554,17 @@ def adversaries(draw, K, N):
 @st.composite
 def epoch_runs(draw):
     field = PrimeField(draw(st.sampled_from([97, DEFAULT_MODULUS])))
-    K, d = draw(st.integers(1, 5)), draw(st.integers(1, 3))
-    N = draw(st.integers(d * (K - 1) + 1, 30))
+    K, d = draw(st.integers(1, 6)), draw(st.integers(1, 3))
+    N = draw(st.integers(d * (K - 1) + 1, 40))
     fn = draw(st.sampled_from([power_check(d), history_power_check(d, field(3))]))
     config = dict(invalid_proposer_shards=frozenset(draw(st.sets(st.integers(1, K)))),
                   failure_policy=draw(st.sampled_from(["stall", "append_own_view"])),
                   accept_set=draw(st.sampled_from([None, ACCEPT_ALL])))
-    epochs = draw(st.lists(adversaries(K, N), min_size=1, max_size=3))
+    epochs = draw(st.lists(adversaries(K, N), min_size=1, max_size=4))
     return field, K, N, d, fn, config, epochs, draw(st.integers(0, 2**32))
 
 
-GF97 = PrimeField(97)
+GF97, P31 = PrimeField(97), PrimeField(DEFAULT_MODULUS)
 
 
 class TestEpochOracle:
@@ -579,6 +580,12 @@ class TestEpochOracle:
                                    targeted_map={n: (2,) if n <= 16 else (1,)
                                                  for n in range(1, 19)})],
                   5))
+    # 160 nodes hear more points than _ROWS_UP_TO, so the decode interpolates on the
+    # subproduct tree; 8 garbage broadcasters are corrected in each of the two epochs
+    @example(run=(P31, 3, 160, 2, history_power_check(2, P31(3)),
+                  dict(invalid_proposer_shards=frozenset({2}), failure_policy="stall",
+                       accept_set=None),
+                  [garbage_adversary(range(153, 161)), garbage_adversary(range(1, 9))], 11))
     @settings(max_examples=150, deadline=None)
     def test_run_epoch_matches_the_literal_epoch(self, run):
         field, K, N, d, fn, config, epochs, seed = run
