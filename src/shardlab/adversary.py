@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .field_poly import FieldElement, Polynomial
-from .lcc import VersionTuple, all_version_tuples
+from .lcc import VersionTuple
 
 
 class InfeasiblePartition(ValueError):
@@ -70,18 +70,6 @@ class VersionAssignment:
             if any(not 1 <= x <= self.v for x in tup):
                 raise ValueError(f"node {node}: version outside 1..{self.v}")
 
-    def tuple_for(self, node: int) -> VersionTuple:
-        return self.node_tuples[node]
-
-    def cells(self) -> dict[VersionTuple, tuple[int, ...]]:
-        """Nodes grouped by full version tuple, every tuple present (maybe empty)."""
-        out: dict[VersionTuple, list[int]] = {
-            t: [] for t in all_version_tuples(self.v, len(self.producers))
-        }
-        for node in sorted(self.node_tuples):
-            out[self.node_tuples[node]].append(node)
-        return {t: tuple(ns) for t, ns in out.items()}
-
 
 def forge_versions(
     history: Sequence[FieldElement],
@@ -132,6 +120,12 @@ def balanced_cells(items: Sequence, n_cells: int, cap: int | None = None) -> lis
     return cells
 
 
+def _tuple_at(index: int, v: int, width: int) -> VersionTuple:
+    """The index-th tuple of [1..v]^width in lexicographic (`itertools.product`)
+    order: index written as width base-v digits, most significant first."""
+    return tuple(index // v**j % v + 1 for j in reversed(range(width)))
+
+
 def assign_versions(
     nodes: Sequence[int],
     config: AdversaryConfig,
@@ -139,18 +133,21 @@ def assign_versions(
 ) -> VersionAssignment:
     """Assign a version tuple to every node per the configured strategy.
 
-    balanced: `balanced_cells` over all v^(producers) tuples, in tuple order.
-    random: i.i.d. uniform tuples (needs rng). targeted: the explicit map.
+    balanced: nodes[i] gets tuple i mod v^(producers), with the tuples in
+    lexicographic order; this is the round robin of `balanced_cells`, which
+    `proof_params` applies to its points. random: i.i.d. uniform tuples (needs
+    rng). targeted: the explicit map. No strategy lists the tuple space.
     """
-    tuples = all_version_tuples(config.v, config.beta_prime)
     strategy = config.assignment_strategy
+    v, width = config.v, config.beta_prime
+    n_tuples = v**width
     if strategy == "balanced":
-        cells = balanced_cells(nodes, len(tuples))
-        mapping = {node: t for t, cell in zip(tuples, cells) for node in cell}
+        tuples = [_tuple_at(i, v, width) for i in range(min(len(nodes), n_tuples))]
+        mapping = {node: tuples[i % len(tuples)] for i, node in enumerate(nodes)}
     elif strategy == "random":
         if rng is None:
             raise ValueError("random strategy needs an rng")
-        mapping = {node: tuples[rng.randrange(len(tuples))] for node in nodes}
+        mapping = {node: _tuple_at(rng.randrange(n_tuples), v, width) for node in nodes}
     else:
         if missing := [node for node in nodes if node not in config.targeted_map]:
             raise ValueError(f"node {missing[0]}: no version tuple in the targeted map")

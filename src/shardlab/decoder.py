@@ -18,7 +18,7 @@ from .adversary import VersionAssignment
 from .field_poly import (
     DuplicateAbscissa, FieldElement, Polynomial, euclid_until, point_set, poly_divmod, poly_values,
 )
-from .lcc import EncodingParams, all_version_tuples
+from .lcc import EncodingParams
 
 RECOVERED = "recovered"
 FAILURE = "failure"
@@ -149,14 +149,15 @@ def known_behavior_decode(
 ) -> DecodeOutcome:
     """Decode assuming the version each node received is known.
 
-    Entries are partitioned by full version tuple; each cell large enough to
-    interpolate is decoded on its own, at the composed degree bound D =
-    `params.composed_degree`, with an error budget scaled to the cell. A cell's
-    answer counts only when it fits at least D+1+max_errors of the cell's
-    entries: a wrong polynomial can fit at most D plus the corruptions inside the
-    cell, so every certified answer is the cell's true polynomial. Certified cells
-    must still agree at every honest shard point; disagreement means max_errors
-    understated the corruption and is a diagnosed failure, not an answer.
+    Entries are partitioned by full version tuple; each occupied cell large
+    enough to interpolate is decoded on its own, in tuple order, at the composed
+    degree bound D = `params.composed_degree`, with an error budget scaled to the
+    cell. A cell's answer counts only when it fits at least D+1+max_errors of the
+    cell's entries: a wrong polynomial can fit at most D plus the corruptions
+    inside the cell, so every certified answer is the cell's true polynomial.
+    Certified cells must still agree at every honest shard point; disagreement
+    means max_errors understated the corruption and is a diagnosed failure, not
+    an answer.
     """
     if max_errors < 0:
         raise ValueError("max_errors must be >= 0")
@@ -171,8 +172,7 @@ def known_behavior_decode(
 
     attempted = 0
     certified: list[tuple[tuple, DecodeOutcome]] = []
-    for tup in all_version_tuples(assignment.v, len(assignment.producers)):
-        cell = cells.get(tup, [])
+    for tup, cell in sorted(cells.items()):
         present = sum(b.values[i] is not None for i in cell)
         budget = min(max_errors, (present - degree_bound - 1) // 2)
         if budget < 0:

@@ -114,9 +114,10 @@ def proof_params(
     cells: Sequence[Sequence[FieldElement]] | None = None,
 ) -> AnalysisParams:
     """Adversarial layout at N nodes: 2*beta evaluation rows dropped, the rest
-    spread by `balanced_cells` (the simulation's balanced assignment) over all
-    version tuples with every cell held below d(K-1)+1 (the size at which a
-    cell would decode alone).
+    spread by `balanced_cells` over all version tuples with every cell held
+    below d(K-1)+1 (the size at which a cell would decode alone). The rule is
+    the simulation's balanced assignment: point i gets tuple i mod v^beta_prime,
+    with the tuples in lexicographic order.
 
     Canonical points (shard k at k, node n at K+n) are used; pass `cells`
     to pin an explicit partition of the retained points instead.

@@ -1,5 +1,7 @@
 import os
 import random
+import resource
+from pathlib import Path
 
 import pytest
 from hypothesis import settings
@@ -31,3 +33,22 @@ def field():
 @pytest.fixture
 def rng():
     return random.Random(0xC0DE)
+
+
+@pytest.fixture
+def bounded_memory():
+    """Cap the address space at 1 GiB above its current size for one test, so code that
+    lists a tuple space of 2^30 or more raises MemoryError instead of filling the machine."""
+    statm = Path("/proc/self/statm")
+    if not statm.exists():
+        yield
+        return
+    soft, hard = resource.getrlimit(resource.RLIMIT_AS)
+    cap = int(statm.read_text().split()[0]) * resource.getpagesize() + 2**30
+    if hard != resource.RLIM_INFINITY:
+        cap = min(cap, hard)
+    resource.setrlimit(resource.RLIMIT_AS, (cap, hard))
+    try:
+        yield
+    finally:
+        resource.setrlimit(resource.RLIMIT_AS, (soft, hard))

@@ -35,6 +35,8 @@ ECHELON = "tests/test_field_poly.py::TestPackedEchelon"
 EPOCH_ORACLE = "tests/test_polyshard_sim.py::TestEpochOracle"
 RUN_EPOCH = "tests/test_polyshard_sim.py::TestRunEpoch"
 RS_DECODE = "tests/test_decoder.py::TestRsDecode"
+ADVERSARY = "src/shardlab/adversary.py"
+ASSIGN = "tests/test_adversary.py::TestAssignVersions"
 TREE = "tests/test_field_poly.py::TestSubproductTree"
 CHAIN_IDS = ("tests/test_polyshard_sim.py::TestDivergence::"
              "test_chain_ids_match_full_masked_histories[append_own_view]")
@@ -167,6 +169,12 @@ MUTANTS = (
             "test_epoch_messages_total_matches_comm_load",)),
     Mutant("chain-divergence-counts-adversaries", SIM,
            "if n not in adversarial})", "})", (CHAIN_IDS,)),
+    Mutant("version-tuple-digits-reversed", ADVERSARY,
+           "for j in reversed(range(width)))", "for j in range(width))",
+           (ASSIGN + "::test_random_matches_the_enumeration_oracle",)),
+    Mutant("balanced-tuple-index-one-off", ADVERSARY,
+           "tuples[i % len(tuples)]", "tuples[(i + 1) % len(tuples)]",
+           (ASSIGN + "::test_balanced_matches_the_enumeration_oracle",)),
     Mutant("config-validator-without-integral-floats", "src/shardlab/cli.py",
            "cls=_ConfigValidator", "cls=_Validator",
            ("tests/test_cli.py::TestConfigValidation::test_integral_floats_are_config_errors",)),

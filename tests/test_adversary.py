@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from shardlab import (
     AdversaryConfig,
@@ -15,6 +17,7 @@ from shardlab import (
     run_epoch,
 )
 from shardlab.adversary import balanced_cells
+from shardlab.lcc import all_version_tuples
 from shardlab.polyshard_sim import history_power_check
 
 
@@ -25,6 +28,19 @@ def config(beta_nodes, producers=(), v=1, **kw):
         v=v,
         **kw,
     )
+
+
+def cells_of(assignment):
+    """Nodes grouped by full version tuple, every tuple present (maybe empty)."""
+    out = {t: [] for t in all_version_tuples(assignment.v, len(assignment.producers))}
+    for node in sorted(assignment.node_tuples):
+        out[assignment.node_tuples[node]].append(node)
+    return {t: tuple(ns) for t, ns in out.items()}
+
+
+# node ids in any order, so the tests see that assignment goes by position, not by id
+node_lists = st.lists(st.integers(1, 200), unique=True, max_size=30)
+tuple_spaces = {"v": st.integers(1, 4), "width": st.integers(0, 3)}
 
 
 class TestConfig:
@@ -73,14 +89,14 @@ class TestAssignVersions:
         assignment = assign_versions(
             list(range(1, 8)), config({9}, producers=(1,), v=2)
         )
-        sizes = sorted(len(ns) for ns in assignment.cells().values())
+        sizes = sorted(len(ns) for ns in cells_of(assignment).values())
         assert sizes == [3, 4]
 
     def test_single_version_single_cell(self):
         assignment = assign_versions(
             list(range(1, 6)), config({9}, producers=(1,), v=1)
         )
-        cells = assignment.cells()
+        cells = cells_of(assignment)
         assert list(cells) == [(1,)]
         assert cells[(1,)] == (1, 2, 3, 4, 5)
 
@@ -88,7 +104,7 @@ class TestAssignVersions:
         assignment = assign_versions(
             list(range(1, 13)), config({8, 9}, producers=(1, 2), v=2)
         )
-        cells = assignment.cells()
+        cells = cells_of(assignment)
         assert len(cells) == 4
         assert all(len(ns) == 3 for ns in cells.values())
         assert all(len(ns) < 5 for ns in cells.values())  # below d(K-1)+1 at d=2, K=3
@@ -102,9 +118,42 @@ class TestAssignVersions:
             assignment = assign_versions(
                 nodes, config({100 + i for i in range(bp)}, producers=producers, v=v)
             )
-            sizes = [len(ns) for ns in assignment.cells().values()]
+            sizes = [len(ns) for ns in cells_of(assignment).values()]
             assert max(sizes) - min(sizes) <= 1
             assert sum(sizes) == n
+
+    @given(nodes=node_lists, **tuple_spaces)
+    def test_balanced_matches_the_enumeration_oracle(self, nodes, v, width):
+        # the oracle is the round robin of balanced_cells over the listed tuples, the
+        # split proof_params makes of its points
+        cfg = config({100 + i for i in range(width)}, producers=range(1, width + 1), v=v)
+        tuples = all_version_tuples(v, width)
+        expected = {node: t for t, cell in zip(tuples, balanced_cells(nodes, len(tuples)))
+                    for node in cell}
+        assert assign_versions(nodes, cfg).node_tuples == expected
+
+    @given(nodes=node_lists, seed=st.integers(0, 2**32), **tuple_spaces)
+    def test_random_matches_the_enumeration_oracle(self, nodes, seed, v, width):
+        cfg = config({100 + i for i in range(width)}, producers=range(1, width + 1), v=v,
+                     assignment_strategy="random")
+        rng, clone = random.Random(seed), random.Random(seed)
+        tuples = all_version_tuples(v, width)
+        expected = {node: tuples[clone.randrange(v**width)] for node in nodes}
+        assert assign_versions(nodes, cfg, rng=rng).node_tuples == expected
+        assert rng.getstate() == clone.getstate()
+
+    def test_tuple_space_beyond_memory(self, rng, bounded_memory):
+        # 2^40 tuples: an assignment that listed them could not finish
+        nodes = list(range(1, 13))
+        producers = tuple(range(1, 41))
+        balanced = assign_versions(nodes, config(range(41, 81), producers, v=2)).node_tuples
+        assert balanced[1] == (1,) * 40
+        assert balanced[2] == (1,) * 39 + (2,)
+        assert balanced[12] == (1,) * 36 + (2, 1, 2, 2)
+        cfg = config(range(41, 81), producers, v=2, assignment_strategy="random")
+        drawn = assign_versions(nodes, cfg, rng=rng).node_tuples
+        assert sorted(drawn) == nodes
+        assert all(len(t) == 40 and set(t) <= {1, 2} for t in drawn.values())
 
     def test_infeasible_cap(self):
         with pytest.raises(InfeasiblePartition, match="9 points cannot be spread over 2 cells"):
@@ -114,7 +163,7 @@ class TestAssignVersions:
     def test_random_strategy(self, rng):
         cfg = config({9}, producers=(1,), v=3, assignment_strategy="random")
         assignment = assign_versions(list(range(1, 40)), cfg, rng=rng)
-        seen = {assignment.tuple_for(n) for n in range(1, 40)}
+        seen = {assignment.node_tuples[n] for n in range(1, 40)}
         assert seen <= {(1,), (2,), (3,)}
         assert len(seen) > 1
 
@@ -125,7 +174,7 @@ class TestAssignVersions:
             assignment_strategy="targeted", targeted_map=explicit,
         )
         assignment = assign_versions([1, 2, 3], cfg)
-        assert {n: assignment.tuple_for(n) for n in (1, 2, 3)} == explicit
+        assert {n: assignment.node_tuples[n] for n in (1, 2, 3)} == explicit
 
     def test_targeted_map_missing_node_is_named(self, field):
         cfg = config(

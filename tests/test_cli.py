@@ -181,6 +181,22 @@ class TestSimulationScenarios:
         honest = {n: s for n, s in report["statuses"].items() if s != "adversarial"}
         assert set(honest.values()) == {"failure"}
 
+    def test_thirty_captured_shards(self, tmp_path, bounded_memory):
+        # gamma derives beta' = floor(60 * 50 / (0.5 * 200)) = 30, so 2^30 version tuples:
+        # an epoch must touch only the tuples its nodes hold
+        path, _ = write_config(
+            tmp_path,
+            scenario="discrepancy_attack",
+            params={"N": 200, "K": 50, "d": 2, "beta": 60, "gamma": 0.5, "v": 2},
+            seeds=[1],
+            epochs=1,
+        )
+        assert shard_capture(60, 0.5, 200, 50) == 30
+        assert run(path, out_dir=tmp_path) == 0
+        report = json.loads((tmp_path / "discrepancy_attack.jsonl").read_text().splitlines()[1])
+        honest = {n: s for n, s in report["statuses"].items() if s != "adversarial"}
+        assert len(honest) == 140 and set(honest.values()) == {"failure"}
+
     def test_garbage_attack_within_tolerance(self, tmp_path):
         path, _ = write_config(
             tmp_path,

@@ -17,6 +17,7 @@ from shardlab import (
     PrimeField,
     VersionAssignment,
     accept_bits,
+    assign_versions,
     build_coded_poly,
     compose_verification,
     known_behavior_decode,
@@ -494,3 +495,18 @@ class TestKnownBehaviorDecode:
         out = known_behavior_decode(BroadcastSet(entries), assignment, 0, params)
         assert not out.recovered
         assert out.diagnostics == "cells (1,) and (2,) disagree at honest shard 2"
+
+    def test_tuple_space_beyond_memory(self, field, rng, bounded_memory):
+        # 40 producers at v=2 span 2^40 tuples; only the occupied cells are visited
+        params = EncodingParams.default(3, 12, 2, field)
+        poly = self._composed(params, tuple(field.random(rng) for _ in range(3)), power_check(2))
+        entries = BroadcastSet(BroadcastEntry(n, alpha, poly(alpha))
+                               for n, alpha in enumerate(params.alphas, 1))
+        producers = tuple(range(1, 41))
+        cfg = AdversaryConfig(frozenset(range(41, 81)), producers, v=2)
+        with pytest.raises(InsufficientEvaluations):  # one node per cell
+            known_behavior_decode(entries, assign_versions(range(1, 13), cfg), 1, params)
+        node_tuples = {n: (1 + (n > 9),) * 40 for n in range(1, 13)}
+        assignment = VersionAssignment(producers=producers, v=2, node_tuples=node_tuples)
+        out = known_behavior_decode(entries, assignment, 1, params)
+        assert out.recovered and out.poly == poly
