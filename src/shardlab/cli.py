@@ -209,6 +209,12 @@ def _threshold_sweep(config: dict, out_path: Path, strict: bool) -> bool:
         raise ConfigError(f"threshold_sweep needs beta_prime < K, got {beta_prime} >= {K}")
     if lo < 2 * beta:
         raise ConfigError(f"N_range starts at {lo}, below 2*beta = {2 * beta}")
+    # the layout allocates one cell per version tuple before filling any, so more tuples
+    # than nodes only adds empty cells, up to more than memory holds; an exponent capped
+    # at bitlen(hi) keeps the power small and still exceeds hi whenever v^beta' does
+    if v ** min(beta_prime, hi.bit_length()) > hi:
+        raise ConfigError(f"threshold_sweep needs v^beta_prime <= {hi}, the largest N, "
+                          f"got {v}^{beta_prime} version tuples")
     if K + hi - 2 * beta > field.modulus:
         # shard k sits at k and retained node n at K+n; beyond p they repeat
         raise ConfigError(f"GF({field.modulus}) has too few points for K={K} and N={hi}")

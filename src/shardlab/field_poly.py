@@ -439,6 +439,16 @@ def poly_divmod(a: Sequence[int], b: Sequence[int], p: int) -> tuple[list[int], 
     return quot, _strip([r % p for r in rem[:dd]])
 
 
+@lru_cache(maxsize=16)
+def _euclid_constants(n0: int, p: int) -> tuple[int, int, int, int, int, int]:
+    """`euclid_until`'s (B, bytes per slot, W, M, slot mask, low) for len(r0) = n0 and p."""
+    big = (2 * p + n0 * (p - 1) * 2 * p).bit_length()
+    width = (2 * big - p.bit_length() + 8) // 8
+    bits = 8 * width
+    return (big, width, bits, (1 << big) // p, (1 << bits) - 1,
+            _pack([(1 << bits - big) - 1] * n0, width))
+
+
 def euclid_until(r0: Sequence[int], r: Sequence[int], stop: int,
                  p: int) -> tuple[list[int], list[int]]:
     """The extended Euclidean algorithm on ascending residue lists without trailing zeros,
@@ -449,18 +459,17 @@ def euclid_until(r0: Sequence[int], r: Sequence[int], stop: int,
     [0, 2p). A step is a long division on the packed ints: from the top down, it reads
     the quotient coefficient q_j off one slot of the partial remainder X and adds
     (-q_j mod p) times r and t shifted j slots, with small-int multiplies. It keeps
-    len(r) - 1 slots of X, drops the top slots that vanish mod p, and brings every slot of
-    X and of the new t back under 2p by one packed Barrett step (Barrett 1986),
-    X - ((X M >> B) & low) p with M = 2^B // p. A slot holds less than
-    2p + len(r0) (p - 1) 2p < 2^B before it, so W >= 2B - bitlen(p) + 1 bits per slot hold
-    X M with no carry, and `low` keeps the W - B bits of each slot of X M >> B that hold
-    its quotient, not the fraction shifted down from the slot above.
+    len(r) - 1 slots of X and brings every slot of X and of the new t back under 2p by one
+    packed Barrett step (Barrett 1986), X - ((X M >> B) & low) p with M = 2^B // p. A slot
+    holds less than 2p + len(r0) (p - 1) 2p < 2^B before it, so W >= 2B - bitlen(p) + 1
+    bits per slot hold X M with no carry, and `low` keeps the W - B bits of each slot of
+    X M >> B that hold its quotient, not the fraction shifted down from the slot above.
+    It then drops the top slots of X that vanish mod p, reading one slot per dropped
+    coefficient: after Barrett a vanished slot holds 0 or p. These constants depend only
+    on (len(r0), p), so calls on the same pair share them.
     """
     n0, n = len(r0), len(r)
-    big = (2 * p + n0 * (p - 1) * 2 * p).bit_length()
-    width = (2 * big - p.bit_length() + 8) // 8
-    bits, m = 8 * width, (1 << big) // p
-    slot, low = (1 << bits) - 1, _pack([(1 << bits - big) - 1] * n0, width)
+    big, width, bits, m, slot, low = _euclid_constants(n0, p)
     rs0, rs, ts0, ts, nt = _pack(r0, width), _pack(r, width), 0, 1, 1
     while n > stop:
         inv, x, y = pow((rs >> (n - 1) * bits) % p, -1, p), rs0, ts0
@@ -472,7 +481,7 @@ def euclid_until(r0: Sequence[int], r: Sequence[int], stop: int,
         x -= ((x * m >> big) & low) * p
         ts0, ts, nt = ts, y - ((y * m >> big) & low) * p, nt + n0 - n
         n0, n = n, n - 1
-        while n and not (x >> (n - 1) * bits) % p:  # the slots above are 0 or p
+        while n and not ((x >> (n - 1) * bits) & slot) % p:
             n -= 1
         rs0, rs = rs, x if n == n0 - 1 else x & ((1 << n * bits) - 1)
     return _unpack(rs, n, width, p), _unpack(ts, nt, width, p)

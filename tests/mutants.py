@@ -92,12 +92,16 @@ MUTANTS = (
            "c.history[len(self._history_polys):]",
            "c.history[len(self._history_polys):1]", SIM_TESTS),
     Mutant("euclid-barrett-mask-dropped", FIELD,
-           "low = (1 << bits) - 1, _pack([(1 << bits - big) - 1] * n0, width)",
-           "low = (1 << bits) - 1, -1",
+           "            _pack([(1 << bits - big) - 1] * n0, width))",
+           "            -1)",
            (EUCLID + "::test_matches_the_list_euclid",)),
     Mutant("euclid-strip-loop-deleted", FIELD,
-           "        while n and not (x >> (n - 1) * bits) % p:  # the slots above are 0 or p\n"
+           "        while n and not ((x >> (n - 1) * bits) & slot) % p:\n"
            "            n -= 1\n", "", (EUCLID + "::test_matches_the_list_euclid",)),
+    Mutant("euclid-strip-slot-unreduced", FIELD,
+           "while n and not ((x >> (n - 1) * bits) & slot) % p:",
+           "while n and not (x >> (n - 1) * bits) & slot:",
+           (EUCLID + "::test_matches_the_list_euclid",)),
     Mutant("euclid-slot-width-without-len-r0", FIELD,
            "big = (2 * p + n0 * (p - 1) * 2 * p).bit_length()",
            "big = (2 * p + (p - 1) * 2 * p).bit_length()", (EUCLID + "::test_fullest_slots",)),

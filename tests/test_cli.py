@@ -124,6 +124,16 @@ class TestConfigValidation:
         written = {p.name for p in tmp_path.iterdir()} - {path.name}
         assert not written
 
+    def test_more_version_tuples_than_nodes(self, tmp_path, capsys, bounded_memory):
+        # 2^30 version tuples, one cell each, for at most 3 nodes: refused before the
+        # layout allocates any cell
+        path, _ = write_config(tmp_path, scenario="threshold_sweep",
+                               params={"K": 40, "d": 2, "beta": 1, "beta_prime": 30, "v": 2,
+                                       "N_range": [2, 3]})
+        assert run(path, out_dir=tmp_path) == 2
+        assert {p.name for p in tmp_path.iterdir()} == {path.name}
+        assert "v^beta_prime <= 3" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "overrides",
         [

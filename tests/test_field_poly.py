@@ -443,10 +443,12 @@ EUCLID_MODULI = (7, 13, 97, DEFAULT_MODULUS, 2**61 - 1)
 def euclid_inputs(draw):
     """(p, r0, r) with len(r) <= len(r0), neither with trailing zeros. Mostly Gao's pair:
     the master polynomial of distinct points and an interpolant through them that is zero,
-    of degree < 3 (a long first quotient) or of any degree; else any two residue lists."""
+    of degree < 3 (a long first quotient), of any degree, or a codeword of degree < 3 with
+    up to (len(xs) - 3) // 2 errors (several steps, then a remainder that drops many
+    slots at once); else any two residue lists."""
     p = draw(st.sampled_from(EUCLID_MODULI))
     coeffs = st.integers(0, p - 1)
-    kind = draw(st.sampled_from(["zero", "low", "any", "lists"]))
+    kind = draw(st.sampled_from(["zero", "low", "errors", "any", "lists"]))
     if kind == "lists":
         r0 = draw(st.lists(coeffs, min_size=1, max_size=30))
         r = draw(st.lists(coeffs, max_size=len(r0)))
@@ -457,6 +459,12 @@ def euclid_inputs(draw):
         ys = [0] * len(xs)
     elif kind == "low":
         ys = poly_values(draw(st.lists(coeffs, min_size=1, max_size=3)), xs, p)
+    elif kind == "errors":
+        ys = poly_values(draw(st.lists(coeffs, max_size=3)), xs, p)
+        spots = draw(st.lists(st.integers(0, len(xs) - 1), unique=True,
+                              max_size=max(0, (len(xs) - 3) // 2)))
+        for i in spots:
+            ys[i] = (ys[i] + draw(st.integers(1, p - 1))) % p
     else:
         ys = draw(st.lists(coeffs, min_size=len(xs), max_size=len(xs)))
     form = PointSet(tuple(xs), p)
