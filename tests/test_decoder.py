@@ -26,7 +26,7 @@ from shardlab import (
     rs_decode,
     run_epoch,
 )
-from shardlab import field_poly
+from shardlab import decoder, field_poly
 from shardlab.field_poly import point_set
 from shardlab.polyshard_sim import Simulation, history_power_check, power_check
 
@@ -136,6 +136,12 @@ class TestRsDecode:
             broadcast_from(points)
         with pytest.raises(ValueError, match="node 3: "):  # a silent entry's point counts
             broadcast_from(points[:2] + [(gf97(4), None)])
+
+    def test_first_point_must_be_a_field_element(self, gf7):
+        # the first entry's point fixes the set's field, so an int or None there is named
+        for entries in ([(1, 5, 3)], [(1, None, None), (2, gf7(2), 1)]):
+            with pytest.raises(ValueError, match="^node 1: .* field element"):
+                BroadcastSet(entries)
 
     def test_columns_hold_residues_and_int_values_are_reduced(self, gf97, gf7):
         b = BroadcastSet([BroadcastEntry(4, gf97(10), gf97(3)), BroadcastEntry(2, gf97(11), 200),
@@ -302,6 +308,146 @@ class TestSilentEntriesAreDropped:
             full, dropped = rs_decode(b, d, e), rs_decode(heard, d, e)
             assert (full.status, full.poly, full.error_positions, full.diagnostics) == (
                 dropped.status, dropped.poly, dropped.error_positions, dropped.diagnostics)
+
+
+@st.composite
+def repeated_decodes(draw):
+    """6-12 decodes on one point set over GF(p), p in {7, 13, 97, 2^31 - 1}, as (b, d, e).
+    Each word comes from a polynomial of degree <= d + 2, so some are not codewords. Its
+    errors come mostly from a pool of three sets, so that error sets repeat, grow and
+    shrink. Now and then one or two entries are silent, which changes the heard set and
+    lowers the radius. The budget e is the radius or one below a pool set's size, so that it
+    drops below a remembered error set. Node ids shift by one now and then, so equal
+    corrected node sets can lie on other points."""
+    p = draw(st.sampled_from([7, 13, 97, 2**31 - 1]))
+    d = draw(st.integers(0, 2))
+    n = draw(st.integers(d + 3, min(p, d + 12)))
+    xs = draw(st.lists(st.integers(0, p - 1), min_size=n, max_size=n, unique=True))
+    sizes = st.sampled_from(range((n - d - 1) // 2 + 2))  # uniform: many sets near the radius
+    subsets = sizes.flatmap(lambda k: st.sets(st.integers(0, n - 1), min_size=k, max_size=k))
+    rarely = st.sampled_from([False, False, False, True])
+    pool = [draw(subsets) for _ in range(3)]
+    silent_sets = (set(), draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=2)))
+    field = PrimeField(p)
+    decodes = []
+    for _ in range(draw(st.integers(6, 12))):
+        k = draw(st.sampled_from([d + 1, d + 1, 0, d + 2, d + 3]))  # codewords, 0 or not
+        poly = Polynomial(field, draw(st.lists(st.integers(0, p - 1), min_size=k, max_size=k)))
+        errors = draw(subsets) if draw(rarely) else draw(st.sampled_from(pool))
+        silent, shift = silent_sets[draw(rarely)], draw(rarely)
+        entries = []
+        for j, x in enumerate(xs):
+            y = poly(field(x)) + (draw(st.integers(1, p - 1)) if j in errors else 0)
+            y = None if j in silent else y
+            entries.append(BroadcastEntry((j + shift) % n + 1, field(x), y))
+        radius = (n - len(silent) - d - 1) // 2
+        budgets = [radius] + [min(radius, len(S) - 1) for S in pool if S]
+        decodes.append((BroadcastSet(entries), d, draw(st.sampled_from(budgets))))
+    return decodes
+
+
+def shifted_word(field, poly, errors, silent=(), n=20):
+    """poly at 1..n for nodes 1..n, shifted by 7 + j at each index j in errors and
+    silent at each index in silent."""
+    return BroadcastSet(
+        (j + 1, field(j + 1), None if j in silent else poly(field(j + 1)) + (7 + j) * (j in errors))
+        for j in range(n))
+
+
+@pytest.fixture
+def euclid_calls(monkeypatch):
+    """A cleared locator memo, and the list of `euclid_until` calls rs_decode makes."""
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return field_poly.euclid_until(*args)
+
+    monkeypatch.setattr(decoder, "euclid_until", counted)
+    decoder._seen_errors.cache_clear()
+    return calls
+
+
+def cold_decode(b, d, e):
+    """rs_decode on a cleared locator memo."""
+    decoder._seen_errors.cache_clear()
+    return rs_decode(b, d, e)
+
+
+class TestErrorLocatorMemo:
+    D = 4  # on 20 points: radius 7
+
+    @given(decodes=repeated_decodes())
+    @settings(max_examples=200, deadline=None)
+    def test_same_outcome_as_with_a_cleared_memo(self, decodes):
+        decoder._seen_errors.cache_clear()
+        live = [rs_decode(*case) for case in decodes]
+        assert live == [cold_decode(*case) for case in decodes]
+
+    def test_third_decode_of_a_repeated_error_set_runs_no_euclid(self, field, rng, euclid_calls):
+        # the locator depends on the positions only: other polynomials and other error
+        # values on the same positions, or on some of them, decode without the Euclid
+        S, words, live = {2, 5, 11}, [], []
+        for i, errors in enumerate([S, S, S, S, {2, 11}, set(), S]):
+            poly = Polynomial(field, [field.random(rng) for _ in range(self.D + 1)] if i % 3
+                              else [])
+            words.append(shifted_word(field, poly, errors))
+            live.append(rs_decode(words[-1], self.D, 7))
+            assert len(euclid_calls) == min(i + 1, 2)
+            assert live[-1].recovered and live[-1].poly == poly
+            assert live[-1].error_positions == {j + 1 for j in errors}
+        assert live == [cold_decode(b, self.D, 7) for b in words]
+
+    def test_moving_error_sets_never_build_a_locator(self, field, rng, euclid_calls,
+                                                      monkeypatch):
+        built = []
+        monkeypatch.setattr(decoder, "vanishing_polynomial", lambda *args: built.append(args)
+                            or field_poly.vanishing_polynomial(*args))
+        for i in range(6):
+            poly = Polynomial(field, [field.random(rng) for _ in range(self.D + 1)])
+            out = rs_decode(shifted_word(field, poly, {i, i + 7}), self.D, 7)
+            assert out.error_positions == {i + 1, i + 8}
+        assert len(euclid_calls) == 6 and not built
+
+    def test_a_miss_after_confirmation_falls_back_to_gao_and_forgets_the_old_set(
+            self, field, rng, euclid_calls):
+        S, T = {2, 5, 11}, {1, 7}
+        for errors, calls in [(S, 1), (S, 2), (T, 3), (S, 4), (S, 5), (S, 5)]:
+            poly = Polynomial(field, [field.random(rng) for _ in range(self.D + 1)])
+            out = rs_decode(shifted_word(field, poly, errors), self.D, 7)
+            assert out.poly == poly and out.error_positions == {j + 1 for j in errors}
+            assert len(euclid_calls) == calls
+
+    def test_a_word_of_degree_one_too_high_falls_back_to_gao(self, field, euclid_calls):
+        # Q = P L has degree D + 1 + |S| here: dividing would return a P of degree D + 1
+        S = {2, 5, 11}
+        for _ in range(2):
+            rs_decode(shifted_word(field, Polynomial(field, [1] * (self.D + 1)), S), self.D, 7)
+        b = shifted_word(field, Polynomial(field, [1] * (self.D + 2)), S)
+        out = rs_decode(b, self.D, 7)
+        assert len(euclid_calls) == 3 and not out.recovered
+        assert out == cold_decode(b, self.D, 7)
+
+    def test_a_locator_beyond_the_budget_is_not_used(self, field, rng, euclid_calls):
+        # |S| = 3 errors at a budget of 2 are past the radius, so Gao fails on them
+        S = {2, 5, 11}
+        poly = Polynomial(field, [field.random(rng) for _ in range(self.D + 1)])
+        for _ in range(2):
+            rs_decode(shifted_word(field, poly, S), self.D, 7)
+        out = rs_decode(shifted_word(field, poly, S), self.D, 2)
+        assert len(euclid_calls) == 3 and not out.recovered
+        assert out == cold_decode(shifted_word(field, poly, S), self.D, 2)
+
+    def test_each_heard_point_set_has_its_own_memo(self, field, rng, euclid_calls):
+        # a silent node makes another heard point set: its first decode runs the Euclid
+        S = {2, 5, 11}
+        poly = Polynomial(field, [field.random(rng) for _ in range(self.D + 1)])
+        for _ in range(2):
+            rs_decode(shifted_word(field, poly, S), self.D, 7)
+        for silent in ({19}, {8}):
+            out = rs_decode(shifted_word(field, poly, S, silent), self.D, 7)
+            assert out.poly == poly and out.error_positions == {3, 6, 12}
+        assert len(euclid_calls) == 4
 
 
 class TestPointSetCache:

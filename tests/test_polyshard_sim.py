@@ -586,6 +586,17 @@ class TestEpochOracle:
                   dict(invalid_proposer_shards=frozenset({2}), failure_policy="stall",
                        accept_set=None),
                   [garbage_adversary(range(153, 161)), garbage_adversary(range(1, 9))], 11))
+    # the same garbage broadcasters in every epoch: the decodes from the third epoch on
+    # divide by the error locator remembered for the heard points instead of running
+    # Gao's Euclid, once with valid blocks (zero decode) and once with an invalid proposer
+    @example(run=(P31, 4, 30, 2, history_power_check(2, P31(3)),
+                  dict(invalid_proposer_shards=frozenset(), failure_policy="stall",
+                       accept_set=None),
+                  [garbage_adversary({3, 11, 29})] * 4, 7))
+    @example(run=(GF97, 3, 24, 2, history_power_check(2, GF97(3)),
+                  dict(invalid_proposer_shards=frozenset({2}), failure_policy="stall",
+                       accept_set=None),
+                  [garbage_adversary({1, 9, 17, 24})] * 4, 5))
     @settings(max_examples=150, deadline=None)
     def test_run_epoch_matches_the_literal_epoch(self, run):
         field, K, N, d, fn, config, epochs, seed = run
