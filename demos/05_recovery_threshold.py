@@ -30,7 +30,7 @@ print("--- the system one node below the threshold ---")
 params = proof_params(v, beta_prime, d, K, beta, n_star - 1, field)
 sys_m = build_system(params)
 print(f"partition of retained evaluation points: {params.cell_sizes}")
-# the full system's block shapes, counted: only its restriction R is built
+# the full system's block shapes, counted: only M, the system on the shard values, is built
 coeff_cols = sys_m.n_tuples * sys_m.block_width
 a_rows = sum(params.cell_sizes)
 b_rows = (sys_m.n_tuples - 1) * sys_m.z_width

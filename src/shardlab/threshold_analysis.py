@@ -7,14 +7,16 @@ outputs; decodability of the honest outputs is a rank condition on the block
 matrix D of that system, checked exactly over the prime field.
 
 The check follows the counting argument behind the recovery threshold. D's
-evaluation block A holds one Vandermonde block per version cell; on distinct
-points each has full row rank, so A pins rank(A) = sum(min(|cell|, width))
-coefficients and leaves ker A = {P_t = m_t * h_t}, with m_t the cell's
-vanishing polynomial and deg h_t < max(0, width - |cell|). The agreement and
-tie rows restricted to ker A form a smaller system R over the h_t and the
-outputs, and rank(D) = rank(A) + rank(R), with or without the output columns.
-Only R is built and eliminated; a witness is lifted back to D's columns and
-checked against the layout's equations, evaluated from its points directly.
+evaluation block A pins rank(A) = sum(min(|cell|, width)) coefficients and leaves
+ker A = {P_t = m_t * h_t}, with m_t the cell's vanishing polynomial and
+deg h_t < w_t = max(0, width - |cell|). D's other rows read the P_t only at the
+shard points, where they force one value per honest shard (its output) and one
+per captured producer's version. M has those values as unknowns, and one row per
+coefficient j in [w_t, K) of the interpolant through tuple t's values over
+m_t(omega_k), which must vanish: the parity checks of a generalized Reed-Solomon
+code (MacWilliams and Sloane, ch. 10), max(0, |cell| - (d-1)(K-1)) rows for a
+cell of at most width points. Only M is built and eliminated; a witness is
+lifted back to D's columns and checked against the layout's equations.
 """
 
 from __future__ import annotations
@@ -22,12 +24,13 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass
-from itertools import accumulate, combinations
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 from .adversary import InfeasiblePartition, balanced_cells
 from .field_poly import (
-    FieldElement, Polynomial, PrimeField, echelon, nullspace_vector, vanishing_polynomial,
+    FieldElement, PrimeField, batch_inverse, echelon, nullspace_vector,
+    point_set, poly_mul, poly_values, vanishing_polynomial,
 )
 from .lcc import VersionTuple, all_version_tuples
 
@@ -156,23 +159,25 @@ def proof_params(
 
 @dataclass(frozen=True)
 class SystemMatrices:
-    """The decodability system D on the kernel of its evaluation block.
+    """The decodability system D on the kernel of its evaluation block, as M.
 
     D is never built. Its columns are one width-(d(K-1)+1) block of
     composed-polynomial coefficients per version tuple (descending degree, tuples
     in lexicographic order), then one column per honest producer output; its rows
     are the evaluations A, the agreements at honest shard points B, the
-    shared-version agreements C and the tie of tuple 1 to the outputs. R is the
-    B, C and tie rows on ker A: one block of max(0, width - |cell|) descending
-    coefficients of h_t per tuple, where P_t = m_t * h_t, then the same output
-    columns.
+    shared-version agreements C and the tie of tuple 1 to the outputs. M's columns
+    are the values at the shard points: captured producer r's version u at column
+    r*v + u - 1, then the outputs in D's order. Tuple t has its value at omega_k in
+    column columns[t][k]; its rows say that those values times inv_m[t][k] =
+    1/m_t(omega_k) interpolate to degree < w_t = max(0, width - |cell_t|).
     """
 
     params: AnalysisParams
-    R: tuple[tuple[int, ...], ...]  # B, C and tie rows restricted to ker A, residues in [0, p)
-    ncols: int  # R's column count: the h_t coefficients, then the outputs
-    rank_A: int  # sum of min(|cell|, width): the coefficients A pins
-    vanishing: tuple[Polynomial, ...]  # m_t, the vanishing polynomial of each cell
+    M: tuple[tuple[int, ...], ...]  # one row per vanishing interpolant coefficient, in [0, p)
+    ncols: int  # M's column count: v * beta_prime versions, then the outputs
+    columns: tuple[tuple[int, ...], ...]  # M's column of tuple t's value at omega_k
+    inv_m: tuple[tuple[int, ...], ...]  # 1/m_t(omega_k), residues
+    unseen: int  # sum of max(0, w_t - K): coefficients of the h_t no shard value sees
 
     @property
     def n_tuples(self) -> int:
@@ -187,71 +192,50 @@ class SystemMatrices:
         return self.params.K - self.params.beta_prime
 
 
-def _c_row_blocks(tuples: Sequence[VersionTuple]) -> list[tuple[int, int, int]]:
-    """(tuple index i, tuple index j, producer position r) triples for C's rows.
-
-    For each producer position and version value, the tuples agreeing there are
-    chained consecutively; transitivity then gives every pairwise agreement, at
-    (v^(width-1) - 1) * v rows per producer.
-    """
-    if not tuples:
-        return []
-    width = len(tuples[0])
-    values = sorted({t[0] for t in tuples}) if width else []
-    rows = []
-    for r in range(width):
-        for value in values:
-            group = [i for i, t in enumerate(tuples) if t[r] == value]
-            rows.extend((group[a], group[a + 1], r) for a in range(len(group) - 1))
-    return rows
+@lru_cache(maxsize=16)
+def _lagrange_table(xs: tuple[int, ...], p: int) -> tuple[tuple[int, ...], ...]:
+    """table[j][k] is coefficient j of the Lagrange basis polynomial of xs[k], so row j
+    times a value per point is coefficient j of the interpolant through them."""
+    shards = point_set(xs, p)
+    basis = [shards.interpolate([int(i == k) for i in range(len(xs))]) for k in range(len(xs))]
+    return tuple(tuple(b[j] if j < len(b) else 0 for b in basis) for j in range(len(xs)))
 
 
 def build_system(params: AnalysisParams) -> SystemMatrices:
-    """Assemble R, the rows of D outside A restricted to ker A."""
-    field, p = params.field, params.field.modulus
-    width = params.block_width
-    n_tuples = len(params.partition)
-    z_width = params.K - params.beta_prime
-    # omega_k's Vandermonde row, descending: (omega_k^(width-1), ..., omega_k, 1)
-    van = [[pow(w.value, e, p) for e in range(width - 1, -1, -1)] for w in params.omegas]
-    vanishing = tuple(vanishing_polynomial(cell, field) for cell in params.partition)
-    m_at = [[m(omega).value for omega in params.omegas] for m in vanishing]
+    """Assemble M, the rows of D outside A on ker A, in the values at the shard points."""
+    p, K, v, width = params.field.modulus, params.K, params.v, params.block_width
+    omegas = tuple(w.value for w in params.omegas)
+    z_start = v * params.beta_prime
+    shard_cols = [0] * K
+    for i, k in enumerate(params.honest_producers):
+        shard_cols[k - 1] = z_start + i
+    columns = []
+    for t in params.tuples:
+        for r, k in enumerate(params.producers):
+            shard_cols[k - 1] = r * v + t[r] - 1
+        columns.append(tuple(shard_cols))
+    m_at = []  # m_t(omega_k) = prod (omega_k - alpha) over the cell, every t then k
+    for cell in params.partition:
+        at = [1] * K
+        for alpha in cell:
+            a = alpha.value
+            at = [m * (w - a) % p for m, w in zip(at, omegas)]
+        m_at += at
+    inv = batch_inverse(m_at, p)
+    inv_m = tuple(tuple(inv[i:i + K]) for i in range(0, len(inv), K))
     h_widths = [max(0, width - len(cell)) for cell in params.partition]
-    h_offsets = list(accumulate(h_widths, initial=0))
-    h_cols = h_offsets[-1]
-
-    def equation(k: int, *signed: tuple[int, int]) -> list[int]:
-        """R's row of sum(sign * P_i(omega_k)) over (i, sign), output columns zero.
-
-        P_i = m_i * h_i, so tuple i's segment is m_i(omega_k) times the last
-        len(h_i) entries of omega_k's Vandermonde row.
-        """
-        row = [0] * (h_cols + z_width)
-        for i, sign in signed:
-            scale = sign * m_at[i][k]
-            segment = van[k][width - h_widths[i]:]
-            row[h_offsets[i]:h_offsets[i + 1]] = [scale * c % p for c in segment]
-        return row
-
-    honest = [k - 1 for k in params.honest_producers]
-    # B: tuple 1's honest-shard evaluations equal every other tuple's
-    rows = [equation(k, (0, 1), (i, -1)) for i in range(1, n_tuples) for k in honest]
-    # C: tuples sharing a producer's version agree at that producer's shard point
-    rows += [
-        equation(params.producers[r] - 1, (i, 1), (j, -1))
-        for i, j, r in _c_row_blocks(params.tuples)
-    ]
-    # ties: tuple 1's honest evaluations are the output unknowns
-    for idx, k in enumerate(honest):
-        rows.append(equation(k, (0, 1)))
-        rows[-1][h_cols + idx] = p - 1
+    table = _lagrange_table(omegas, p)
+    ncols = z_start + K - params.beta_prime
+    rows = []
+    for cols, inv_t, w in zip(columns, inv_m, h_widths):
+        for j in range(w, K):
+            row = [0] * ncols
+            for c, lagrange, i in zip(cols, table[j], inv_t):
+                row[c] = lagrange * i % p
+            rows.append(tuple(row))
     return SystemMatrices(
-        params=params,
-        R=tuple(map(tuple, rows)),
-        ncols=h_cols + z_width,
-        rank_A=n_tuples * width - h_cols,
-        vanishing=vanishing,
-    )
+        params=params, M=tuple(rows), ncols=ncols, columns=tuple(columns), inv_m=inv_m,
+        unseen=sum(max(0, w - K) for w in h_widths))
 
 
 @dataclass(frozen=True)
@@ -263,7 +247,8 @@ class RankReport:
     and 0 at the other free Z columns. That block is determined by D alone: in
     an echelon basis of D's rows a Z pivot's row is zero left of its pivot, so
     back-substitution gives the Z pivot entries from the free Z entries. The
-    coefficient part of w is one of many and is not part of the contract.
+    coefficient part of w is one of many and is not part of the contract; it is
+    the one whose h_t has degree < K.
     """
 
     rank_D: int
@@ -277,54 +262,63 @@ class RankReport:
         return self.witness[-z_width:]
 
 
-def _lift(sys: SystemMatrices, vec: Sequence[FieldElement]) -> tuple[FieldElement, ...]:
-    """Map a nullspace vector of R back to D's columns through P_t = m_t * h_t,
-    and check the P_t and the outputs against the layout's equations, evaluated
-    from its points without R's row placement."""
+def _lift(sys: SystemMatrices, vec: Sequence[int | FieldElement]) -> tuple[FieldElement, ...]:
+    """Map a nullspace vector of M back to D's columns, and check the P_t and the
+    outputs against the layout's equations, evaluated from its points without M's rows.
+
+    Tuple t's values times 1/m_t(omega_k) interpolate on the shard points to h_t, and
+    P_t = m_t * h_t keeps the width low coefficients that D's block holds, so a vector
+    off M's kernel gives P_t that miss the equations."""
     params = sys.params
-    width = params.block_width
-    polys = []
-    start = 0
-    for m in sys.vanishing:
-        stop = start + max(0, width - m.degree)
-        polys.append(m * Polynomial(params.field, reversed(vec[start:stop])))
-        start = stop
-    z = vec[start:]
-    if any(P(alpha) for P, cell in zip(polys, params.partition) for alpha in cell):
-        raise AssertionError("a witness polynomial misses a zero of its cell")
-    at = [[P(omega) for omega in params.omegas] for P in polys]
+    field, width = params.field, params.block_width
+    p = field.modulus
+    values = [field.residue(x) for x in vec]
+    omegas = tuple(w.value for w in params.omegas)
+    shards = point_set(omegas, p)
+    blocks, at = [], []  # P_t's coefficients, ascending; P_t at every omega_k
+    for cell, cols, inv in zip(params.partition, sys.columns, sys.inv_m):
+        h = shards.interpolate([values[c] * i % p for c, i in zip(cols, inv)])
+        P = poly_mul(vanishing_polynomial(cell, field).coeffs, h, p)[:width]
+        P += [0] * (width - len(P))
+        at_cell = poly_values(P, [*(alpha.value for alpha in cell), *omegas], p)
+        if any(at_cell[:len(cell)]):
+            raise AssertionError("a witness polynomial misses a zero of its cell")
+        blocks.append(P)
+        at.append(at_cell[len(cell):])
+    z = values[sys.ncols - sys.z_width:]
     if any(row[k - 1] != z_k for k, z_k in zip(params.honest_producers, z) for row in at):
         raise AssertionError("witness tuples disagree with the outputs at an honest shard")
-    tuples = params.tuples
-    if any(
-        tuples[i][r] == tuples[j][r] and at[i][k - 1] != at[j][k - 1]
-        for r, k in enumerate(params.producers)
-        for i, j in combinations(range(len(tuples)), 2)
-    ):
-        raise AssertionError("witness tuples sharing a captured producer's version disagree")
-    return (*(P.coefficient(j) for P in polys for j in range(width - 1, -1, -1)), *z)
+    first: dict[tuple[int, int], int] = {}  # (producer position, version): its first value
+    for t, row in zip(params.tuples, at):
+        for r, k in enumerate(params.producers):
+            if first.setdefault((r, t[r]), row[k - 1]) != row[k - 1]:
+                raise AssertionError(
+                    "witness tuples sharing a captured producer's version disagree")
+    return tuple(FieldElement(c, field) for c in [*(c for P in blocks for c in P[::-1]), *z])
 
 
 def unique_decodability(sys: SystemMatrices) -> RankReport:
     """Rank test: outputs are unique iff no column relation touches the output block.
 
-    One left-to-right reduction of R, the system on ker A, answers all of it, as
-    the output (Z) columns come last: rank(D) is rank(A) plus R's pivot count,
-    rank(D) without the Z columns is rank(A) plus R's pivots left of Z, and Z is
-    unique iff every Z column is a pivot. If not, the witness is R's nullspace
-    vector at the first free Z column, mapped back to D's columns and checked
-    against the layout's equations: two explanations of the same broadcasts that
-    disagree on the honest outputs.
+    One left-to-right reduction of M answers all of it, as the output (Z) columns
+    come last. ker D is ker M times the unseen coefficients, so rank(D) is D's
+    coefficient column count less the unseen ones and M's version columns, plus M's
+    pivots; without the Z columns only M's pivots left of Z count. Z is unique iff
+    every Z column is a pivot. If not, the witness is M's nullspace vector at the
+    first free Z column, mapped back to D's columns and checked against the layout's
+    equations: two explanations of the same broadcasts that disagree on the honest
+    outputs.
     """
-    field, h_cols = sys.params.field, sys.ncols - sys.z_width
-    pivots = echelon(sys.R, sys.ncols, field.modulus)
-    free_z = next((c for c in range(h_cols, sys.ncols) if c not in pivots), None)
+    field, z_start = sys.params.field, sys.ncols - sys.z_width
+    pivots = echelon(sys.M, sys.ncols, field.modulus)
+    free_z = next((c for c in range(z_start, sys.ncols) if c not in pivots), None)
+    base = sys.n_tuples * sys.block_width - sys.unseen - z_start
     return RankReport(
-        rank_D=sys.rank_A + len(pivots),
-        rank_D_without_Z_columns=sys.rank_A + sum(c < h_cols for c in pivots),
+        rank_D=base + len(pivots),
+        rank_D_without_Z_columns=base + sum(c < z_start for c in pivots),
         unique_Z=free_z is None,
         witness=None if free_z is None else _lift(
-            sys, nullspace_vector(sys.R, sys.ncols, field, pivots, free_z)),
+            sys, nullspace_vector(sys.M, sys.ncols, field, pivots, free_z)),
     )
 
 

@@ -1,10 +1,14 @@
-"""Test oracle: the full decodability system D of a layout, built row by row.
+"""Test oracles: the full decodability system D of a layout, built row by row,
+and R, D's agreement and tie rows restricted to the kernel of its evaluation block.
 
-The library builds only R, the system restricted to the kernel of the
-evaluation block. Here the dense blocks are built straight from the layout's
-points, so tests can check R's verdicts and witnesses against D itself, and
-`rref` reduces D by Gauss-Jordan elimination, which the library no longer
-runs, so the oracle shares no elimination code with the library.
+The library builds only M, the system on the tuples' values at the shard points.
+Here the dense blocks are built straight from the layout's points, so tests can
+check M's verdicts and witnesses against D itself, and `rref` reduces D by
+Gauss-Jordan elimination, which the library no longer runs, so the oracle shares
+no elimination code with the library. R has one column per coefficient of each
+h_t in P_t = m_t * h_t and one row per agreement or tie of D; it is the oracle for
+layouts whose D is too large to reduce: `restricted_verdict` reduces it once, and
+`restricted_lift` maps its witness back to D's columns.
 
 `Matrix`, `vandermonde`, `matrix_rank` and `nullspace_basis` are the dense
 layer the library used to export. The library runs its linear algebra on rows
@@ -18,12 +22,13 @@ column per honest producer output.
 """
 
 from dataclasses import dataclass
+from itertools import accumulate, combinations
 from operator import mul
 from typing import Iterable, Sequence
 
-from shardlab import AnalysisParams, FieldElement, PrimeField
-from shardlab.field_poly import nullspace_vector
-from shardlab.threshold_analysis import _c_row_blocks
+from shardlab import AnalysisParams, FieldElement, PrimeField, RankReport
+from shardlab.field_poly import Polynomial, echelon, nullspace_vector, vanishing_polynomial
+from shardlab.lcc import VersionTuple
 
 
 class Matrix:
@@ -126,6 +131,25 @@ def nullspace_basis(m: Matrix) -> list[tuple[FieldElement, ...]]:
             for f in range(m.ncols) if f not in pivots]
 
 
+def _c_row_blocks(tuples: Sequence[VersionTuple]) -> list[tuple[int, int, int]]:
+    """(tuple index i, tuple index j, producer position r) triples for C's rows.
+
+    For each producer position and version value, the tuples agreeing there are
+    chained consecutively; transitivity then gives every pairwise agreement, at
+    (v^(width-1) - 1) * v rows per producer.
+    """
+    if not tuples:
+        return []
+    width = len(tuples[0])
+    values = sorted({t[0] for t in tuples}) if width else []
+    rows = []
+    for r in range(width):
+        for value in values:
+            group = [i for i, t in enumerate(tuples) if t[r] == value]
+            rows.extend((group[a], group[a + 1], r) for a in range(len(group) - 1))
+    return rows
+
+
 @dataclass(frozen=True)
 class DenseSystem:
     A: Matrix  # evaluations: block-diagonal, one Vandermonde block per cell
@@ -209,3 +233,113 @@ def rref(rows: list[list[int]], ncols: int, p: int) -> tuple[list[list[int]], li
         if r == len(rows):
             break
     return rows, pivots
+
+
+@dataclass(frozen=True)
+class RestrictedSystem:
+    """R: the B, C and tie rows of D on ker A. One block of max(0, width - |cell|)
+    descending coefficients of h_t per tuple, where P_t = m_t * h_t, then D's output
+    columns."""
+
+    params: AnalysisParams
+    R: tuple[tuple[int, ...], ...]  # residues in [0, p)
+    ncols: int  # the h_t coefficients, then the outputs
+    rank_A: int  # sum of min(|cell|, width): the coefficients A pins
+    vanishing: tuple[Polynomial, ...]  # m_t, the vanishing polynomial of each cell
+
+    @property
+    def z_width(self) -> int:
+        return self.params.K - self.params.beta_prime
+
+
+def restricted_system(params: AnalysisParams) -> RestrictedSystem:
+    """Assemble R, the rows of D outside A restricted to ker A."""
+    field, p = params.field, params.field.modulus
+    width = params.block_width
+    n_tuples = len(params.partition)
+    z_width = params.K - params.beta_prime
+    # omega_k's Vandermonde row, descending: (omega_k^(width-1), ..., omega_k, 1)
+    van = [[pow(w.value, e, p) for e in range(width - 1, -1, -1)] for w in params.omegas]
+    vanishing = tuple(vanishing_polynomial(cell, field) for cell in params.partition)
+    m_at = [[m(omega).value for omega in params.omegas] for m in vanishing]
+    h_widths = [max(0, width - len(cell)) for cell in params.partition]
+    h_offsets = list(accumulate(h_widths, initial=0))
+    h_cols = h_offsets[-1]
+
+    def equation(k: int, *signed: tuple[int, int]) -> list[int]:
+        """R's row of sum(sign * P_i(omega_k)) over (i, sign), output columns zero.
+
+        P_i = m_i * h_i, so tuple i's segment is m_i(omega_k) times the last
+        len(h_i) entries of omega_k's Vandermonde row.
+        """
+        row = [0] * (h_cols + z_width)
+        for i, sign in signed:
+            scale = sign * m_at[i][k]
+            segment = van[k][width - h_widths[i]:]
+            row[h_offsets[i]:h_offsets[i + 1]] = [scale * c % p for c in segment]
+        return row
+
+    honest = [k - 1 for k in params.honest_producers]
+    # B: tuple 1's honest-shard evaluations equal every other tuple's
+    rows = [equation(k, (0, 1), (i, -1)) for i in range(1, n_tuples) for k in honest]
+    # C: tuples sharing a producer's version agree at that producer's shard point
+    rows += [
+        equation(params.producers[r] - 1, (i, 1), (j, -1))
+        for i, j, r in _c_row_blocks(params.tuples)
+    ]
+    # ties: tuple 1's honest evaluations are the output unknowns
+    for idx, k in enumerate(honest):
+        rows.append(equation(k, (0, 1)))
+        rows[-1][h_cols + idx] = p - 1
+    return RestrictedSystem(
+        params=params,
+        R=tuple(map(tuple, rows)),
+        ncols=h_cols + z_width,
+        rank_A=n_tuples * width - h_cols,
+        vanishing=vanishing,
+    )
+
+
+def restricted_lift(sys: RestrictedSystem, vec: Sequence[FieldElement]) -> tuple[FieldElement, ...]:
+    """Map a nullspace vector of R back to D's columns through P_t = m_t * h_t,
+    and check the P_t and the outputs against the layout's equations, evaluated
+    from its points without R's row placement."""
+    params = sys.params
+    width = params.block_width
+    polys = []
+    start = 0
+    for m in sys.vanishing:
+        stop = start + max(0, width - m.degree)
+        polys.append(m * Polynomial(params.field, reversed(vec[start:stop])))
+        start = stop
+    z = vec[start:]
+    if any(P(alpha) for P, cell in zip(polys, params.partition) for alpha in cell):
+        raise AssertionError("a witness polynomial misses a zero of its cell")
+    at = [[P(omega) for omega in params.omegas] for P in polys]
+    if any(row[k - 1] != z_k for k, z_k in zip(params.honest_producers, z) for row in at):
+        raise AssertionError("witness tuples disagree with the outputs at an honest shard")
+    tuples = params.tuples
+    if any(
+        tuples[i][r] == tuples[j][r] and at[i][k - 1] != at[j][k - 1]
+        for r, k in enumerate(params.producers)
+        for i, j in combinations(range(len(tuples)), 2)
+    ):
+        raise AssertionError("witness tuples sharing a captured producer's version disagree")
+    return (*(P.coefficient(j) for P in polys for j in range(width - 1, -1, -1)), *z)
+
+
+def restricted_verdict(sys: RestrictedSystem) -> RankReport:
+    """The verdict from one left-to-right reduction of R, output columns last:
+    rank(D) is rank(A) plus R's pivot count, rank(D) without the Z columns is
+    rank(A) plus R's pivots left of Z, and Z is unique iff every Z column is a
+    pivot. The witness is R's nullspace vector at the first free Z column, lifted."""
+    field, h_cols = sys.params.field, sys.ncols - sys.z_width
+    pivots = echelon(sys.R, sys.ncols, field.modulus)
+    free_z = next((c for c in range(h_cols, sys.ncols) if c not in pivots), None)
+    return RankReport(
+        rank_D=sys.rank_A + len(pivots),
+        rank_D_without_Z_columns=sys.rank_A + sum(c < h_cols for c in pivots),
+        unique_Z=free_z is None,
+        witness=None if free_z is None else restricted_lift(
+            sys, nullspace_vector(sys.R, sys.ncols, field, pivots, free_z)),
+    )

@@ -39,6 +39,8 @@ MEMO = "tests/test_decoder.py::TestErrorLocatorMemo"
 ADVERSARY = "src/shardlab/adversary.py"
 ASSIGN = "tests/test_adversary.py::TestAssignVersions"
 TREE = "tests/test_field_poly.py::TestSubproductTree"
+THRESHOLD = "src/shardlab/threshold_analysis.py"
+SHARD_VALUES = "tests/test_threshold_analysis.py::TestShardValueSystem"
 CHAIN_IDS = ("tests/test_polyshard_sim.py::TestDivergence::"
              "test_chain_ids_match_full_masked_histories[append_own_view]")
 
@@ -195,6 +197,21 @@ MUTANTS = (
     Mutant("balanced-tuple-index-one-off", ADVERSARY,
            "tuples[i % len(tuples)]", "tuples[(i + 1) % len(tuples)]",
            (ASSIGN + "::test_balanced_matches_the_enumeration_oracle",)),
+    Mutant("shard-value-rows-start-one-coefficient-late", THRESHOLD,
+           "for j in range(w, K):", "for j in range(w + 1, K):",
+           ("tests/test_threshold_analysis.py::TestFreeVariables::"
+            "test_m_is_one_row_short_below_the_threshold",)),
+    Mutant("unseen-coefficients-left-out-of-the-ranks", THRESHOLD,
+           "base = sys.n_tuples * sys.block_width - sys.unseen - z_start",
+           "base = sys.n_tuples * sys.block_width - z_start",
+           (SHARD_VALUES + "::test_unseen_coefficients",)),
+    Mutant("producer-version-in-the-next-column", THRESHOLD,
+           "shard_cols[k - 1] = r * v + t[r] - 1", "shard_cols[k - 1] = r * v + t[r]",
+           (SHARD_VALUES + "::test_column_map",)),
+    Mutant("lift-shared-versions-grouped-by-tuple", THRESHOLD,
+           "first.setdefault((r, t[r]), row[k - 1])", "first.setdefault((r, t), row[k - 1])",
+           ("tests/test_threshold_analysis.py::TestWitnessEquations::"
+            "test_m_shared_version_disagreement_rejected",)),
     Mutant("config-validator-without-integral-floats", "src/shardlab/cli.py",
            "cls=_ConfigValidator", "cls=_Validator",
            ("tests/test_cli.py::TestConfigValidation::test_integral_floats_are_config_errors",)),

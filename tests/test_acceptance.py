@@ -35,9 +35,9 @@ from shardlab import (
 )
 from shardlab.lcc import all_version_tuples
 from shardlab.polyshard_sim import history_power_check, power_check
-from shardlab.threshold_analysis import AnalysisParams, _c_row_blocks
+from shardlab.threshold_analysis import AnalysisParams
 
-from dense_system import dense_system
+from dense_system import _c_row_blocks, dense_system
 
 FIELD = PrimeField(DEFAULT_MODULUS)
 

@@ -27,7 +27,9 @@ from shardlab.field_poly import (
     kernel_vector, nullspace_vector, point_set, poly_divmod, poly_mul, poly_values,
     vanishing_polynomial,
 )
-from dense_system import Matrix, echelon_rows, matrix_rank, nullspace_basis, vandermonde
+from dense_system import (
+    Matrix, echelon_rows, matrix_rank, nullspace_basis, restricted_system, vandermonde,
+)
 from poly_oracle import euclid_steps, schoolbook_mul
 from rs_oracle import solve_linear
 
@@ -575,12 +577,16 @@ class TestPackedEchelon:
         ((3, 2, 2, 8, 1), None), ((2, 2, 3, 6, 2), None), ((3, 3, 2, 6, 1), (40,)),
     ])
     def test_rank_systems(self, field, config, ns):
-        # sweep_rank's layouts at every N it sweeps, and a 153 x 262 system
+        # sweep_rank's layouts at every N it sweeps, as R (one of them 153 x 262) and as M
         th = recovery_threshold(*config)
         for n in ns or range(th - 8, th + 3):
-            sys_m = build_system(proof_params(*config, n, field))
-            assert echelon(sys_m.R, sys_m.ncols, field.modulus) == echelon_rows(
-                sys_m.R, sys_m.ncols, field.modulus)
+            params = proof_params(*config, n, field)
+            sys_r = restricted_system(params)
+            assert echelon(sys_r.R, sys_r.ncols, field.modulus) == echelon_rows(
+                sys_r.R, sys_r.ncols, field.modulus)
+            sys_m = build_system(params)
+            assert echelon(sys_m.M, sys_m.ncols, field.modulus) == echelon_rows(
+                sys_m.M, sys_m.ncols, field.modulus)
 
     @pytest.mark.parametrize("bad, column", [(-1, 1), (97, 2), (10**30, 0)])
     def test_rejects_entries_outside_the_residues(self, bad, column):
@@ -912,9 +918,19 @@ class TestKernelBoundary:
         poly = lagrange_interpolate([(gf97(1), gf97(5)), (gf97(2), gf97(90)), (gf97(4), 3)])
         assert is_residue_tuple(poly.coeffs, 97)
         # R's rows are signed multiples of Vandermonde rows at the shard points
-        sys_m = build_system(proof_params(2, 1, 2, 3, 1, 9, gf97))
-        assert isinstance(sys_m.R, tuple) and sys_m.R
-        assert all(is_residue_tuple(row, 97) and len(row) == sys_m.ncols for row in sys_m.R)
+        sys_r = restricted_system(proof_params(2, 1, 2, 3, 1, 9, gf97))
+        assert isinstance(sys_r.R, tuple) and sys_r.R
+        assert all(is_residue_tuple(row, 97) and len(row) == sys_r.ncols for row in sys_r.R)
+
+    def test_shard_value_system_holds_residues(self, gf97):
+        # M's rows: one column per producer version and per honest output
+        for v, beta_prime, K, N in [(2, 1, 3, 9), (2, 2, 3, 15), (3, 2, 4, 40)]:
+            sys_m = build_system(proof_params(v, beta_prime, 2, K, 1, N, gf97))
+            assert isinstance(sys_m.M, tuple) and sys_m.M
+            assert sys_m.ncols == v * beta_prime + K - beta_prime
+            assert all(is_residue_tuple(row, 97) and len(row) == sys_m.ncols
+                       for row in sys_m.M)
+            assert all(is_residue_tuple(inv, 97) for inv in sys_m.inv_m)
 
     def test_foreign_field_rejected(self, gf7, gf97):
         poly = Polynomial(gf97, [1, 2])

@@ -28,12 +28,17 @@ from shardlab import (
     sweep_to_csv,
     unique_decodability,
 )
-from shardlab.field_poly import echelon, nullspace_vector, vanishing_polynomial
+from shardlab.field_poly import (
+    PrimeField, batch_inverse, echelon, nullspace_vector, poly_values, vanishing_polynomial,
+)
 from shardlab.lcc import EncodingParams, all_version_tuples
 from shardlab.polyshard_sim import power_check
-from shardlab.threshold_analysis import _c_row_blocks, _lift
+from shardlab.threshold_analysis import _lift
 
-from dense_system import Matrix, dense_system, matrix_rank, nullspace_basis, rref
+from dense_system import (
+    Matrix, _c_row_blocks, dense_system, matrix_rank, nullspace_basis, restricted_lift,
+    restricted_system, restricted_verdict, rref,
+)
 
 
 class TestBuildSystem:
@@ -276,7 +281,7 @@ def full_d_verdict(dense):
 
 
 def assert_matches_full_d(params):
-    """unique_decodability, which reduces only R, agrees with the reduction of D."""
+    """unique_decodability, which reduces only M, agrees with the reduction of D."""
     sys_m = build_system(params)
     dense = dense_system(params)
     report = unique_decodability(sys_m)
@@ -331,8 +336,10 @@ class TestRestrictedVerdict:
         # pins every coefficient
         params = proof_params(v, beta_prime, 2, 3, 1, 11, field)
         assert params.cell_sizes == (9,) and params.block_width == 5
+        assert restricted_system(params).ncols == params.K - params.beta_prime
+        # M: one row per shard value pins every value to zero
         sys_m = build_system(params)
-        assert sys_m.ncols == sys_m.z_width
+        assert (len(sys_m.M), sys_m.ncols) == (3, 3)
         assert assert_matches_full_d(params).unique_Z
 
     @pytest.mark.parametrize("sizes", [(5, 2), (3, 4)])
@@ -366,34 +373,160 @@ class TestRestrictedVerdict:
         assert_matches_full_d(explicit_params(field, v, beta_prime, d, K, beta, sizes))
 
 
+def free_z_witness(rows, ncols, z_width, field):
+    """The nullspace vector of residue rows at their first free output column."""
+    pivots = echelon(rows, ncols, field.modulus)
+    free_z = next(c for c in range(ncols - z_width, ncols) if c not in pivots)
+    return list(nullspace_vector(rows, ncols, field, pivots, free_z))
+
+
+def assert_matches_restricted(params, dense_cells=40_000):
+    """unique_decodability, which reduces M, agrees with the R oracle's one reduction,
+    and its witness solves D wherever D has at most dense_cells entries."""
+    sys_m = build_system(params)
+    report = unique_decodability(sys_m)
+    oracle = restricted_verdict(restricted_system(params))
+    assert (report.rank_D, report.rank_D_without_Z_columns, report.unique_Z) == (
+        oracle.rank_D, oracle.rank_D_without_Z_columns, oracle.unique_Z
+    )
+    if oracle.unique_Z:
+        assert report.witness is None
+        return report
+    assert report.zeta_block(sys_m.z_width) == oracle.zeta_block(sys_m.z_width)
+    n_tuples, z_width = sys_m.n_tuples, sys_m.z_width
+    d_rows = (sum(params.cell_sizes) + (n_tuples - 1) * z_width
+              + c_row_count(params.v, params.beta_prime) + z_width)
+    if d_rows * (n_tuples * sys_m.block_width + z_width) <= dense_cells:
+        assert not any(dense_system(params).D.mul_vec(report.witness))
+    return report
+
+
+# (v, beta') with v^beta' up to 27, each with the shard counts that hold beta' producers
+VERSION_SHAPES = [(1, 1), (2, 0), (2, 1), (2, 2), (3, 1), (2, 3), (3, 2), (3, 3)]
+
+
+class TestShardValueSystem:
+    """M, the system on the shard values, against the R oracle beyond the dense D's reach."""
+
+    def test_column_map(self, field):
+        # producer r's version u at column r*v + u - 1, the honest outputs after them
+        sys_m = build_system(explicit_params(field, 2, 2, 2, 4, 0, (3, 3, 3, 3)))
+        assert sys_m.columns == ((0, 2, 4, 5), (0, 3, 4, 5), (1, 2, 4, 5), (1, 3, 4, 5))
+        assert sys_m.ncols == 6 and sys_m.z_width == 2
+
+    @pytest.mark.parametrize("sizes", [(0, 2), (1, 0), (0, 0), (2, 7)])
+    def test_unseen_coefficients(self, field, sizes):
+        # width 7 against K = 3 shard values: a cell below 4 points leaves
+        # coefficients of h_t that no shard value sees
+        params = explicit_params(field, 2, 1, 3, 3, 0, sizes)
+        sys_m = build_system(params)
+        assert sys_m.unseen == sum(max(0, 7 - size - 3) for size in sizes) > 0
+        assert_matches_full_d(params)
+        assert_matches_restricted(params)
+
+    def test_window_of_27_tuples(self, field):
+        # (3, 3, 2, 8, 1): 27 tuples, an R of up to 207 x 208, unique from N = 204 on
+        verdicts = {}
+        for N in range(190, 206):
+            verdicts[N] = assert_matches_restricted(proof_params(3, 3, 2, 8, 1, N, field)).unique_Z
+        assert [N for N, unique in verdicts.items() if unique] == [204, 205]
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.sampled_from([97, 2**31 - 1]),
+        st.sampled_from(VERSION_SHAPES),
+        st.integers(1, 3),
+        st.integers(1, 5),
+        st.integers(0, 2),
+        st.booleans(),
+        st.data(),
+    )
+    def test_random_cell_sizes_match_the_restricted_oracle(
+        self, p, vb, d, K, beta, near_threshold, data
+    ):
+        v, beta_prime = vb
+        K = max(K, beta_prime)
+        n_tuples, width, floor = v**beta_prime, d * (K - 1) + 1, (d - 1) * (K - 1)
+        if near_threshold:
+            # cells at or just below (d-1)(K-1) points, then about as many points
+            # above it as M has columns, one at a time: both verdicts are common
+            sizes = data.draw(st.lists(st.integers(max(0, floor - 2), floor),
+                                       min_size=n_tuples, max_size=n_tuples))
+            for t in data.draw(st.lists(st.integers(0, n_tuples - 1),
+                                        max_size=v * beta_prime + K - beta_prime + 1)):
+                sizes[t] = min(sizes[t] + 1, width)
+        else:
+            sizes = data.draw(st.lists(st.integers(0, width),
+                                       min_size=n_tuples, max_size=n_tuples))
+        # distinct points: the K shard points and the retained ones stay below p
+        sizes = [min(size, (p - K - 1) // n_tuples) for size in sizes]
+        assert_matches_restricted(
+            explicit_params(PrimeField(p), v, beta_prime, d, K, beta, sizes))
+
+
 class TestWitnessEquations:
-    """The lift checks a witness against the layout's equations, not against R."""
+    """The lifts check a witness against the layout's equations, not against R or M."""
 
     @staticmethod
     def r_witness(field):
+        sys_r = restricted_system(proof_params(2, 1, 2, 3, 1, 9, field))
+        return sys_r, free_z_witness(sys_r.R, sys_r.ncols, sys_r.z_width, field)
+
+    @staticmethod
+    def m_witness(field):
         sys_m = build_system(proof_params(2, 1, 2, 3, 1, 9, field))
-        pivots = echelon(sys_m.R, sys_m.ncols, field.modulus)
-        free_z = next(c for c in range(sys_m.ncols - sys_m.z_width, sys_m.ncols)
-                      if c not in pivots)
-        return sys_m, list(nullspace_vector(sys_m.R, sys_m.ncols, field, pivots, free_z))
+        return sys_m, free_z_witness(sys_m.M, sys_m.ncols, sys_m.z_width, field)
 
     def test_lifted_vector_solves_d(self, field):
-        sys_m, vec = self.r_witness(field)
-        assert not any(dense_system(sys_m.params).D.mul_vec(_lift(sys_m, vec)))
+        sys_r, vec = self.r_witness(field)
+        assert not any(dense_system(sys_r.params).D.mul_vec(restricted_lift(sys_r, vec)))
 
     @pytest.mark.parametrize("index", [0, -1], ids=["h_coefficient", "z_entry"])
     def test_perturbed_vector_rejected(self, field, index):
-        sys_m, vec = self.r_witness(field)
+        sys_r, vec = self.r_witness(field)
+        vec[index] += 1
+        with pytest.raises(AssertionError):
+            restricted_lift(sys_r, vec)
+
+    def test_wrong_vanishing_polynomial_rejected(self, field):
+        # the check reads the cells from the layout, not from the m_t it was handed
+        sys_r, vec = self.r_witness(field)
+        shifted = vanishing_polynomial([field(x) for x in range(40, 44)], field)
+        with pytest.raises(AssertionError, match="zero of its cell"):
+            restricted_lift(
+                dataclasses.replace(sys_r, vanishing=(shifted, *sys_r.vanishing[1:])), vec)
+
+    def test_m_lifted_vector_solves_d(self, field):
+        sys_m, vec = self.m_witness(field)
+        lifted = _lift(sys_m, vec)
+        assert not any(dense_system(sys_m.params).D.mul_vec(lifted))
+        assert len(lifted) == sys_m.n_tuples * sys_m.block_width + sys_m.z_width
+
+    @pytest.mark.parametrize("index", [0, -1], ids=["version_value", "z_entry"])
+    def test_m_perturbed_vector_rejected(self, field, index):
+        sys_m, vec = self.m_witness(field)
         vec[index] += 1
         with pytest.raises(AssertionError):
             _lift(sys_m, vec)
 
-    def test_wrong_vanishing_polynomial_rejected(self, field):
-        # the check reads the cells from the layout, not from the m_t it was handed
-        sys_m, vec = self.r_witness(field)
+    def test_m_wrong_vanishing_values_rejected(self, field):
+        # 1/m_t(omega_k) of another cell: the interpolant outgrows h_t, and the block D
+        # holds of m_t * h_t misses the zeros of the cell the layout names
+        sys_m, vec = self.m_witness(field)
         shifted = vanishing_polynomial([field(x) for x in range(40, 44)], field)
+        inv = tuple(batch_inverse(poly_values(shifted.coeffs, [1, 2, 3], field.modulus),
+                                  field.modulus))
         with pytest.raises(AssertionError, match="zero of its cell"):
-            _lift(dataclasses.replace(sys_m, vanishing=(shifted, *sys_m.vanishing[1:])), vec)
+            _lift(dataclasses.replace(sys_m, inv_m=(inv, *sys_m.inv_m[1:])), vec)
+
+    def test_m_shared_version_disagreement_rejected(self, field):
+        # tuple (1, 1) has an empty cell and so no row of M; read through the column of
+        # producer 1's version 2, it disagrees with tuple (1, 2) at producer 1's shard
+        sys_m = build_system(explicit_params(field, 2, 2, 2, 3, 0, (0, 3, 3, 3)))
+        vec = free_z_witness(sys_m.M, sys_m.ncols, sys_m.z_width, field)
+        assert sys_m.columns[0] == (0, 2, 4) and vec[0] != vec[1]
+        with pytest.raises(AssertionError, match="sharing a captured producer's version"):
+            _lift(dataclasses.replace(sys_m, columns=((1, 2, 4), *sys_m.columns[1:])), vec)
 
 
 class TestBounds:
@@ -455,8 +588,20 @@ class TestFreeVariables:
         # leaves free are exactly R's coefficient columns
         for v, bp, d, K in itertools.product(range(1, 4), range(3), range(1, 4), range(3, 6)):
             N = recovery_threshold(v, bp, d, K, 1) - 1
-            sys_m = build_system(proof_params(v, bp, d, K, 1, N, field))
-            assert sys_m.ncols - sys_m.z_width == free_variable_count(v, bp, d, K)
+            sys_r = restricted_system(proof_params(v, bp, d, K, 1, N, field))
+            assert sys_r.ncols - sys_r.z_width == free_variable_count(v, bp, d, K)
+
+    def test_m_is_one_row_short_below_the_threshold(self, field):
+        # the counting argument: one node below the threshold, M has one row per node
+        # above T(d-1)(K-1) + 2*beta, which is one row fewer than its columns
+        for v, bp, d, K, beta in itertools.product(
+            range(1, 4), range(3), range(1, 4), range(3, 6), range(2)
+        ):
+            threshold = recovery_threshold(v, bp, d, K, beta)
+            sys_m = build_system(proof_params(v, bp, d, K, beta, threshold - 1, field))
+            assert sys_m.ncols == v * bp + K - bp
+            assert len(sys_m.M) == sys_m.ncols - 1
+            assert len(sys_m.M) == threshold - 1 - v**bp * (d - 1) * (K - 1) - 2 * beta
 
 
 class TestEmpiricalThreshold:
