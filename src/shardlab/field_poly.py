@@ -491,7 +491,8 @@ def vanishing_polynomial(xs: Iterable[int | FieldElement], field: PrimeField) ->
     """The monic polynomial prod (z - x) over xs: its roots are exactly the xs.
 
     One linear factor at a time, which is fast enough for the points its callers pass:
-    the rank witness's cells and a `PointSet` of at most _ROWS_UP_TO points. A larger
+    a version cell of the rank witness, the error positions of a confirmed error locator
+    (at most max_errors) and a `PointSet` of at most _ROWS_UP_TO points. A larger
     `PointSet` takes g from the top of its subproduct tree instead."""
     p = field.modulus
     m = [1]  # ascending

@@ -16,7 +16,10 @@ coefficient j in [w_t, K) of the interpolant through tuple t's values over
 m_t(omega_k), which must vanish: the parity checks of a generalized Reed-Solomon
 code (MacWilliams and Sloane, ch. 10), max(0, |cell| - (d-1)(K-1)) rows for a
 cell of at most width points. Only M is built and eliminated; a witness is
-lifted back to D's columns and checked against the layout's equations.
+lifted back to D's columns and checked against the layout's equations. The lift
+cuts m_t * h_t = P_t + x^width * H_t at D's block width, so P_t = -x^width * H_t
+mod m_t: where the cut-off H_t is zero, m_t divides P_t, and P_t vanishes on the
+cell without being evaluated there.
 """
 
 from __future__ import annotations
@@ -25,11 +28,12 @@ import csv
 import io
 from dataclasses import dataclass
 from functools import lru_cache
+from math import prod
 from typing import Iterable, Sequence
 
 from .adversary import InfeasiblePartition, balanced_cells
 from .field_poly import (
-    FieldElement, PrimeField, batch_inverse, echelon, nullspace_vector,
+    FieldElement, PackedMap, PrimeField, batch_inverse, echelon, nullspace_vector,
     point_set, poly_mul, poly_values, vanishing_polynomial,
 )
 from .lcc import VersionTuple, all_version_tuples
@@ -216,11 +220,8 @@ def build_system(params: AnalysisParams) -> SystemMatrices:
         columns.append(tuple(shard_cols))
     m_at = []  # m_t(omega_k) = prod (omega_k - alpha) over the cell, every t then k
     for cell in params.partition:
-        at = [1] * K
-        for alpha in cell:
-            a = alpha.value
-            at = [m * (w - a) % p for m, w in zip(at, omegas)]
-        m_at += at
+        xs = [alpha.value for alpha in cell]
+        m_at += [prod([w - a for a in xs]) % p for w in omegas]
     inv = batch_inverse(m_at, p)
     inv_m = tuple(tuple(inv[i:i + K]) for i in range(0, len(inv), K))
     h_widths = [max(0, width - len(cell)) for cell in params.partition]
@@ -262,29 +263,40 @@ class RankReport:
         return self.witness[-z_width:]
 
 
+@lru_cache(maxsize=16)
+def _powers_map(xs: tuple[int, ...], width: int, p: int) -> PackedMap:
+    """The map from `width` ascending coefficients to the polynomial's values at every x
+    in xs: vector i holds x^i at each x."""
+    return PackedMap(([pow(x, i, p) for x in xs] for i in range(width)), p)
+
+
 def _lift(sys: SystemMatrices, vec: Sequence[int | FieldElement]) -> tuple[FieldElement, ...]:
     """Map a nullspace vector of M back to D's columns, and check the P_t and the
     outputs against the layout's equations, evaluated from its points without M's rows.
 
     Tuple t's values times 1/m_t(omega_k) interpolate on the shard points to h_t, and
-    P_t = m_t * h_t keeps the width low coefficients that D's block holds, so a vector
-    off M's kernel gives P_t that miss the equations."""
+    P_t keeps the width low coefficients of m_t * h_t that D's block holds, so a vector
+    off M's kernel gives P_t that miss the equations. With H_t the coefficients of
+    m_t * h_t from width up, m_t * h_t = P_t + x^width * H_t, so P_t = -x^width * H_t
+    mod m_t. Where H_t = 0, m_t divides P_t, which then vanishes at every point of the
+    cell, as those points are distinct; only a nonzero H_t has P_t evaluated there.
+    P_t at the shard points is one packed sum of the powers of the omegas."""
     params = sys.params
     field, width = params.field, params.block_width
     p = field.modulus
     values = [field.residue(x) for x in vec]
     omegas = tuple(w.value for w in params.omegas)
-    shards = point_set(omegas, p)
+    shards, at_shards = point_set(omegas, p), _powers_map(omegas, width, p)
     blocks, at = [], []  # P_t's coefficients, ascending; P_t at every omega_k
     for cell, cols, inv in zip(params.partition, sys.columns, sys.inv_m):
+        xs = [alpha.value for alpha in cell]
         h = shards.interpolate([values[c] * i % p for c, i in zip(cols, inv)])
-        P = poly_mul(vanishing_polynomial(cell, field).coeffs, h, p)[:width]
-        P += [0] * (width - len(P))
-        at_cell = poly_values(P, [*(alpha.value for alpha in cell), *omegas], p)
-        if any(at_cell[:len(cell)]):
+        mh = poly_mul(vanishing_polynomial(xs, field).coeffs, h, p)
+        P = mh[:width] + [0] * (width - len(mh))
+        if any(mh[width:]) and any(poly_values(P, xs, p)):
             raise AssertionError("a witness polynomial misses a zero of its cell")
         blocks.append(P)
-        at.append(at_cell[len(cell):])
+        at.append(at_shards.apply(P))
     z = values[sys.ncols - sys.z_width:]
     if any(row[k - 1] != z_k for k, z_k in zip(params.honest_producers, z) for row in at):
         raise AssertionError("witness tuples disagree with the outputs at an honest shard")
@@ -381,7 +393,9 @@ def empirical_threshold(
     below `recovery_threshold`, where another partition is ambiguous, so the
     threshold it finds can fall below the formula. Where the layout is
     infeasible (a cell would reach d(K-1)+1 points and decode alone), the row
-    records that the construction cannot attack N.
+    records that the construction cannot attack N. Every ambiguous row rests on a
+    witness that `unique_decodability` lifted and checked against the layout's
+    equations; a witness that fails them raises instead of giving a row.
     """
     rows = []
     for N in N_range:

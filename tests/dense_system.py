@@ -8,7 +8,10 @@ Gauss-Jordan elimination, which the library no longer runs, so the oracle shares
 no elimination code with the library. R has one column per coefficient of each
 h_t in P_t = m_t * h_t and one row per agreement or tie of D; it is the oracle for
 layouts whose D is too large to reduce: `restricted_verdict` reduces it once, and
-`restricted_lift` maps its witness back to D's columns.
+`restricted_lift` maps its witness back to D's columns. `evaluated_lift` maps M's
+witness back as the library's `_lift` does, but with no cut-off test: it evaluates
+every P_t at each point of its cell and at the shard points by Horner, so it is the
+oracle for `_lift`.
 
 `Matrix`, `vandermonde`, `matrix_rank` and `nullspace_basis` are the dense
 layer the library used to export. The library runs its linear algebra on rows
@@ -26,8 +29,11 @@ from itertools import accumulate, combinations
 from operator import mul
 from typing import Iterable, Sequence
 
-from shardlab import AnalysisParams, FieldElement, PrimeField, RankReport
-from shardlab.field_poly import Polynomial, echelon, nullspace_vector, vanishing_polynomial
+from shardlab import AnalysisParams, FieldElement, PrimeField, RankReport, SystemMatrices
+from shardlab.field_poly import (
+    Polynomial, echelon, nullspace_vector, point_set, poly_mul, poly_values,
+    vanishing_polynomial,
+)
 from shardlab.lcc import VersionTuple
 
 
@@ -343,3 +349,39 @@ def restricted_verdict(sys: RestrictedSystem) -> RankReport:
         witness=None if free_z is None else restricted_lift(
             sys, nullspace_vector(sys.R, sys.ncols, field, pivots, free_z)),
     )
+
+
+def evaluated_lift(sys: SystemMatrices,
+                   vec: Sequence[int | FieldElement]) -> tuple[FieldElement, ...]:
+    """Map a nullspace vector of M back to D's columns as the library's `_lift` does, and
+    check the P_t by evaluating each at every point of its cell and at the shard points.
+
+    Tuple t's values times 1/m_t(omega_k) interpolate on the shard points to h_t, and
+    P_t = m_t * h_t keeps the width low coefficients that D's block holds, so a vector
+    off M's kernel gives P_t that miss the equations."""
+    params = sys.params
+    field, width = params.field, params.block_width
+    p = field.modulus
+    values = [field.residue(x) for x in vec]
+    omegas = tuple(w.value for w in params.omegas)
+    shards = point_set(omegas, p)
+    blocks, at = [], []  # P_t's coefficients, ascending; P_t at every omega_k
+    for cell, cols, inv in zip(params.partition, sys.columns, sys.inv_m):
+        h = shards.interpolate([values[c] * i % p for c, i in zip(cols, inv)])
+        P = poly_mul(vanishing_polynomial(cell, field).coeffs, h, p)[:width]
+        P += [0] * (width - len(P))
+        at_cell = poly_values(P, [*(alpha.value for alpha in cell), *omegas], p)
+        if any(at_cell[:len(cell)]):
+            raise AssertionError("a witness polynomial misses a zero of its cell")
+        blocks.append(P)
+        at.append(at_cell[len(cell):])
+    z = values[sys.ncols - sys.z_width:]
+    if any(row[k - 1] != z_k for k, z_k in zip(params.honest_producers, z) for row in at):
+        raise AssertionError("witness tuples disagree with the outputs at an honest shard")
+    first: dict[tuple[int, int], int] = {}  # (producer position, version): its first value
+    for t, row in zip(params.tuples, at):
+        for r, k in enumerate(params.producers):
+            if first.setdefault((r, t[r]), row[k - 1]) != row[k - 1]:
+                raise AssertionError(
+                    "witness tuples sharing a captured producer's version disagree")
+    return tuple(FieldElement(c, field) for c in [*(c for P in blocks for c in P[::-1]), *z])

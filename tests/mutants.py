@@ -41,6 +41,7 @@ ASSIGN = "tests/test_adversary.py::TestAssignVersions"
 TREE = "tests/test_field_poly.py::TestSubproductTree"
 THRESHOLD = "src/shardlab/threshold_analysis.py"
 SHARD_VALUES = "tests/test_threshold_analysis.py::TestShardValueSystem"
+WITNESS = "tests/test_threshold_analysis.py::TestWitnessEquations"
 CHAIN_IDS = ("tests/test_polyshard_sim.py::TestDivergence::"
              "test_chain_ids_match_full_masked_histories[append_own_view]")
 
@@ -212,6 +213,15 @@ MUTANTS = (
            "first.setdefault((r, t[r]), row[k - 1])", "first.setdefault((r, t), row[k - 1])",
            ("tests/test_threshold_analysis.py::TestWitnessEquations::"
             "test_m_shared_version_disagreement_rejected",)),
+    Mutant("lift-cut-off-test-skipped", THRESHOLD,
+           "if any(mh[width:]) and any(poly_values(P, xs, p)):",
+           "if False and any(poly_values(P, xs, p)):",
+           (WITNESS + "::test_m_wrong_vanishing_values_rejected",
+            WITNESS + "::test_cut_off_of_one_coefficient_rejected")),
+    Mutant("shard-powers-start-at-x", THRESHOLD,
+           "[pow(x, i, p) for x in xs] for i in range(width)",
+           "[pow(x, i + 1, p) for x in xs] for i in range(width)",
+           (WITNESS + "::test_m_lifted_vector_solves_d",)),
     Mutant("config-validator-without-integral-floats", "src/shardlab/cli.py",
            "cls=_ConfigValidator", "cls=_Validator",
            ("tests/test_cli.py::TestConfigValidation::test_integral_floats_are_config_errors",)),

@@ -4,8 +4,9 @@ Every round-robin layout of `proof_params` with v <= 3, beta' <= 2 (beta' <= K),
 d <= 3, K <= 5, beta <= 2 and N from threshold - 4 to threshold + 1, at p = 97
 and p = 2^31 - 1: `unique_decodability` on `build_system` must give the same
 rank(D), rank(D) without the output columns, uniqueness and witness output block
-as one reduction of R (`dense_system.restricted_verdict`). Infeasible layouts
-are skipped.
+as one reduction of R (`dense_system.restricted_verdict`), and every ambiguous
+witness must be the one `dense_system.evaluated_lift` lifts from the same
+nullspace vector of M, whole. Infeasible layouts are skipped.
 
     python tests/rank_grid.py
 
@@ -27,7 +28,18 @@ from shardlab import (  # noqa: E402
     InfeasiblePartition, PrimeField, build_system, proof_params, recovery_threshold,
     unique_decodability,
 )
-from dense_system import restricted_system, restricted_verdict  # noqa: E402
+from shardlab.field_poly import echelon, nullspace_vector  # noqa: E402
+from dense_system import (  # noqa: E402
+    evaluated_lift, restricted_system, restricted_verdict,
+)
+
+
+def evaluated_witness(sys):
+    """The oracle's lift of M's nullspace vector at its first free output column."""
+    field = sys.params.field
+    pivots = echelon(sys.M, sys.ncols, field.modulus)
+    free_z = next(c for c in range(sys.ncols - sys.z_width, sys.ncols) if c not in pivots)
+    return evaluated_lift(sys, nullspace_vector(sys.M, sys.ncols, field, pivots, free_z))
 
 
 def verdict(report, z_width: int):
@@ -52,13 +64,19 @@ def main() -> int:
                 except InfeasiblePartition:
                     continue
                 z_width = K - beta_prime
-                mine = verdict(unique_decodability(build_system(params)), z_width)
+                sys_m = build_system(params)
+                report = unique_decodability(sys_m)
+                mine = verdict(report, z_width)
                 oracle = verdict(restricted_verdict(restricted_system(params)), z_width)
                 checked += 1
+                where = (f"(v, beta', d, K, beta) = {(v, beta_prime, d, K, beta)}, "
+                         f"N={N}, p={p}")
                 if mine != oracle:
                     differences.append(((v, beta_prime, d, K, beta), N, p))
-                    print(f"differs at (v, beta', d, K, beta) = {(v, beta_prime, d, K, beta)}, "
-                          f"N={N}, p={p}: M gives {mine[:3]}, R gives {oracle[:3]}")
+                    print(f"differs at {where}: M gives {mine[:3]}, R gives {oracle[:3]}")
+                elif not report.unique_Z and report.witness != evaluated_witness(sys_m):
+                    differences.append(((v, beta_prime, d, K, beta), N, p))
+                    print(f"witness differs at {where} from the evaluated lift")
     print(f"{checked} verdicts, {len(differences)} differences, "
           f"{time.perf_counter() - started:.1f} s")
     return 1 if differences else 0

@@ -28,16 +28,18 @@ from shardlab import (
     sweep_to_csv,
     unique_decodability,
 )
+from shardlab import threshold_analysis
 from shardlab.field_poly import (
-    PrimeField, batch_inverse, echelon, nullspace_vector, poly_values, vanishing_polynomial,
+    PrimeField, batch_inverse, echelon, kernel_vector, nullspace_vector, poly_values,
+    vanishing_polynomial,
 )
 from shardlab.lcc import EncodingParams, all_version_tuples
 from shardlab.polyshard_sim import power_check
 from shardlab.threshold_analysis import _lift
 
 from dense_system import (
-    Matrix, _c_row_blocks, dense_system, matrix_rank, nullspace_basis, restricted_lift,
-    restricted_system, restricted_verdict, rref,
+    Matrix, _c_row_blocks, dense_system, evaluated_lift, matrix_rank, nullspace_basis,
+    restricted_lift, restricted_system, restricted_verdict, rref,
 )
 
 
@@ -528,6 +530,73 @@ class TestWitnessEquations:
         with pytest.raises(AssertionError, match="sharing a captured producer's version"):
             _lift(dataclasses.replace(sys_m, columns=((1, 2, 4), *sys_m.columns[1:])), vec)
 
+    def test_cut_off_of_one_coefficient_rejected(self, field):
+        # a cell of 3 points under width 5 leaves h_t two coefficients; values that
+        # interpolate to h_t = x^2 make m_t * h_t of degree exactly width, so the
+        # coefficients cut off above the block are the single leading 1
+        sys_m = build_system(explicit_params(field, 1, 0, 2, 3, 0, (3,)))
+        p, (inv,) = field.modulus, sys_m.inv_m
+        assert sys_m.block_width == 5 and sys_m.columns == ((0, 1, 2),)
+
+        def values(degree):  # m_t(omega_k) * omega_k^degree at the shard points 1, 2, 3
+            return [pow(i, -1, p) * pow(k, degree, p) % p for k, i in zip((1, 2, 3), inv)]
+
+        assert not any(dense_system(sys_m.params).D.mul_vec(_lift(sys_m, values(1))))
+        for lift in (_lift, evaluated_lift):
+            with pytest.raises(AssertionError, match="zero of its cell"):
+                lift(sys_m, values(2))
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.sampled_from([97, 2**31 - 1]),
+        st.sampled_from(VERSION_SHAPES),
+        st.integers(1, 3),
+        st.integers(1, 5),
+        st.data(),
+    )
+    def test_lift_matches_the_evaluated_lift(self, p, vb, d, K, data):
+        # the cut-off test and the packed shard values against evaluating every P_t
+        # at its cell and the shard points: the same witness on M's kernel, the same
+        # message where a shifted value, another cell's 1/m_t or swapped columns fail
+        v, beta_prime = vb
+        K = max(K, beta_prime)
+        n_tuples, width, floor = v**beta_prime, d * (K - 1) + 1, (d - 1) * (K - 1)
+        sizes = data.draw(st.lists(st.integers(max(0, floor - 1), width),
+                                   min_size=n_tuples, max_size=n_tuples))
+        sizes = [min(size, (p - K - 1) // n_tuples) for size in sizes]
+        sys_m = build_system(explicit_params(PrimeField(p), v, beta_prime, d, K, 0, sizes))
+        pivots = echelon(sys_m.M, sys_m.ncols, p)
+        vec = [0] * sys_m.ncols  # a random combination of M's kernel basis
+        for free in (c for c in range(sys_m.ncols) if c not in pivots):
+            scale = data.draw(st.integers(0, p - 1))
+            basis = kernel_vector(pivots, sys_m.ncols, p, free)
+            vec = [(a + scale * b) % p for a, b in zip(vec, basis)]
+
+        def outcome(lift, sys_m, vec):
+            try:
+                return lift(sys_m, vec)
+            except AssertionError as e:
+                return str(e)
+
+        def same(sys_m, vec):
+            mine = outcome(_lift, sys_m, vec)
+            assert mine == outcome(evaluated_lift, sys_m, vec)
+            return mine
+
+        assert isinstance(same(sys_m, vec), tuple)
+        c = data.draw(st.integers(0, sys_m.ncols - 1))
+        shifted = [*vec[:c], (vec[c] + 1) % p, *vec[c + 1:]]
+        if any(row[c] for row in sys_m.M):  # off M's kernel
+            assert same(sys_m, shifted) == "a witness polynomial misses a zero of its cell"
+        else:
+            same(sys_m, shifted)
+        t, s = data.draw(st.permutations(range(n_tuples)))[:2] if n_tuples > 1 else (0, 0)
+        inv_m, columns = list(sys_m.inv_m), list(sys_m.columns)
+        inv_m[t] = sys_m.inv_m[s]
+        same(dataclasses.replace(sys_m, inv_m=tuple(inv_m)), vec)
+        columns[t], columns[s] = columns[s], columns[t]
+        same(dataclasses.replace(sys_m, columns=tuple(columns)), vec)
+
 
 class TestBounds:
     def test_threshold_examples(self):
@@ -636,6 +705,19 @@ class TestEmpiricalThreshold:
         assert lines[1].endswith(",false")
         assert lines[2].endswith(",true")
         assert lines[3] == "11,,,,infeasible"
+
+    def test_every_ambiguous_row_is_certified(self, field, monkeypatch):
+        # each ambiguous row rests on a lifted witness checked against the layout: with
+        # 1/m_t(omega_k) of the other cell handed to the lift, the sweep raises
+        build = threshold_analysis.build_system
+
+        def swapped_cells(params):
+            sys_m = build(params)
+            return dataclasses.replace(sys_m, inv_m=sys_m.inv_m[::-1])
+
+        monkeypatch.setattr(threshold_analysis, "build_system", swapped_cells)
+        with pytest.raises(AssertionError, match="zero of its cell"):
+            empirical_threshold(2, 1, 2, 3, 1, range(9, 10), field)
 
 
 class TestProofParams:
