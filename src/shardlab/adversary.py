@@ -63,12 +63,15 @@ class VersionAssignment:
     node_tuples: Mapping[int, VersionTuple]
 
     def __post_init__(self):
+        # each distinct tuple is checked once; an error names the first node holding a bad one
         width = len(self.producers)
-        for node, tup in self.node_tuples.items():
+        bad = {tup for tup in set(self.node_tuples.values())
+               if len(tup) != width or any(not 1 <= x <= self.v for x in tup)}
+        if bad:
+            node, tup = next((node, tup) for node, tup in self.node_tuples.items() if tup in bad)
             if len(tup) != width:
                 raise ValueError(f"node {node}: tuple width {len(tup)} != {width}")
-            if any(not 1 <= x <= self.v for x in tup):
-                raise ValueError(f"node {node}: version outside 1..{self.v}")
+            raise ValueError(f"node {node}: version outside 1..{self.v}")
 
 
 def forge_versions(

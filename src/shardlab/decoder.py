@@ -18,8 +18,8 @@ from typing import Container, Iterable, NamedTuple, Sequence
 
 from .adversary import VersionAssignment
 from .field_poly import (
-    DuplicateAbscissa, FieldElement, Polynomial, euclid_until, point_set, poly_divmod, poly_values,
-    vanishing_polynomial,
+    DuplicateAbscissa, FieldElement, Polynomial, PrimeField, euclid_until, point_set, poly_divmod,
+    poly_values, vanishing_polynomial,
 )
 from .lcc import EncodingParams
 
@@ -46,28 +46,51 @@ class BroadcastSet:
     """The results every node holds after the broadcast round, as columns: entry i of the
     (node, point, value) entries is node `nodes[i]`, with residues `points[i]` and `values[i]`
     (None: silent). The first point's field is the set's `field`, None for no entries; every
-    other point and every value may be an element of it or an int, reduced mod p."""
+    other point and every value may be an element of it or an int, reduced mod p.
+    `from_columns` builds a set from residue columns without converting them."""
 
     __slots__ = ("field", "nodes", "points", "values")
 
     def __init__(self, entries: Iterable[tuple]):
         nodes, points, values = tuple(zip(*entries)) or ((), (), ())
-        if len(set(nodes)) != len(nodes):
-            raise ValueError("duplicate node index in broadcast set")
         if points and not isinstance(points[0], FieldElement):
             raise ValueError(f"node {nodes[0]}: the first entry's point must be a field element, "
                              f"since it fixes the set's field")
-        self.field = field = points[0].field if points else None
-        self.nodes = nodes
+        field = points[0].field if points else None
         try:
-            self.points = tuple(map(field.residue, points)) if points else ()
-            self.values = tuple(None if y is None else field.residue(y) for y in values)
+            points = tuple(map(field.residue, points)) if points else ()
+            values = tuple(None if y is None else field.residue(y) for y in values)
         except ValueError:  # name the first node whose point or value is not in the field
             node = next(n for n, x, y in zip(nodes, points, values) if not all(
                 z is None or isinstance(z, int) or getattr(z, "field", None) == field
                 for z in (x, y)))
             raise ValueError(f"node {node}: point and value must lie in {field}, "
                              f"the field of the first entry's point") from None
+        self._set_columns(field, nodes, points, values)
+
+    @classmethod
+    def from_columns(cls, field: PrimeField | None, nodes: Sequence[int], points: Sequence[int],
+                     values: Sequence[int | None]) -> "BroadcastSet":
+        """The set whose entry i is node nodes[i] at point points[i] with value values[i]:
+        residues of `field` in [0, p), a value None for a silent node. A repeated node, a
+        point or value outside [0, p) and columns of unequal length raise ValueError."""
+        b = cls.__new__(cls)
+        b._set_columns(field, tuple(nodes), tuple(points), tuple(values))
+        return b
+
+    def _set_columns(self, field, nodes, points, values) -> None:
+        if not len(nodes) == len(points) == len(values):
+            raise ValueError("the node, point and value columns must have one length")
+        if len(set(nodes)) != len(nodes):
+            raise ValueError("duplicate node index in broadcast set")
+        if points:
+            p = field.modulus
+            heard = values if None not in values else [y for y in values if y is not None]
+            if min(points) < 0 or max(points) >= p or heard and (min(heard) < 0 or max(heard) >= p):
+                node = next(n for n, x, y in zip(nodes, points, values)
+                            if not 0 <= x < p or y is not None and not 0 <= y < p)
+                raise ValueError(f"node {node}: point and value must be residues in [0, {p})")
+        self.field, self.nodes, self.points, self.values = field, nodes, points, values
 
     def __len__(self) -> int:
         return len(self.nodes)
@@ -219,8 +242,9 @@ def known_behavior_decode(
         if budget < 0:
             continue
         attempted += 1
-        out = rs_decode(BroadcastSet((b.nodes[i], b.field(b.points[i]), b.values[i])
-                                     for i in cell), degree_bound, budget)
+        out = rs_decode(BroadcastSet.from_columns(
+            b.field, *([column[i] for i in cell] for column in (b.nodes, b.points, b.values))),
+            degree_bound, budget)
         if not out.recovered:
             continue
         fit = present - len(out.error_positions)

@@ -491,13 +491,12 @@ def vanishing_polynomial(xs: Iterable[int | FieldElement], field: PrimeField) ->
     """The monic polynomial prod (z - x) over xs: its roots are exactly the xs.
 
     One linear factor at a time, which is fast enough for the points its callers pass:
-    a version cell of the rank witness, the error positions of a confirmed error locator
-    (at most max_errors) and a `PointSet` of at most _ROWS_UP_TO points. A larger
-    `PointSet` takes g from the top of its subproduct tree instead."""
-    p = field.modulus
+    a version cell of the rank witness and the error positions of a confirmed error
+    locator (at most max_errors). A `PointSet` takes g from its subproduct tree instead."""
+    p, residue = field.modulus, field.residue
     m = [1]  # ascending
     for x in xs:
-        a = field.residue(x)
+        a = x % p if type(x) is int else residue(x)  # ints skip the call
         m = [(lo - a * hi) % p for lo, hi in zip([0, *m], [*m, 0])]
     return Polynomial(field, m)
 
@@ -521,41 +520,72 @@ def poly_values(cs: Sequence[int], xs: Sequence[int], p: int) -> list[int]:
     return acc
 
 
+@lru_cache(maxsize=16)
+def factorial_table(n: int, p: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(i! mod p, 1/i! mod p) for i in range(n), 1 <= n <= p, from one inversion."""
+    fact = tuple(accumulate(range(1, n), lambda a, i: a * i % p, initial=1))
+    inv = [pow(fact[-1], -1, p)] * n
+    for i in range(n - 1, 0, -1):
+        inv[i - 1] = inv[i] * i % p
+    return fact, tuple(inv)
+
+
+def progression_step(xs: Sequence[int], p: int) -> int | None:
+    """The step h when the residues xs are xs[0] + h i mod p for i = 0, 1, ..., in this
+    order, with at least two points; else None."""
+    if len(xs) < 2:
+        return None
+    h = (xs[1] - xs[0]) % p
+    return h if all(x == y % p for x, y in zip(xs, range(xs[0], xs[0] + h * len(xs), h))) else None
+
+
 class PointSet:
     """Interpolation on distinct residues xs mod p, cached by `point_set`: the master
     polynomial g = prod (z - x_j) and the weights w_j = 1/g'(x_j) as residue tuples, so the
-    interpolant through the (x_j, y_j) is sum_j y_j w_j g/(z - x_j). Up to _ROWS_UP_TO points
-    that sum is one `PackedMap` application: each quotient g/(z - x_j), from one synthetic
-    division at every x, is kept as one int with a slot per coefficient, so the n scaled
-    quotients add up in CPython's integers and are unpacked once. Above it, the sum
-    combines up a subproduct tree, n = n_L g_R + n_R g_L (von zur Gathen and Gerhard,
-    Modern Computer Algebra, ch. 10). Either set-up is O(len(xs)^2), for the g'."""
+    interpolant through the (x_j, y_j) is sum_j y_j w_j g/(z - x_j). g is the top of the
+    subproduct tree of the linear factors (von zur Gathen and Gerhard, Modern Computer
+    Algebra, ch. 10). On points a + h j mod p, in that order, g'(x_j) is
+    (-1)^(n-1-j) h^(n-1) j! (n-1-j)!, so the weights come from a cached factorial table;
+    on any other points, from g' at every x_j by one Horner pass, O(len(xs)^2).
+
+    Up to _ROWS_UP_TO points the interpolant is one `PackedMap` application: each quotient
+    g/(z - x_j), from one synthetic division at every x, O(len(xs)^2), is kept as one int
+    with a slot per coefficient, so the n scaled quotients add up in CPython's integers and
+    are unpacked once. Above it, the sum combines up the subproduct tree,
+    n = n_L g_R + n_R g_L."""
 
     __slots__ = ("p", "master", "weights", "_rows", "_levels")
 
     def __init__(self, xs: tuple[int, ...], p: int):
-        if len(set(xs)) != len(xs):
+        n = len(xs)
+        if len(set(xs)) != n:
             raise DuplicateAbscissa("interpolation points must have distinct x values")
         self.p, self._rows, self._levels = p, None, None
-        if len(xs) <= _ROWS_UP_TO:
-            self.master = vanishing_polynomial(xs, PrimeField(p)).coeffs
-            rows, q, derivs = [], [0] * len(xs), [0] * len(xs)
+        level: list[Sequence[int]] = [(-x % p, 1) for x in xs] or [(1,)]
+        levels = [tuple(level)]
+        while len(level) > 1:  # products of adjacent pairs; an odd last node moves up
+            level = [tuple(poly_mul(a, b, p)) for a, b in zip(level[::2], level[1::2])
+                     ] + level[len(level) - len(level) % 2:]
+            levels.append(tuple(level))
+        self.master = level[0]
+        if n <= _ROWS_UP_TO:
+            rows, q = [], [0] * n
             for c in reversed(self.master[1:]):
                 q = [(a * x + c) % p for a, x in zip(q, xs)]
-                derivs = [(d * x + a) % p for d, x, a in zip(derivs, xs, q)]  # Horner: g'(x_j)
                 rows.append(q)
             # rows[i] holds coefficient n-1-i of every quotient
             self._rows = PackedMap((quotient[::-1] for quotient in zip(*rows)), p)
         else:
-            level: list[Sequence[int]] = [(-x % p, 1) for x in xs]
-            levels = [tuple(level)]
-            while len(level) > 1:  # products of adjacent pairs; an odd last node moves up
-                level = [tuple(poly_mul(a, b, p)) for a, b in zip(level[::2], level[1::2])
-                         ] + level[len(level) - len(level) % 2:]
-                levels.append(tuple(level))
-            self.master, self._levels = level[0], tuple(levels[:-1])
+            self._levels = tuple(levels[:-1])
+        h = progression_step(xs, p)
+        if h is None:
             derivs = poly_values([i * c % p for i, c in enumerate(self.master)][1:], xs, p)
-        self.weights = tuple(batch_inverse(derivs, p))
+            self.weights = tuple(batch_inverse(derivs, p))
+        else:
+            _, inv_fact = factorial_table(n, p)
+            c = pow(h, 1 - n, p)
+            self.weights = tuple((c if (n - j) % 2 else -c) * a * b % p
+                                 for j, (a, b) in enumerate(zip(inv_fact, reversed(inv_fact))))
 
     def interpolate(self, ys: Sequence[int]) -> list[int]:
         """Ascending residues of the polynomial of degree < len(xs) through one y_j per x_j."""

@@ -5,9 +5,10 @@ node stores and verifies one evaluation point of the global polynomials. Block
 payloads are single field elements; coding a vector payload would act
 componentwise and adds nothing to the phenomena studied here.
 
-The encoding is a fixed linear map, the N x K Lagrange matrix. `encode_at_node`
-applies one row of it to one view; `EncodingParams.encode_each` takes one view per
-node, in node order, and applies the matrix to the shards on which the views agree
+The encoding is a fixed linear map, the N x K Lagrange matrix, in closed form when
+every point lies on one progression. `encode_at_node` applies one row of it to one
+view; `EncodingParams.encode_each` takes an epoch's distinct views and one view index
+per node, in node order, and applies the matrix to the shards on which the views agree
 as a single big-integer sum of their columns, each packed into one int
 (`field_poly.PackedMap`).
 """
@@ -25,9 +26,11 @@ from .field_poly import (
     PackedMap,
     Polynomial,
     PrimeField,
+    factorial_table,
     batch_inverse,
     point_set,
     poly_values,
+    progression_step,
 )
 
 # One block version index per adversarial producer, ordered by producer index.
@@ -83,9 +86,24 @@ class EncodingParams:
 
     @cached_property
     def lagrange_matrix(self) -> tuple[tuple[int, ...], ...]:
-        """N x K residues: row n-1 holds every L_k(alpha_n) = g(alpha_n) w_k/(alpha_n - omega_k)."""
+        """N x K residues: row n-1 holds every L_k(alpha_n) = g(alpha_n) w_k/(alpha_n - omega_k).
+
+        When the shard points and then the node points lie on one progression a + h i mod p,
+        as in the default layout, L_k(alpha_n) = (K+n-1)!/(n-1)! (-1)^(K-k)/((k-1)! (K-k)!)
+        / (K+n-k), from a cached factorial table (h cancels). Any other layout reads the
+        shard points' `point_set`."""
         p, xs = self.field.modulus, tuple(w.value for w in self.omegas)
-        shards, alphas = point_set(xs, p), [a.value for a in self.alphas]
+        alphas = [a.value for a in self.alphas]
+        if progression_step(xs + tuple(alphas), p) is not None:
+            K, N = self.K, self.N
+            fact, inv_fact = factorial_table(K + N, p)
+            recip = [f * i % p for f, i in zip(fact, inv_fact[1:])][::-1]  # 1/m at K+N-1-m
+            by_shard = [(-1) ** (K - k) * inv_fact[k - 1] * inv_fact[K - k] % p
+                        for k in range(1, K + 1)]
+            by_node = [fact[K + n - 1] * inv_fact[n - 1] % p for n in range(1, N + 1)]
+            return tuple(tuple(a * b * r % p for b, r in zip(by_shard, recip[N - n:N - n + K]))
+                         for n, a in enumerate(by_node, 1))
+        shards = point_set(xs, p)
         scaled = zip(poly_values(shards.master, alphas, p),
                      (batch_inverse([(a - x) % p for x in xs], p) for a in alphas))
         return tuple(tuple(s * w * inv % p for w, inv in zip(shards.weights, invs))
@@ -102,33 +120,35 @@ class EncodingParams:
         column packed as one int with a slot per node."""
         return PackedMap(self._transposed, self.field.modulus)
 
-    def encode_each(self, views: Sequence[ReceivedProposals]) -> list[int]:
-        """Entry n - 1 is node n's coded residue of views[n - 1], its view of ints (reduced
-        mod p) or same-field elements. A view count other than N raises ValueError, and
-        so do a view without one payload per shard and an element of another field.
+    def encode_each(self, views: Sequence[ReceivedProposals], index: Sequence[int]) -> list[int]:
+        """Entry n - 1 is node n's coded residue of views[index[n - 1]], a view of ints
+        (reduced mod p) or same-field elements; a view may repeat or be held by no node.
+        An index count other than N, an index outside range(len(views)), a view without
+        one payload per shard and an element of another field raise ValueError.
 
-        The encoding is linear in the view, so it splits by shard. Each distinct view is
-        reduced to residues once. The shards on which all the views agree are encoded at
-        every node by one sum of the packed Lagrange columns, unpacked once; each node then
-        adds the dot product of its Lagrange row and its own view over the shards where the
-        views differ, however many distinct views there are.
+        The encoding is linear in the view, so it splits by shard. Each view is reduced to
+        residues once. The shards on which all the held views agree are encoded at every
+        node by one sum of the packed Lagrange columns, unpacked once; then each shard
+        where they differ adds its Lagrange column, times each node's payload, across the
+        nodes in one pass.
         """
-        if len(views) != self.N:
-            raise ValueError(f"{len(views)} views given, one per node needs {self.N}")
-        reduced = {view: tuple(map(self.field.residue, view)) for view in set(views)}
-        distinct = list(set(reduced.values()))
-        if any(len(view) != self.K for view in distinct):
+        if len(index) != self.N:
+            raise ValueError(f"{len(index)} view indices given, one per node needs {self.N}")
+        if min(index) < 0 or max(index) >= len(views):
+            raise ValueError(f"a view index lies outside range({len(views)})")
+        reduced = [tuple(map(self.field.residue, view)) for view in views]
+        if any(len(view) != self.K for view in reduced):
             raise ValueError("a view must contain exactly one payload per shard")
-        varying = [k for k, values in enumerate(zip(*distinct)) if len(set(values)) > 1]
-        common = [0 if k in varying else x for k, x in enumerate(distinct[0])]
-        coded = self._columns.apply(common)  # every node's code of the common shards
+        held = [reduced[i] for i in set(index)]
+        varying = [k for k, values in enumerate(zip(*held)) if len(set(values)) > 1]
+        coded = self._columns.apply([0 if k in varying else x for k, x in enumerate(held[0])])
         if not varying:
             return coded
-        rows = zip(*[self._transposed[k] for k in varying])  # Lagrange rows on varying shards
-        payloads = {view: list(map(r.__getitem__, varying)) for view, r in reduced.items()}
-        dots = map(sum, map(map, itertools.repeat(mul), rows, map(payloads.__getitem__, views)))
+        for k in varying:
+            payload = [view[k] for view in reduced]
+            coded = [c + a * payload[i] for c, a, i in zip(coded, self._transposed[k], index)]
         p = self.field.modulus
-        return [(c + d) % p for c, d in zip(coded, dots)]
+        return [c % p for c in coded]
 
     @property
     def composed_degree(self) -> int:

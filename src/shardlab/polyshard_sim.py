@@ -222,24 +222,26 @@ def run_epoch(
     node_tuples = (assign_versions(honest_ids, adversary, rng=rng).node_tuples
                    if producers else {})
 
-    # one residue view per distinct version tuple, shared by every node holding
-    # it; version 1 of every captured shard is the view of nodes outside the assignment
+    # the epoch's views: one residue tuple per version tuple some node holds, in node
+    # order, and each node's index into them; version 1 of every captured shard is the
+    # view of nodes outside the assignment
     ones = (1,) * len(producers)
-    built = {}
-    for tup in {ones, *node_tuples.values()}:
+    held: dict[tuple[int, ...], int] = {}
+    index = [held.setdefault(node_tuples.get(n, ones), len(held)) for n in range(1, params.N + 1)]
+    views = []
+    for tup in held:
         view = base.copy()
         for k, version in zip(producers, tup):
             view[k - 1] = versions[k][version - 1]
-        built[tup] = tuple(view)
-    first_view = built[ones]
-    views = [built[node_tuples.get(n, ones)] for n in range(1, params.N + 1)]
+        views.append(tuple(view))
+    first = held[ones]
     for k in producers:
-        delivered = {view[k - 1] for view in built.values()}
+        delivered = {view[k - 1] for view in views}
         if len(delivered) > adversary.v:
             raise AssertionError("injection cap violated")
 
     # 2. every node encodes its own view; one vector call checks them all
-    coded = params.encode_each(views)
+    coded = params.encode_each(views, index)
     results = list(fn.evaluate(ResidueVector(coded, field), sim.coded_columns).values)
 
     # 3. adversarial nodes overwrite their results per strategy
@@ -247,7 +249,7 @@ def run_epoch(
         target_poly = None
         if adversary.broadcast_strategy == "honest_looking":
             target_poly = compose_verification(
-                build_coded_poly(first_view, params), sim.history_polys, fn
+                build_coded_poly(views[first], params), sim.history_polys, fn
             )
         corrupted = corrupt_results(
             [(n, params.alphas[n - 1]) for n in sorted(adv_nodes)],
@@ -256,8 +258,9 @@ def run_epoch(
             poly=target_poly,
         )
         for n, value in corrupted.items():
-            results[n - 1] = value
-    broadcast = BroadcastSet(zip(range(1, params.N + 1), params.alphas, results))
+            results[n - 1] = value if value is None else value.value
+    broadcast = BroadcastSet.from_columns(field, range(1, params.N + 1),
+                                          [alpha.value for alpha in params.alphas], results)
 
     # 4. every honest node decodes the same broadcast set
     degree_bound = params.composed_degree
@@ -272,18 +275,18 @@ def run_epoch(
     # 5. appends: every step that can raise has run, so the simulation changes from here
     bits: list[int] | None = None
     recovered_values: list[int] | None = None
-    canonical = None
+    canonical = None  # the index of the accepted view
     if outcome.recovered:
         h = recover_outputs(outcome.poly, params)
         recovered_values = [value.value for value in h]
         bits = accept_bits(h, sim.accept_set)
-        canonical, mask = _canonical_blocks(sim, outcome.poly, first_view, views, producers), bits
+        canonical, mask = _canonical_blocks(sim, outcome.poly, first, views, producers), bits
     elif sim.failure_policy == "append_own_view":
-        canonical, mask = first_view, [1] * params.K
+        canonical, mask = first, [1] * params.K
     sim.epoch, sim.adversarial_nodes = t, adv_nodes
     stalled = canonical is None
     if not stalled:
-        _append_epoch(sim, canonical, mask, views, coded)
+        _append_epoch(sim, canonical, mask, views, index, coded)
 
     statuses = {n: "adversarial" if n in adv_nodes else outcome.status
                 for n in range(1, params.N + 1)}
@@ -305,47 +308,54 @@ def run_epoch(
     )
 
 
-def _canonical_blocks(sim, decoded_poly, first_view, views, producers):
-    """Blocks the network as a whole accepted, identified from the decoded polynomial.
+def _canonical_blocks(sim, decoded_poly, first, views, producers):
+    """The index into `views` of the blocks the network as a whole accepted, identified
+    from the decoded polynomial.
 
     Under an attack that still decodes (a dominant version absorbing the rest
     as errors), the decoded polynomial singles out one realized version tuple.
-    `first_view` (version 1 of every captured shard) is the answer without
+    `views[first]` (version 1 of every captured shard) is the answer without
     producers, and the bookkeeping fallback when no realized view matches.
     """
     if not producers:
-        return first_view
+        return first
     params, fn = sim.params, sim.fn
     for view in set(views):
         composed = compose_verification(
             build_coded_poly(view, params), sim.history_polys, fn
         )
         if composed == decoded_poly:
-            return view
-    return first_view
+            return views.index(view)
+    return first
 
 
-def _append_epoch(sim, canonical, bits, views, coded):
+def _append_epoch(sim, canonical, bits, views, index, coded):
     """Append e_k * X_k per shard and the column of matching coded entries.
 
-    `views[n - 1]` is node n's view, a residue tuple; each distinct one is masked once into
-    what a node encodes and its chain-id key. Only the K accepted blocks are boxed, and the
-    coded entries are appended as one column of residues. `coded` is step 2's encoding of
-    `views`, appended as it is when every node's masked own view is its view.
+    `views` are the epoch's distinct views, residue tuples, `index[n - 1]` the index of
+    node n's view and `canonical` that of the accepted view. Each view is masked once into
+    what a node holding it encodes; only the K accepted blocks are boxed, and the coded
+    entries are appended as one column of residues. `coded` is step 2's encoding of the
+    views, appended as it is when every node's masked own view is its view.
     Honest nodes encode *their own* received view, so a node whose view lost
     the decode silently diverges; the epoch's adversarial nodes track the canonical chain.
+    A node's chain id is looked up once per distinct (parent id, own view index) pair,
+    in node order, so new ids are issued in node order.
     """
-    field, chains = sim.params.field, sim.node_chains
-    masked = {view: tuple(map(mul, bits, view)) for view in {canonical, *views}}
-    owns = [masked[canonical if n in sim.adversarial_nodes else view]
-            for n, view in enumerate(views, 1)]
+    field, chains, adversarial = sim.params.field, sim.node_chains, sim.adversarial_nodes
+    masked = [tuple(map(mul, bits, view)) for view in views]
+    owns = [canonical if n in adversarial else i for n, i in enumerate(index, 1)]
     for chain, block in zip(sim.chains, masked[canonical]):
         chain.history.append(FieldElement(block, field))
-    if owns != views:
-        coded = sim.params.encode_each(owns)
+    if any(masked[own] != views[i] for own, i in set(zip(owns, index))):
+        coded = sim.params.encode_each(masked, owns)
     sim.coded_columns.append(ResidueVector(coded, field))
-    for i, own in enumerate(owns):
-        chains[i] = sim.chain_ids.setdefault((chains[i], own), len(sim.chain_ids) + 1)
+    ids: dict[tuple[int, int], int] = {}
+    for parent, own in zip(chains, owns):
+        if (parent, own) not in ids:
+            ids[parent, own] = sim.chain_ids.setdefault((parent, masked[own]),
+                                                        len(sim.chain_ids) + 1)
+    chains[:] = map(ids.__getitem__, zip(chains, owns))
 
 
 @dataclass(frozen=True)

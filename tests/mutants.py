@@ -39,6 +39,7 @@ MEMO = "tests/test_decoder.py::TestErrorLocatorMemo"
 ADVERSARY = "src/shardlab/adversary.py"
 ASSIGN = "tests/test_adversary.py::TestAssignVersions"
 TREE = "tests/test_field_poly.py::TestSubproductTree"
+PROGRESSIONS = "tests/test_field_poly.py::TestProgressionClosedForms"
 THRESHOLD = "src/shardlab/threshold_analysis.py"
 SHARD_VALUES = "tests/test_threshold_analysis.py::TestShardValueSystem"
 WITNESS = "tests/test_threshold_analysis.py::TestWitnessEquations"
@@ -58,14 +59,14 @@ class Mutant:
 
 MUTANTS = (
     Mutant("accept-mask-dropped", SIM,
-           "masked = {view: tuple(map(mul, bits, view)) for view",
-           "masked = {view: tuple(view) for view", SIM_TESTS),
+           "masked = [tuple(map(mul, bits, view)) for view",
+           "masked = [tuple(view) for view", SIM_TESTS),
     Mutant("known-behavior-agreement-check-dropped", DECODER,
            "if out.poly(omega) != ref.poly(omega):",
            "if False:", ("tests/test_decoder.py",)),
     Mutant("honest-looking-targets-another-view", SIM,
-           "build_coded_poly(first_view, params), sim.history_polys, fn",
-           "build_coded_poly(built[max(built)], params), sim.history_polys, fn", SIM_TESTS),
+           "build_coded_poly(views[first], params), sim.history_polys, fn",
+           "build_coded_poly(views[-1], params), sim.history_polys, fn", SIM_TESTS),
     Mutant("injection-cap-raise-deleted", SIM,
            'raise AssertionError("injection cap violated")',
            "pass", SIM_TESTS, equivalent=True),
@@ -75,8 +76,8 @@ MUTANTS = (
            "    honest_ids = [n for n in range(1, params.N + 1) if n not in adv_nodes]\n",
            SIM_TESTS),
     Mutant("adversaries-append-their-own-view", SIM,
-           "masked[canonical if n in sim.adversarial_nodes else view]",
-           "masked[view]", (RUN_EPOCH + "::test_decoded_dominant_version_is_appended",
+           "owns = [canonical if n in adversarial else i for",
+           "owns = [i for", (RUN_EPOCH + "::test_decoded_dominant_version_is_appended",
                             EPOCH_ORACLE)),
     Mutant("vector-rsub-operands-swapped", "src/shardlab/field_poly.py",
            "lambda mine, theirs: theirs - mine",
@@ -89,7 +90,8 @@ MUTANTS = (
            (RUN_EPOCH + "::test_honest_looking_broadcasts_fit_the_version_1_view",
             EPOCH_ORACLE)),
     Mutant("append-always-reuses-step-2-column", SIM,
-           "    if owns != views:\n        coded = sim.params.encode_each(owns)\n", "",
+           "    if any(masked[own] != views[i] for own, i in set(zip(owns, index))):\n"
+           "        coded = sim.params.encode_each(masked, owns)\n", "",
            (RUN_EPOCH + "::test_rejected_shard_appends_zero_and_masked_encodings",
             EPOCH_ORACLE)),
     Mutant("history-polys-memo-stops-at-genesis", SIM,
@@ -135,7 +137,7 @@ MUTANTS = (
            "nums = [[(u - v) % p for u, v in zip_longest(",
            (TREE + "::test_matches_barycentric_sum",)),
     Mutant("rows-cutoff-made-strict", FIELD,
-           "if len(xs) <= _ROWS_UP_TO:", "if len(xs) < _ROWS_UP_TO:",
+           "if n <= _ROWS_UP_TO:", "if n < _ROWS_UP_TO:",
            (TREE + "::test_at_the_cutoff",)),
     Mutant("slot-width-without-terms", FIELD,
            "2 * (p - 1).bit_length() + terms.bit_length() + 7", "2 * (p - 1).bit_length() + 7",
@@ -184,8 +186,20 @@ MUTANTS = (
     Mutant("encode-each-drops-a-varying-shard", "src/shardlab/lcc.py",
            "if len(set(values)) > 1]", "if len(set(values)) > 1][1:]",
            ("tests/test_lcc.py::TestEncodeAllNodes::test_each_matches_encode_at_node",)),
+    Mutant("closed-form-matrix-factorial-index-slip", "src/shardlab/lcc.py",
+           "fact[K + n - 1] * inv_fact[n - 1] % p", "fact[K + n - 1] * inv_fact[n] % p",
+           ("tests/test_lcc.py::TestClosedFormMatrix::test_matches_the_general_path",)),
+    Mutant("closed-form-weight-sign-flipped", FIELD,
+           "(c if (n - j) % 2 else -c)", "(c if (n - j - 1) % 2 else -c)",
+           (PROGRESSIONS + "::test_matches_the_general_path",
+            PROGRESSIONS + "::test_tree_branch_at_400_points")),
+    Mutant("encode-each-varying-shard-read-one-node-off", "src/shardlab/lcc.py",
+           "zip(coded, self._transposed[k], index)]",
+           "zip(coded, self._transposed[k], [*index[1:], index[0]])]",
+           ("tests/test_lcc.py::TestEncodeAllNodes::test_index_form_matches_encode_at_node",
+            EPOCH_ORACLE)),
     Mutant("chain-id-parent-set-to-genesis", SIM,
-           "setdefault((chains[i], own)", "setdefault((0, own)", (CHAIN_IDS,)),
+           "setdefault((parent, masked[own])", "setdefault((0, masked[own])", (CHAIN_IDS,)),
     Mutant("messages-ignore-silent-nodes", SIM,
            "+ (params.N - n_silent) * params.N,", "+ params.N * params.N,",
            ("tests/test_polyshard_sim.py::TestCommLoad::"

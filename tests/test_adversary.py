@@ -194,6 +194,20 @@ class TestAssignVersions:
         with pytest.raises(ValueError):
             VersionAssignment(producers=(1,), v=2, node_tuples={1: (3,)})
 
+    def test_first_node_with_a_bad_tuple_is_named(self):
+        # each distinct tuple is checked once, and the error names the first node, in the
+        # map's order, that holds a bad one
+        good, wide, high = (1, 2), (1, 2, 1), (3, 1)
+        for tuples, message in (([good, high, wide, high], "node 11: version outside 1..2"),
+                                ([good, good, wide, high], "node 12: tuple width 3 != 2"),
+                                ([high, good, good, wide], "node 10: version outside 1..2"),
+                                ([good, (0, 1), good], "node 11: version outside 1..2")):
+            node_tuples = dict(zip(range(10, 20), tuples))
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                VersionAssignment(producers=(1, 2), v=2, node_tuples=node_tuples)
+        assert VersionAssignment(producers=(1, 2), v=2,
+                                 node_tuples={5: good, 3: good}).node_tuples == {5: good, 3: good}
+
 
 class TestCorruptResults:
     def test_silent(self, field, rng):

@@ -154,6 +154,33 @@ class TestRsDecode:
             with pytest.raises(ValueError, match="^node 2: .* GF\\(97\\)"):
                 BroadcastSet([(1, gf97(1), 5), (2, gf97(2), bad), (3, gf97(3), gf7(1))])
 
+    def test_from_columns_equals_the_entries_form(self, gf97, rng):
+        for _ in range(20):
+            nodes = rng.sample(range(1, 60), rng.randrange(1, 12))
+            points = rng.sample(range(97), len(nodes))
+            values = [rng.choice((None, 0, 96, rng.randrange(97))) for _ in nodes]
+            b = BroadcastSet(zip(nodes, map(gf97, points), values))
+            c = BroadcastSet.from_columns(gf97, nodes, points, values)
+            assert (c.field, c.nodes, c.points, c.values) == (b.field, b.nodes, b.points,
+                                                              b.values)
+            assert isinstance(c.nodes, tuple) and isinstance(c.values, tuple)
+        empty = BroadcastSet.from_columns(None, [], [], [])
+        assert (empty.field, empty.nodes, empty.points, empty.values) == (None, (), (), ())
+
+    def test_from_columns_rejects_non_residues_and_repeated_nodes(self, gf97):
+        nodes, points, values = [4, 2, 9], [10, 11, 12], [3, None, 5]
+        for column, bad in ((2, -1), (2, 97), (2, 10**9), (1, -1), (1, 97)):
+            cols = [list(nodes), list(points), list(values)]
+            cols[column][2] = bad
+            with pytest.raises(ValueError, match=r"^node 9: .* residues in \[0, 97\)$"):
+                BroadcastSet.from_columns(gf97, *cols)
+        with pytest.raises(ValueError, match="duplicate node index"):
+            BroadcastSet.from_columns(gf97, [4, 2, 4], points, values)
+        with pytest.raises(ValueError, match="duplicate node index"):  # as the entries form
+            BroadcastSet(zip([4, 2, 4], map(gf97, points), values))
+        with pytest.raises(ValueError, match="one length"):
+            BroadcastSet.from_columns(gf97, nodes, points, values[:2])
+
     def test_missing_entries_are_shortened(self, gf97, rng):
         poly = Polynomial(gf97, [3, 1, 4])
         points = [(gf97(x), poly(gf97(x))) for x in range(1, 8)]
@@ -455,8 +482,9 @@ class TestPointSetCache:
     def test_two_point_sets_for_every_epoch_and_seed(self, field, strategy):
         # four bad broadcasters at N=20, K=4, d=2 are within the radius: every epoch
         # decodes, and a fixed silent set leaves the same heard points every epoch, so
-        # the shard points (for the Lagrange matrix, at genesis) and the heard points
-        # are each set up once; the epochs build no coded polynomial
+        # the heard points are set up once; the epochs build no coded polynomial, and
+        # the default layout's Lagrange matrix is in closed form, so the shard points
+        # are set up only when history_polys is first read
         params = EncodingParams.default(K=4, N=20, d=2, field=field)
         attack = AdversaryConfig(adversarial_nodes=frozenset({17, 18, 19, 20}),
                                  broadcast_strategy=strategy)
@@ -469,12 +497,12 @@ class TestPointSetCache:
                 recovered += report.statuses[1] == "recovered"
         assert recovered == 8
         info = point_set.cache_info()
-        assert (info.misses, info.hits) == (2, 7)
+        assert (info.misses, info.hits) == (1, 7)
         # the first read of history_polys interpolates genesis and the 4 appended epochs
-        # on the cached shard points; a second read interpolates nothing
+        # on the shard points, set up at the first; a second read interpolates nothing
         assert len(sim.history_polys) == len(sim.history_polys) == 5
         info = point_set.cache_info()
-        assert (info.misses, info.hits) == (2, 12)
+        assert (info.misses, info.hits) == (2, 11)
 
 
 class TestRecoverOutputs:

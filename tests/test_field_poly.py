@@ -25,12 +25,12 @@ from shardlab.field_poly import (
     _MR_EXACT_BELOW, PackedMap, PointSet, ResidueVector, _pack, _slot_width, _unpack,
     batch_inverse, echelon, euclid_until, is_prime,
     kernel_vector, nullspace_vector, point_set, poly_divmod, poly_mul, poly_values,
-    vanishing_polynomial,
+    progression_step, vanishing_polynomial,
 )
 from dense_system import (
     Matrix, echelon_rows, matrix_rank, nullspace_basis, restricted_system, vandermonde,
 )
-from poly_oracle import euclid_steps, schoolbook_mul
+from poly_oracle import euclid_steps, general_path, schoolbook_mul
 from rs_oracle import solve_linear
 
 GF97 = PrimeField(97)
@@ -439,6 +439,92 @@ class TestSubproductTree:
 
 
 EUCLID_MODULI = (7, 13, 97, DEFAULT_MODULUS, 2**61 - 1)
+
+
+@st.composite
+def progressions(draw):
+    """(p, xs): the points a + h i mod p for i in range(n), n <= p, h = 1, 2, p - 1 or any."""
+    p = draw(st.sampled_from([13, 97, DEFAULT_MODULUS]))
+    n = draw(st.integers(1, min(p, 40)))
+    a = draw(st.one_of(st.sampled_from([0, 1, p - 1]), st.integers(0, p - 1)))
+    h = draw(st.one_of(st.sampled_from([1, 2, p - 1]), st.integers(1, p - 1)))
+    return p, tuple((a + h * i) % p for i in range(n))
+
+
+class TestProgressionClosedForms:
+    """A `PointSet` on points a + h i mod p, in that order, takes its weights
+    (-1)^(n-1-j) / (h^(n-1) j! (n-1-j)!) from the factorial table: against the general
+    path's set-up of the same points (`poly_oracle.general_path`), in both branches."""
+
+    def assert_matches_general_path(self, xs, p, seed=0):
+        rng = random.Random(seed)
+        ys = [rng.randrange(p) for _ in xs]
+        for cutoff in (len(xs), len(xs) - 1):  # the quotient rows, then the tree
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(field_poly, "_ROWS_UP_TO", cutoff)
+                form = PointSet(xs, p)
+            with general_path(rows_up_to=cutoff):
+                oracle = PointSet(xs, p)
+            assert form.master == oracle.master
+            assert form.weights == oracle.weights
+            if cutoff == len(xs):
+                assert form._levels is oracle._levels is None
+                assert form._rows.vectors == oracle._rows.vectors
+            else:
+                assert form._rows is oracle._rows is None
+                assert form._levels == oracle._levels
+            assert form.interpolate(ys) == oracle.interpolate(ys)
+
+    @given(case=progressions())
+    @settings(max_examples=100)
+    def test_matches_the_general_path(self, case):
+        p, xs = case
+        assert progression_step(xs, p) == ((xs[1] - xs[0]) % p if len(xs) > 1 else None)
+        self.assert_matches_general_path(xs, p)
+
+    @pytest.mark.parametrize("p, a, h, n", [
+        (13, 5, 3, 13), (13, 12, 1, 12), (13, 0, 12, 11),  # every point of GF(13), or nearly
+        (97, 1, 1, 97), (97, 90, 96, 96), (97, 50, 7, 95), (97, 96, 1, 9),  # wrap-around
+        (DEFAULT_MODULUS, DEFAULT_MODULUS - 5, 1, 40),
+        (DEFAULT_MODULUS, 3, DEFAULT_MODULUS - 1, 40),
+        (DEFAULT_MODULUS, 123456789, 987654321, 60),
+    ])
+    def test_small_fields_and_wrap_around(self, p, a, h, n):
+        xs = tuple((a + h * i) % p for i in range(n))
+        assert progression_step(xs, p) == h
+        self.assert_matches_general_path(xs, p, seed=n)
+
+    def test_tree_branch_at_400_points(self):
+        p = DEFAULT_MODULUS
+        xs = tuple((p - 100 + 12345 * i) % p for i in range(400))
+        form = PointSet(xs, p)
+        assert form._rows is None
+        with general_path():
+            oracle = PointSet(xs, p)
+        assert (form.master, form.weights) == (oracle.master, oracle.weights)
+        ys = [random.Random(400).randrange(p) for _ in xs]
+        assert form.interpolate(ys) == oracle.interpolate(ys)
+
+    @pytest.mark.parametrize("xs", [
+        (5, 6, 7, 8, 10, 11),  # the heard points of a silent node's neighbours: a gap
+        (6, 5, 7, 8), (1, 2, 4, 8), (3, 1, 4), (90, 3, 41, 17, 0, 96),
+    ])
+    def test_other_points_take_the_general_path(self, xs, monkeypatch):
+        def no_table(n, p):
+            raise AssertionError("the factorial table was read off a progression")
+
+        monkeypatch.setattr(field_poly, "factorial_table", no_table)
+        assert progression_step(xs, 97) is None
+        for form in both_forms(xs, 97):
+            assert form.weights == product_weights(xs, 97)
+        assert progression_step((7,), 97) is None  # one point: the general path too
+        assert PointSet((7,), 97).weights == (1,)
+
+    def test_factorial_table(self):
+        for n, p in ((1, 13), (13, 13), (40, 97), (200, DEFAULT_MODULUS)):
+            fact, inv_fact = field_poly.factorial_table(n, p)
+            assert fact == tuple(prod(range(1, i + 1)) % p for i in range(n))
+            assert all(f * g % p == 1 for f, g in zip(fact, inv_fact))
 
 
 @st.composite

@@ -14,8 +14,11 @@ from shardlab import (
     encode_at_node,
     lagrange_interpolate,
 )
+from shardlab import DEFAULT_MODULUS, lcc
 from shardlab.field_poly import point_set
 from shardlab.polyshard_sim import VerificationFn, history_power_check, power_check
+
+from poly_oracle import general_path
 
 
 def three_shard_params(field, N=4, d=2):
@@ -62,14 +65,17 @@ class TestParams:
             build_coded_poly((gf97(1), gf7(1)), params)
 
     def test_one_point_set(self, gf97):
-        # the Lagrange matrix and every coded polynomial read one cached point set
-        point_set.cache_clear()
-        params = EncodingParams.default(3, 4, 2, gf97)
-        for view in ((1, 2, 3), (4, 5, 6)):
-            build_coded_poly(tuple(map(gf97, view)), params)
-        assert len(params.lagrange_matrix) == 4
-        info = point_set.cache_info()
-        assert (info.misses, info.hits) == (1, 2)
+        # every coded polynomial reads one cached point set, and so does the Lagrange matrix
+        # of a layout off one progression; the default layout's matrix is in closed form
+        custom = EncodingParams(omegas=tuple(map(gf97, (1, 2, 4))),
+                                alphas=tuple(map(gf97, (5, 6, 7, 8))), d=2)
+        for params, counts in ((custom, (1, 2)), (EncodingParams.default(3, 4, 2, gf97), (1, 1))):
+            point_set.cache_clear()
+            for view in ((1, 2, 3), (4, 5, 6)):
+                build_coded_poly(tuple(map(gf97, view)), params)
+            assert len(params.lagrange_matrix) == 4
+            info = point_set.cache_info()
+            assert (info.misses, info.hits) == counts
 
     def test_bad_counts(self, gf97):
         # K and N are the point counts, so no node point is N = 0
@@ -212,6 +218,70 @@ class TestEncodeAtNode:
             )
 
 
+@st.composite
+def progression_layouts(draw):
+    """(field, K, points): K shard points, then the node points, on one progression
+    a + h i mod p; h = 1, 2, p - 1 or any, and K + N up to p in GF(13)."""
+    p = draw(st.sampled_from([13, 97, DEFAULT_MODULUS]))
+    total = draw(st.integers(2, min(p, 40)))
+    a = draw(st.one_of(st.sampled_from([0, 1, p - 1]), st.integers(0, p - 1)))
+    h = draw(st.one_of(st.sampled_from([1, 2, p - 1]), st.integers(1, p - 1)))
+    return PrimeField(p), draw(st.integers(1, total - 1)), [(a + h * i) % p for i in range(total)]
+
+
+def layout(field, K, points):
+    return EncodingParams(omegas=tuple(map(field, points[:K])),
+                          alphas=tuple(map(field, points[K:])), d=1)
+
+
+def general_matrix(field, K, points):
+    """The Lagrange matrix from the shard point set, as off a progression."""
+    with general_path():
+        return layout(field, K, points).lagrange_matrix
+
+
+class TestClosedFormMatrix:
+    """On a layout whose shard and then node points lie on one progression, L_k(alpha_n) =
+    (K+n-1)!/(n-1)! (-1)^(K-k)/((k-1)! (K-k)!) / (K+n-k): against the general path."""
+
+    @given(case=progression_layouts())
+    @settings(max_examples=100)
+    def test_matches_the_general_path(self, case):
+        field, K, points = case
+        assert layout(field, K, points).lagrange_matrix == general_matrix(field, K, points)
+
+    @pytest.mark.parametrize("p, a, h, K, N", [
+        (13, 1, 1, 4, 9), (13, 7, 5, 6, 7), (13, 2, 12, 1, 11),  # K + N = p or nearly
+        (97, 1, 1, 20, 77), (97, 80, 3, 30, 66), (97, 10, 96, 40, 55),  # wrap-around
+        (DEFAULT_MODULUS, 1, 1, 20, 120), (DEFAULT_MODULUS, DEFAULT_MODULUS - 7, 1, 5, 30),
+        (DEFAULT_MODULUS, 5, DEFAULT_MODULUS - 1, 8, 30), (DEFAULT_MODULUS, 99, 31337, 12, 40),
+    ])
+    def test_small_fields_and_wrap_around(self, p, a, h, K, N):
+        field = PrimeField(p)
+        points = [(a + h * i) % p for i in range(K + N)]
+        params = layout(field, K, points)
+        assert params.lagrange_matrix == general_matrix(field, K, points)
+        view = tuple(range(3, 3 + K))
+        assert params.encode_each([view], [0] * N) == [
+            sum(x * y for x, y in zip(row, view)) % p for row in general_matrix(field, K, points)]
+
+    @pytest.mark.parametrize("K, points", [
+        (3, [1, 2, 3, 5, 6, 7]),  # a gap between the shard and the node points
+        (3, [4, 5, 6, 1, 2, 3]),  # nodes before shards
+        (2, [1, 3, 2, 4, 5]),  # shards out of order
+        (3, [1, 2, 3, 4, 5, 7]),  # a gap among the nodes
+    ])
+    def test_other_layouts_take_the_general_path(self, gf97, monkeypatch, K, points):
+        def no_table(n, p):
+            raise AssertionError("the factorial table was read off a progression")
+
+        monkeypatch.setattr(lcc, "factorial_table", no_table)
+        params = layout(gf97, K, points)
+        assert params.lagrange_matrix == tuple(
+            tuple(product_basis(params, k, alpha).value for k in range(1, K + 1))
+            for alpha in params.alphas)
+
+
 class TestEncodeAllNodes:
     """`EncodingParams.encode_each` against its one-node oracle `encode_at_node`."""
 
@@ -223,7 +293,7 @@ class TestEncodeAllNodes:
                  tuple(rng.randrange(-2 * p, 3 * p) for _ in range(K))]  # ints out of range
         views.append(tuple(x.value for x in views[0]))
         for view in views:
-            coded = params.encode_each([view] * N)
+            coded = params.encode_each([view], [0] * N)
             assert coded == [encode_at_node(view, params, n).value for n in range(1, N + 1)]
 
     def test_matches_encode_at_node_on_custom_layout(self, gf97, gf7, rng):
@@ -233,19 +303,20 @@ class TestEncodeAllNodes:
             residues = tuple(rng.randrange(-200, 300) for _ in range(4))
             elements = tuple(map(gf97, residues))
             expected = [encode_at_node(residues, params, n).value for n in range(1, 6)]
-            assert (params.encode_each([residues] * 5) == params.encode_each([elements] * 5)
-                    == expected)
+            assert (params.encode_each([residues], [0] * 5)
+                    == params.encode_each([elements], [0] * 5) == expected)
         for k in range(4):
             for view in (elements, residues):
                 mixed = view[:k] + (gf7(3),) + view[k + 1:]
                 with pytest.raises(ValueError, match="different field"):
-                    params.encode_each([mixed] * 5)
+                    params.encode_each([mixed], [0] * 5)
         with pytest.raises(ValueError, match="one payload per shard"):
-            params.encode_each([residues[:3]] * 5)
+            params.encode_each([residues[:3]], [0] * 5)
 
     @pytest.mark.parametrize("K, N", [(1, 1), (3, 8), (6, 40), (20, 120)])
     def test_each_matches_encode_at_node(self, field, K, N):
-        # views agree on some shards and differ on others: none, one, several or all
+        # views agree on some shards and differ on others: none, one, several or all;
+        # the pool may repeat a view, and some views are held by no node
         params, rng, p = EncodingParams.default(K, N, 2, field), random.Random(K * N), field.modulus
         base = [rng.randrange(-p, 2 * p) for _ in range(K)]  # out-of-range ints included
         for varying in ([], [K - 1], rng.sample(range(K), K // 2), list(range(K))):
@@ -255,35 +326,65 @@ class TestEncodeAllNodes:
                 for k in varying:
                     view[k] = rng.choice((0, p - 1, p, rng.randrange(p)))
                 pool.append(tuple(view))
-            views = [rng.choice(pool) for _ in range(N)]
-            assert params.encode_each(views) == [
-                encode_at_node(view, params, n).value for n, view in enumerate(views, 1)]
+            index = [rng.randrange(len(pool)) for _ in range(N)]
+            assert params.encode_each(pool, index) == [
+                encode_at_node(pool[i], params, n).value for n, i in enumerate(index, 1)]
 
     def test_each_matches_encode_at_node_on_element_views(self, gf97, gf7, rng):
         # same-field element views that differ at one shard, alone or beside int views,
-        # as `encode` and `encode_at_node` take them
+        # as `encode_at_node` takes them
         params = EncodingParams.default(3, 6, 2, gf97)
         for _ in range(20):
             v1 = tuple(gf97.random(rng) for _ in range(3))
             v2 = (v1[0], v1[1] + gf97.random_nonzero(rng), v1[2])
             ints = tuple(x.value + 97 for x in v1)
-            for views in ([v1, v2] * 3, [v1, v1, v2, v1, v1, v2], [ints, v2, v1, v1, ints, v2]):
-                assert params.encode_each(views) == [
-                    encode_at_node(view, params, n).value for n, view in enumerate(views, 1)]
-        # an element of another field raises, on a varying shard or not
+            for views, index in (([v1, v2], [0, 1] * 3), ([v2, v1], [1, 1, 0, 1, 1, 0]),
+                                 ([ints, v2, v1, v2], [0, 1, 2, 2, 0, 3])):
+                assert params.encode_each(views, index) == [
+                    encode_at_node(views[i], params, n).value for n, i in enumerate(index, 1)]
+        # an element of another field raises, on a varying shard or not, held or not
         foreign = (v1[0], gf7(3), v1[2])
-        for views in ([v1, foreign] * 3, [foreign] * 6):
+        for views, index in (([v1, foreign], [0, 1] * 3), ([foreign], [0] * 6),
+                             ([v1, foreign], [0] * 6)):
             with pytest.raises(ValueError, match="different field"):
-                params.encode_each(views)
+                params.encode_each(views, index)
 
     def test_each_rejects_bad_nodes_and_views(self, field):
         params = EncodingParams.default(3, 8, 2, field)
         for count in (0, 1, 7, 9):
-            with pytest.raises(ValueError, match=f"^{count} views given, one per node needs 8$"):
-                params.encode_each([(1, 2, 3)] * count)
+            with pytest.raises(ValueError,
+                               match=f"^{count} view indices given, one per node needs 8$"):
+                params.encode_each([(1, 2, 3)], [0] * count)
         with pytest.raises(ValueError, match="one payload per shard"):
-            params.encode_each([(1, 2, 3)] * 7 + [(1, 2)])
+            params.encode_each([(1, 2, 3), (1, 2)], [0] * 7 + [1])
+        with pytest.raises(ValueError, match="one payload per shard"):  # held by no node
+            params.encode_each([(1, 2, 3), (1, 2, 3, 4)], [0] * 8)
+        for bad in (2, 3, -1, -3):
+            with pytest.raises(ValueError, match=r"^a view index lies outside range\(2\)$"):
+                params.encode_each([(1, 2, 3), (4, 5, 6)], [0] * 7 + [bad])
+        with pytest.raises(ValueError, match=r"outside range\(0\)"):
+            params.encode_each([], [0] * 8)
 
+    @given(data=st.data(), K=st.integers(1, 6), N=st.integers(1, 12),
+           custom=st.booleans())
+    @settings(max_examples=60)
+    def test_index_form_matches_encode_at_node(self, data, K, N, custom):
+        # views that repeat, views no node holds, ints in and out of [0, p) beside elements,
+        # on the default layout or on scattered points
+        gf97 = PrimeField(97)
+        if custom:
+            points = data.draw(st.lists(st.integers(0, 96), min_size=K + N, max_size=K + N,
+                                        unique=True))
+            params = EncodingParams(omegas=tuple(map(gf97, points[:K])),
+                                    alphas=tuple(map(gf97, points[K:])), d=1)
+        else:
+            params = EncodingParams.default(K, N, 1, gf97)
+        payload = st.one_of(st.integers(-200, 300), st.integers(0, 96).map(gf97))
+        views = data.draw(st.lists(st.tuples(*[payload] * K), min_size=1, max_size=5))
+        views += data.draw(st.lists(st.sampled_from(views), max_size=2))  # repeats
+        index = data.draw(st.lists(st.integers(0, len(views) - 1), min_size=N, max_size=N))
+        assert params.encode_each(views, index) == [
+            encode_at_node(views[i], params, n).value for n, i in enumerate(index, 1)]
 
 class TestBuildCodedPoly:
     def test_constant_view(self, gf97, rng):

@@ -251,11 +251,11 @@ class TestRunEpoch:
         sim = make_sim(field, K=4, N=20, invalid_proposer_shards=frozenset({2}))
         owns, append = [], polyshard_sim._append_epoch
 
-        def recording_append(sim, canonical, bits, views, coded):
+        def recording_append(sim, canonical, bits, views, index, coded):
             owns.append([tuple(b * x for b, x in zip(
-                bits, canonical if n in sim.adversarial_nodes else view))
-                for n, view in enumerate(views, 1)])
-            append(sim, canonical, bits, views, coded)
+                bits, views[canonical if n in sim.adversarial_nodes else i]))
+                for n, i in enumerate(index, 1)])
+            append(sim, canonical, bits, views, index, coded)
 
         monkeypatch.setattr(polyshard_sim, "_append_epoch", recording_append)
         for t in range(2):
@@ -405,11 +405,11 @@ class TestDivergence:
         histories = {n: [] for n in range(1, 15)}
         append = polyshard_sim._append_epoch
 
-        def recording_append(sim, canonical, bits, views, coded):
+        def recording_append(sim, canonical, bits, views, index, coded):
             for n, history in histories.items():
-                view = views[n - 1] if n not in sim.adversarial_nodes else canonical
+                view = views[index[n - 1] if n not in sim.adversarial_nodes else canonical]
                 history.append(tuple(field.residue(b * x) for b, x in zip(bits, view)))
-            append(sim, canonical, bits, views, coded)
+            append(sim, canonical, bits, views, index, coded)
 
         monkeypatch.setattr(polyshard_sim, "_append_epoch", recording_append)
         # adversaries come and go, so nodes switch roles between epochs
@@ -439,11 +439,11 @@ class TestManyViewEpochs:
         sim = make_sim(field, K=6, N=40, failure_policy="append_own_view")
         owns, append = [], polyshard_sim._append_epoch
 
-        def recording_append(sim, canonical, bits, views, coded):
+        def recording_append(sim, canonical, bits, views, index, coded):
             owns.append([tuple(b * x for b, x in zip(
-                bits, view if n not in sim.adversarial_nodes else canonical))
-                for n, view in enumerate(views, 1)])
-            append(sim, canonical, bits, views, coded)
+                bits, views[i if n not in sim.adversarial_nodes else canonical]))
+                for n, i in enumerate(index, 1)])
+            append(sim, canonical, bits, views, index, coded)
 
         monkeypatch.setattr(polyshard_sim, "_append_epoch", recording_append)
         adversary = discrepancy_adversary(range(35, 41), producers=(1, 2, 3, 4))
