@@ -64,6 +64,7 @@ from .threshold_analysis import (
     free_variable_count_closed_form,
     known_behavior_upper_bound,
     proof_params,
+    recovery_probability,
     recovery_threshold,
     sweep_to_csv,
     unique_decodability,

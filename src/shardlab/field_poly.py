@@ -491,8 +491,9 @@ def vanishing_polynomial(xs: Iterable[int | FieldElement], field: PrimeField) ->
     """The monic polynomial prod (z - x) over xs: its roots are exactly the xs.
 
     One linear factor at a time, which is fast enough for the points its callers pass:
-    a version cell of the rank witness and the error positions of a confirmed error
-    locator (at most max_errors). A `PointSet` takes g from its subproduct tree instead."""
+    a version cell, once per cell for the rank system and its witness lift, and the
+    error positions of a confirmed error locator (at most max_errors). A `PointSet`
+    takes g from its subproduct tree instead."""
     p, residue = field.modulus, field.residue
     m = [1]  # ascending
     for x in xs:

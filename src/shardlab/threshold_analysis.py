@@ -19,7 +19,9 @@ cell of at most width points. Only M is built and eliminated; a witness is
 lifted back to D's columns and checked against the layout's equations. The lift
 cuts m_t * h_t = P_t + x^width * H_t at D's block width, so P_t = -x^width * H_t
 mod m_t: where the cut-off H_t is zero, m_t divides P_t, and P_t vanishes on the
-cell without being evaluated there.
+cell without being evaluated there. Verdicts share one per-cell kernel, `_cell`, which
+builds m_t and 1/m_t(omega_k) once per cell for `build_system`, the lift and the next N
+of a sweep, whose layout changes one cell.
 """
 
 from __future__ import annotations
@@ -28,8 +30,8 @@ import csv
 import io
 from dataclasses import dataclass
 from functools import lru_cache
-from math import prod
-from typing import Iterable, Sequence
+from math import comb
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .adversary import InfeasiblePartition, balanced_cells
 from .field_poly import (
@@ -37,6 +39,9 @@ from .field_poly import (
     point_set, poly_mul, poly_values, vanishing_polynomial,
 )
 from .lcc import VersionTuple, all_version_tuples
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 def _check_counts(**counts: int) -> None:
@@ -196,6 +201,16 @@ class SystemMatrices:
         return self.params.K - self.params.beta_prime
 
 
+@lru_cache(maxsize=256)
+def _cell(xs: tuple[int, ...], omegas: tuple[int, ...], field: PrimeField
+          ) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The version cell at xs: m_t's ascending residues, and 1/m_t(omega_k) at every
+    shard point. Consecutive N of a sweep share all cells but one, so the 256 kept
+    hold every cell of two consecutive layouts up to 27 tuples."""
+    m, p = vanishing_polynomial(xs, field).coeffs, field.modulus
+    return m, tuple(batch_inverse(poly_values(m, omegas, p), p))
+
+
 @lru_cache(maxsize=16)
 def _lagrange_table(xs: tuple[int, ...], p: int) -> tuple[tuple[int, ...], ...]:
     """table[j][k] is coefficient j of the Lagrange basis polynomial of xs[k], so row j
@@ -218,12 +233,8 @@ def build_system(params: AnalysisParams) -> SystemMatrices:
         for r, k in enumerate(params.producers):
             shard_cols[k - 1] = r * v + t[r] - 1
         columns.append(tuple(shard_cols))
-    m_at = []  # m_t(omega_k) = prod (omega_k - alpha) over the cell, every t then k
-    for cell in params.partition:
-        xs = [alpha.value for alpha in cell]
-        m_at += [prod([w - a for a in xs]) % p for w in omegas]
-    inv = batch_inverse(m_at, p)
-    inv_m = tuple(tuple(inv[i:i + K]) for i in range(0, len(inv), K))
+    inv_m = tuple(_cell(tuple(alpha.value for alpha in cell), omegas, params.field)[1]
+                  for cell in params.partition)
     h_widths = [max(0, width - len(cell)) for cell in params.partition]
     table = _lagrange_table(omegas, p)
     ncols = z_start + K - params.beta_prime
@@ -289,9 +300,9 @@ def _lift(sys: SystemMatrices, vec: Sequence[int | FieldElement]) -> tuple[Field
     shards, at_shards = point_set(omegas, p), _powers_map(omegas, width, p)
     blocks, at = [], []  # P_t's coefficients, ascending; P_t at every omega_k
     for cell, cols, inv in zip(params.partition, sys.columns, sys.inv_m):
-        xs = [alpha.value for alpha in cell]
+        xs = tuple(alpha.value for alpha in cell)
         h = shards.interpolate([values[c] * i % p for c, i in zip(cols, inv)])
-        mh = poly_mul(vanishing_polynomial(xs, field).coeffs, h, p)
+        mh = poly_mul(_cell(xs, omegas, field)[0], h, p)
         P = mh[:width] + [0] * (width - len(mh))
         if any(mh[width:]) and any(poly_values(P, xs, p)):
             raise AssertionError("a witness polynomial misses a zero of its cell")
@@ -338,6 +349,42 @@ def recovery_threshold(v: int, beta_prime: int, d: int, K: int, beta: int) -> in
     """Minimum node count below which a worst-case version assignment defeats
     every linear decoder of the honest outputs."""
     return v**beta_prime * (d - 1) * (K - 1) + v * beta_prime + K - beta_prime + 2 * beta
+
+
+def recovery_probability(N: int, K: int, d: int, beta: int, beta_prime: int, v: int) -> Fraction:
+    """Exact chance that the first epoch decodes under `assignment_strategy="random"`:
+    beta nodes broadcast garbage, and each of the n = N - beta honest nodes gets one of
+    the t = v^beta_prime version tuples uniformly. On generic points every node outside
+    the largest cell is an error, so the decode recovers iff that cell holds
+    m = N - floor((N - d(K-1) - 1)/2) nodes: 1 - n!/t^n [x^n] (sum_{j<m} x^j/j!)^t."""
+    _check_counts(K=K, v=v, d=d, beta=beta, beta_prime=beta_prime)
+    if beta_prime > K:
+        raise ValueError("beta_prime cannot exceed K")
+    if beta > N:
+        raise ValueError("N must be at least beta")
+    from fractions import Fraction  # here, as it imports decimal: 5% of `import shardlab`
+
+    n, t = N - beta, v**beta_prime
+    return 1 - Fraction(_assignments_below(n, t, N - (N - d * (K - 1) - 1) // 2), t**n)
+
+
+def _assignments_below(n: int, t: int, m: int) -> int:
+    """How many of the t^n ways to put n nodes in t cells leave every cell below m nodes:
+    n! [x^n] (sum_{j<m} x^j/j!)^t, the truncated exponential generating function raised
+    to the power t by repeated squaring (Flajolet and Sedgewick, Analytic Combinatorics,
+    ch. II). A series is held as its coefficients times j!, which stay integers: a
+    product is then a binomial convolution, exact without fractions."""
+
+    def times(a: list[int], b: list[int]) -> list[int]:  # cut after x^n
+        return [sum(comb(k, i) * a[i] * b[k - i] for i in range(k + 1)) for k in range(n + 1)]
+
+    egf = [int(j < m) for j in range(n + 1)]
+    power = egf
+    for bit in bin(t)[3:]:  # the bits below the leading one
+        power = times(power, power)
+        if bit == "1":
+            power = times(power, egf)
+    return power[n]
 
 
 def known_behavior_upper_bound(v: int, beta_prime: int, d: int, K: int, beta: int) -> int:

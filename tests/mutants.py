@@ -43,6 +43,8 @@ PROGRESSIONS = "tests/test_field_poly.py::TestProgressionClosedForms"
 THRESHOLD = "src/shardlab/threshold_analysis.py"
 SHARD_VALUES = "tests/test_threshold_analysis.py::TestShardValueSystem"
 WITNESS = "tests/test_threshold_analysis.py::TestWitnessEquations"
+KERNEL = ("tests/test_threshold_analysis.py::TestCellKernel::"
+          "test_matches_vanishing_polynomial_and_inverse_products")
 CHAIN_IDS = ("tests/test_polyshard_sim.py::TestDivergence::"
              "test_chain_ids_match_full_masked_histories[append_own_view]")
 
@@ -236,6 +238,14 @@ MUTANTS = (
            "[pow(x, i, p) for x in xs] for i in range(width)",
            "[pow(x, i + 1, p) for x in xs] for i in range(width)",
            (WITNESS + "::test_m_lifted_vector_solves_d",)),
+    Mutant("cell-vanishing-factors-sign-flipped", THRESHOLD,
+           "m, p = vanishing_polynomial(xs, field).coeffs, field.modulus",
+           "m, p = vanishing_polynomial([-x for x in xs], field).coeffs, field.modulus",
+           (KERNEL, WITNESS + "::test_m_lifted_vector_solves_d")),
+    Mutant("cell-inverse-read-one-shard-off", THRESHOLD,
+           "batch_inverse(poly_values(m, omegas, p), p)",
+           "batch_inverse(poly_values(m, omegas[1:] + omegas[:1], p), p)",
+           (KERNEL, SHARD_VALUES + "::test_window_of_27_tuples")),
     Mutant("config-validator-without-integral-floats", "src/shardlab/cli.py",
            "cls=_ConfigValidator", "cls=_Validator",
            ("tests/test_cli.py::TestConfigValidation::test_integral_floats_are_config_errors",)),

@@ -6,7 +6,9 @@ and p = 2^31 - 1: `unique_decodability` on `build_system` must give the same
 rank(D), rank(D) without the output columns, uniqueness and witness output block
 as one reduction of R (`dense_system.restricted_verdict`), and every ambiguous
 witness must be the one `dense_system.evaluated_lift` lifts from the same
-nullspace vector of M, whole. Infeasible layouts are skipped.
+nullspace vector of M, whole. Infeasible layouts are skipped. The per-cell kernel
+(m_t and 1/m_t(omega_k)) is cleared before every verdict at p = 97 and kept warm
+across the verdicts at p = 2^31 - 1, so both cold and reused cells are checked.
 
     python tests/rank_grid.py
 
@@ -29,6 +31,7 @@ from shardlab import (  # noqa: E402
     unique_decodability,
 )
 from shardlab.field_poly import echelon, nullspace_vector  # noqa: E402
+from shardlab.threshold_analysis import _cell  # noqa: E402
 from dense_system import (  # noqa: E402
     evaluated_lift, restricted_system, restricted_verdict,
 )
@@ -64,6 +67,8 @@ def main() -> int:
                 except InfeasiblePartition:
                     continue
                 z_width = K - beta_prime
+                if p == 97:
+                    _cell.cache_clear()
                 sys_m = build_system(params)
                 report = unique_decodability(sys_m)
                 mine = verdict(report, z_width)

@@ -12,4 +12,4 @@ def test_python_blocks_run_in_order(capsys):
     namespace: dict = {}
     for block in blocks:  # later blocks read names the earlier ones define
         exec(compile(block, str(README), "exec"), namespace)
-    assert capsys.readouterr().out.split() == ["failure", "10"]
+    assert capsys.readouterr().out.split() == ["failure", "10", "0.3368"]

@@ -1,6 +1,11 @@
 import dataclasses
+import functools
 import io
 import itertools
+import random
+from collections import Counter
+from fractions import Fraction
+from math import prod
 
 import pytest
 from hypothesis import given, settings
@@ -24,6 +29,7 @@ from shardlab import (
     known_behavior_decode,
     known_behavior_upper_bound,
     proof_params,
+    recovery_probability,
     recovery_threshold,
     sweep_to_csv,
     unique_decodability,
@@ -35,7 +41,7 @@ from shardlab.field_poly import (
 )
 from shardlab.lcc import EncodingParams, all_version_tuples
 from shardlab.polyshard_sim import power_check
-from shardlab.threshold_analysis import _lift
+from shardlab.threshold_analysis import _assignments_below, _cell, _lift
 
 from dense_system import (
     Matrix, _c_row_blocks, dense_system, evaluated_lift, matrix_rank, nullspace_basis,
@@ -596,6 +602,95 @@ class TestWitnessEquations:
         same(dataclasses.replace(sys_m, inv_m=tuple(inv_m)), vec)
         columns[t], columns[s] = columns[s], columns[t]
         same(dataclasses.replace(sys_m, columns=tuple(columns)), vec)
+
+
+class TestCellKernel:
+    """`_cell`, the per-cell m_t and 1/m_t(omega_k), against the products it replaces,
+    and its reuse across the N of a sweep."""
+
+    @pytest.mark.parametrize("p", [97, 2**31 - 1])
+    def test_matches_vanishing_polynomial_and_inverse_products(self, p):
+        field, rng = PrimeField(p), random.Random(p)
+        for size in range(12):
+            K = rng.randint(1, 8)
+            points = rng.sample(range(p), K + size)
+            omegas, xs = tuple(points[:K]), tuple(points[K:])
+            m, inv = _cell(xs, omegas, field)
+            assert m == vanishing_polynomial(xs, field).coeffs
+            assert inv == tuple(pow(prod(w - a for a in xs), -1, p) for w in omegas)
+
+    @staticmethod
+    def verdicts(config, Ns, field, clear):
+        """The sweep rows and the witnesses of each N, clearing the kernel first or not."""
+        out = []
+        for N in Ns:
+            if clear:
+                _cell.cache_clear()
+            out += empirical_threshold(*config, range(N, N + 1), field)
+            try:
+                params = proof_params(*config, N, field)
+            except InfeasiblePartition:
+                continue
+            out.append(unique_decodability(build_system(params)).witness)
+        return out
+
+    @pytest.mark.parametrize("config, Ns", [((3, 2, 2, 8, 1), range(60, 86)),
+                                            ((2, 2, 3, 6, 2), range(40, 57))])
+    def test_sweeps_are_the_same_with_a_cold_kernel(self, field, config, Ns):
+        cold = self.verdicts(config, Ns, field, clear=True)
+        assert any(isinstance(w, tuple) for w in cold)
+        assert self.verdicts(config, Ns, field, clear=False) == cold
+
+    def test_a_window_builds_each_cell_once(self, field):
+        # the first N builds its 9 cells; each later N adds a node to one cell
+        _cell.cache_clear()
+        empirical_threshold(3, 2, 2, 8, 1, range(69, 80), field)
+        assert _cell.cache_info().misses <= 9 + 10
+
+
+@functools.lru_cache(maxsize=None)
+def count_below(n, t, m):
+    """Oracle: how many of the t^n assignments of n nodes to t cells leave every cell
+    below m nodes, by listing them all."""
+    return sum(max(Counter(cells).values(), default=0) < m
+               for cells in itertools.product(range(t), repeat=n))
+
+
+class TestRecoveryProbability:
+    @pytest.mark.parametrize("n, t, m", [(5, 2, 3), (6, 3, 3), (4, 4, 2), (7, 2, 5)])
+    def test_generating_function_counts_every_assignment(self, n, t, m):
+        assert _assignments_below(n, t, m) == count_below(n, t, m)
+
+    def test_matches_every_assignment_on_small_layouts(self):
+        for N, K, d, (v, beta_prime) in itertools.product(
+                range(1, 7), range(1, 4), range(1, 3), [(1, 0), (2, 1), (3, 1), (2, 2)]):
+            if beta_prime > K:
+                continue
+            m = N - (N - d * (K - 1) - 1) // 2
+            for beta in range(N + 1):
+                p = recovery_probability(N, K, d, beta, beta_prime, v)
+                assert type(p) is Fraction
+                assert p == 1 - Fraction(count_below(N - beta, v**beta_prime, m),
+                                         v ** (beta_prime * (N - beta)))
+
+    @pytest.mark.parametrize("layout, value", [
+        ((40, 3, 2, 1, 1, 2), "3.368e-01"), ((40, 3, 2, 2, 1, 3), "1.608e-03"),
+        ((30, 2, 2, 2, 2, 2), "2.630e-04"), ((60, 3, 2, 3, 2, 2), "5.318e-07")])
+    def test_roadmap_table(self, layout, value):
+        assert f"{float(recovery_probability(*layout)):.3e}" == value
+
+    @pytest.mark.parametrize("counts, message", [
+        ((9, 3, 2, 1, 1, 0), "^v must be at least 1"),
+        ((9, 0, 2, 1, 0, 2), "^K must be at least 1"),
+        ((9, 3, 0, 1, 1, 2), "^d must be at least 1"),
+        ((9, 3, 2, -1, 1, 2), "^beta must be at least 0"),
+        ((9, 3, 2, 1, -1, 2), "^beta_prime must be at least 0"),
+        ((9, 3, 2, 1, 4, 2), "^beta_prime cannot exceed K"),
+        ((9, 3, 2, 10, 1, 2), "^N must be at least beta"),
+    ])
+    def test_bad_counts_rejected(self, counts, message):
+        with pytest.raises(ValueError, match=message):
+            recovery_probability(*counts)
 
 
 class TestBounds:
