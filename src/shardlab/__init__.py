@@ -34,7 +34,6 @@ from .decoder import (
 )
 from .adversary import (
     AdversaryConfig,
-    InfeasiblePartition,
     VersionAssignment,
     assign_versions,
     corrupt_results,
@@ -54,6 +53,7 @@ from .polyshard_sim import (
 )
 from .threshold_analysis import (
     AnalysisParams,
+    InfeasiblePartition,
     RankReport,
     SweepRow,
     SystemMatrices,

@@ -15,10 +15,6 @@ from .field_poly import FieldElement, Polynomial
 from .lcc import VersionTuple
 
 
-class InfeasiblePartition(ValueError):
-    """A balanced split cannot respect the requested cell cap."""
-
-
 @dataclass(frozen=True)
 class AdversaryConfig:
     """Which nodes and producers the adversary controls, and how it behaves."""
@@ -110,19 +106,6 @@ def forge_versions(
     return blocks
 
 
-def balanced_cells(items: Sequence, n_cells: int, cap: int | None = None) -> list[list]:
-    """Round-robin split of the items over n_cells cells, sizes within one of
-    each other; with a cap, feasible only when len(items) <= n_cells * cap."""
-    if cap is not None and len(items) > n_cells * cap:
-        raise InfeasiblePartition(
-            f"{len(items)} points cannot be spread over {n_cells} cells of at most {cap}"
-        )
-    cells: list[list] = [[] for _ in range(n_cells)]
-    for i, item in enumerate(items):
-        cells[i % n_cells].append(item)
-    return cells
-
-
 def _tuple_at(index: int, v: int, width: int) -> VersionTuple:
     """The index-th tuple of [1..v]^width in lexicographic (`itertools.product`)
     order: index written as width base-v digits, most significant first."""
@@ -137,9 +120,9 @@ def assign_versions(
     """Assign a version tuple to every node per the configured strategy.
 
     balanced: nodes[i] gets tuple i mod v^(producers), with the tuples in
-    lexicographic order; this is the round robin of `balanced_cells`, which
-    `proof_params` applies to its points. random: i.i.d. uniform tuples (needs
-    rng). targeted: the explicit map. No strategy lists the tuple space.
+    lexicographic order; `proof_params` spreads its node points by the same
+    round robin. random: i.i.d. uniform tuples (needs rng). targeted: the
+    explicit map. No strategy lists the tuple space.
     """
     strategy = config.assignment_strategy
     v, width = config.v, config.beta_prime

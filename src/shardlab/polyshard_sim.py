@@ -134,6 +134,8 @@ class Simulation:
             )
         if failure_policy not in ("stall", "append_own_view"):
             raise ValueError(f"unknown failure policy {failure_policy!r}")
+        if bad := sorted(k for k in invalid_proposer_shards if not 1 <= k <= params.K):
+            raise ValueError(f"invalid proposer shard {bad[0]} out of range 1..{params.K}")
         field = params.field
         self.params = params
         self.fn = fn

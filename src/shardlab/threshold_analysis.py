@@ -33,7 +33,6 @@ from functools import lru_cache
 from math import comb
 from typing import TYPE_CHECKING, Iterable, Sequence
 
-from .adversary import InfeasiblePartition, balanced_cells
 from .field_poly import (
     FieldElement, PackedMap, PrimeField, batch_inverse, echelon, nullspace_vector,
     point_set, poly_mul, poly_values, vanishing_polynomial,
@@ -42,6 +41,10 @@ from .lcc import VersionTuple, all_version_tuples
 
 if TYPE_CHECKING:
     from fractions import Fraction
+
+
+class InfeasiblePartition(ValueError):
+    """The round robin of `proof_params` cannot keep every cell below d(K-1)+1 points."""
 
 
 def _check_counts(**counts: int) -> None:
@@ -55,16 +58,18 @@ def _check_counts(**counts: int) -> None:
 class AnalysisParams:
     """A concrete adversarial layout to rank-check: points, partition, tuples.
 
-    The counts are read off the sets they count: K is the number of shard points,
-    beta_prime the number of captured producers, and N the retained points plus the
-    2*beta dropped evaluation rows.
+    The shard points are elements of one prime field, which they fix; `partition` holds
+    each version cell's node points, given as ints or elements of that field, as residues
+    in [0, p). Any partition is taken, even one whose cell decodes alone. The counts are
+    read off the sets they count: K is the number of shard points, beta_prime the number
+    of captured producers, and N the retained points plus the 2*beta dropped rows.
     """
 
     d: int
     beta: int
     v: int
     omegas: tuple[FieldElement, ...]
-    partition: tuple[tuple[FieldElement, ...], ...]  # alpha points per version cell
+    partition: tuple[tuple[int, ...], ...]  # node point residues per version cell
     producers: tuple[int, ...]
 
     def __post_init__(self):
@@ -75,9 +80,13 @@ class AnalysisParams:
             raise ValueError(f"producers must lie in 1..K = 1..{self.K}, got {self.producers}")
         if len(self.partition) != self.v**self.beta_prime:
             raise ValueError("one cell per version tuple is required")
-        points = [x.value for x in self.omegas] + [
-            x.value for cell in self.partition for x in cell
-        ]
+        if not all(isinstance(w, FieldElement) and w.field == self.omegas[0].field
+                   for w in self.omegas):
+            raise ValueError("shard points must be elements of one field, omegas[0]'s")
+        residue = self.field.residue  # an element of another field raises ValueError
+        object.__setattr__(self, "partition",
+                           tuple(tuple(map(residue, cell)) for cell in self.partition))
+        points = [w.value for w in self.omegas] + [x for cell in self.partition for x in cell]
         if len(set(points)) != len(points):
             raise ValueError("evaluation points must be pairwise distinct")
 
@@ -122,46 +131,33 @@ def proof_params(
     beta: int,
     N: int,
     field: PrimeField,
-    *,
-    cells: Sequence[Sequence[FieldElement]] | None = None,
 ) -> AnalysisParams:
-    """Adversarial layout at N nodes: 2*beta evaluation rows dropped, the rest
-    spread by `balanced_cells` over all version tuples with every cell held
-    below d(K-1)+1 (the size at which a cell would decode alone). The rule is
-    the simulation's balanced assignment: point i gets tuple i mod v^beta_prime,
-    with the tuples in lexicographic order.
-
-    Canonical points (shard k at k, node n at K+n) are used; pass `cells`
-    to pin an explicit partition of the retained points instead.
+    """Adversarial layout at N nodes: 2*beta evaluation rows dropped, the rest spread
+    round robin over the version tuples in lexicographic order, shard k at k and node n
+    at K+n in tuple (n-1) mod v^beta_prime, as `assign_versions`'s balanced strategy
+    does. Raises `InfeasiblePartition` where a cell would reach d(K-1)+1 points, the
+    size at which it decodes alone; any other partition is an `AnalysisParams`.
     """
     # before the layout: v = 0 with beta_prime >= 1 would leave no cell to fill
     _check_counts(K=K, v=v, d=d, beta=beta, beta_prime=beta_prime)
     if beta_prime > K:
         raise ValueError("beta_prime cannot exceed K")
-    omegas = tuple(field(k) for k in range(1, K + 1))
     retained = N - 2 * beta
     if retained < 0:
         raise ValueError("N must be at least 2*beta")
-    alphas = tuple(field(K + n) for n in range(1, retained + 1))
     n_tuples = v**beta_prime
-    # the cap keeps any one cell from decoding alone; it only binds when the
-    # adversary actually splits the nodes over several version tuples
-    cap = d * (K - 1) if n_tuples > 1 else None
-    if cells is None:
-        cells = balanced_cells(alphas, n_tuples, cap)
-    else:
-        if len(cells) != n_tuples:
-            raise ValueError("explicit partition must have one cell per tuple")
-        if cap is not None and any(len(cell) > cap for cell in cells):
-            raise InfeasiblePartition("a cell reaches d(K-1)+1 points and would decode alone")
-        if sum(map(len, cells)) != retained:
-            raise ValueError(f"explicit partition must hold N - 2*beta = {retained} points")
+    # the cap keeps a cell from decoding alone; one version tuple has no split to cap
+    cap = d * (K - 1)
+    if n_tuples > 1 and retained > n_tuples * cap:
+        raise InfeasiblePartition(
+            f"{retained} points cannot be spread over {n_tuples} cells of at most {cap}")
+    alphas = range(K + 1, K + retained + 1)
     return AnalysisParams(
         d=d,
         beta=beta,
         v=v,
-        omegas=omegas,
-        partition=tuple(tuple(cell) for cell in cells),
+        omegas=tuple(field(k) for k in range(1, K + 1)),
+        partition=tuple(tuple(alphas[t::n_tuples]) for t in range(n_tuples)),
         producers=tuple(range(1, beta_prime + 1)),
     )
 
@@ -233,8 +229,7 @@ def build_system(params: AnalysisParams) -> SystemMatrices:
         for r, k in enumerate(params.producers):
             shard_cols[k - 1] = r * v + t[r] - 1
         columns.append(tuple(shard_cols))
-    inv_m = tuple(_cell(tuple(alpha.value for alpha in cell), omegas, params.field)[1]
-                  for cell in params.partition)
+    inv_m = tuple(_cell(cell, omegas, params.field)[1] for cell in params.partition)
     h_widths = [max(0, width - len(cell)) for cell in params.partition]
     table = _lagrange_table(omegas, p)
     ncols = z_start + K - params.beta_prime
@@ -299,8 +294,7 @@ def _lift(sys: SystemMatrices, vec: Sequence[int | FieldElement]) -> tuple[Field
     omegas = tuple(w.value for w in params.omegas)
     shards, at_shards = point_set(omegas, p), _powers_map(omegas, width, p)
     blocks, at = [], []  # P_t's coefficients, ascending; P_t at every omega_k
-    for cell, cols, inv in zip(params.partition, sys.columns, sys.inv_m):
-        xs = tuple(alpha.value for alpha in cell)
+    for xs, cols, inv in zip(params.partition, sys.columns, sys.inv_m):
         h = shards.interpolate([values[c] * i % p for c, i in zip(cols, inv)])
         mh = poly_mul(_cell(xs, omegas, field)[0], h, p)
         P = mh[:width] + [0] * (width - len(mh))

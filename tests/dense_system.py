@@ -11,7 +11,8 @@ layouts whose D is too large to reduce: `restricted_verdict` reduces it once, an
 `restricted_lift` maps its witness back to D's columns. `evaluated_lift` maps M's
 witness back as the library's `_lift` does, but with no cut-off test: it evaluates
 every P_t at each point of its cell and at the shard points by Horner, so it is the
-oracle for `_lift`.
+oracle for `_lift`. `affine_image` moves a layout's points by x -> a*x + b, which
+leaves every rank verdict as it was.
 
 `Matrix`, `vandermonde`, `matrix_rank` and `nullspace_basis` are the dense
 layer the library used to export. The library runs its linear algebra on rows
@@ -24,7 +25,7 @@ per version tuple (descending degree, tuples in lexicographic order), then one
 column per honest producer output.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import accumulate, combinations
 from operator import mul
 from typing import Iterable, Sequence
@@ -370,7 +371,7 @@ def evaluated_lift(sys: SystemMatrices,
         h = shards.interpolate([values[c] * i % p for c, i in zip(cols, inv)])
         P = poly_mul(vanishing_polynomial(cell, field).coeffs, h, p)[:width]
         P += [0] * (width - len(P))
-        at_cell = poly_values(P, [*(alpha.value for alpha in cell), *omegas], p)
+        at_cell = poly_values(P, [*cell, *omegas], p)
         if any(at_cell[:len(cell)]):
             raise AssertionError("a witness polynomial misses a zero of its cell")
         blocks.append(P)
@@ -385,3 +386,13 @@ def evaluated_lift(sys: SystemMatrices,
                 raise AssertionError(
                     "witness tuples sharing a captured producer's version disagree")
     return tuple(FieldElement(c, field) for c in [*(c for P in blocks for c in P[::-1]), *z])
+
+
+def affine_image(params: AnalysisParams, a: int, b: int) -> AnalysisParams:
+    """The layout with every point x moved to a*x + b (a nonzero mod p), node points as
+    residues: polynomials of degree below the block width are carried to polynomials of
+    the same degree, so D's kernel, and with it the verdict, is carried along."""
+    field, p = params.field, params.field.modulus
+    return replace(
+        params, omegas=tuple(field(a * w.value + b) for w in params.omegas),
+        partition=tuple(tuple((a * x + b) % p for x in cell) for cell in params.partition))

@@ -43,6 +43,8 @@ PROGRESSIONS = "tests/test_field_poly.py::TestProgressionClosedForms"
 THRESHOLD = "src/shardlab/threshold_analysis.py"
 SHARD_VALUES = "tests/test_threshold_analysis.py::TestShardValueSystem"
 WITNESS = "tests/test_threshold_analysis.py::TestWitnessEquations"
+PROOF_PARAMS = "tests/test_threshold_analysis.py::TestProofParams"
+LAYOUT_POINTS = "tests/test_threshold_analysis.py::TestLayoutPoints"
 KERNEL = ("tests/test_threshold_analysis.py::TestCellKernel::"
           "test_matches_vanishing_polynomial_and_inverse_products")
 CHAIN_IDS = ("tests/test_polyshard_sim.py::TestDivergence::"
@@ -246,6 +248,18 @@ MUTANTS = (
            "batch_inverse(poly_values(m, omegas, p), p)",
            "batch_inverse(poly_values(m, omegas[1:] + omegas[:1], p), p)",
            (KERNEL, SHARD_VALUES + "::test_window_of_27_tuples")),
+    Mutant("round-robin-slice-starts-one-point-late", THRESHOLD,
+           "tuple(alphas[t::n_tuples]) for t", "tuple(alphas[t + 1::n_tuples]) for t",
+           (PROOF_PARAMS + "::test_infeasible_cap", PROOF_PARAMS + "::test_cells_respect_cap")),
+    Mutant("cap-check-rejects-an-exact-fit", THRESHOLD,
+           "retained > n_tuples * cap", "retained >= n_tuples * cap",
+           (PROOF_PARAMS + "::test_infeasible_cap",
+            "tests/test_threshold_analysis.py::TestEmpiricalThreshold::test_two_version_sweep")),
+    Mutant("node-points-kept-unreduced", THRESHOLD,
+           "tuple(tuple(map(residue, cell)) for cell in self.partition)",
+           "tuple(tuple(cell) for cell in self.partition)",
+           (LAYOUT_POINTS + "::test_elements_and_ints_give_the_same_residues",
+            LAYOUT_POINTS + "::test_node_point_of_another_field_rejected")),
     Mutant("config-validator-without-integral-floats", "src/shardlab/cli.py",
            "cls=_ConfigValidator", "cls=_Validator",
            ("tests/test_cli.py::TestConfigValidation::test_integral_floats_are_config_errors",)),

@@ -6,9 +6,11 @@ and p = 2^31 - 1: `unique_decodability` on `build_system` must give the same
 rank(D), rank(D) without the output columns, uniqueness and witness output block
 as one reduction of R (`dense_system.restricted_verdict`), and every ambiguous
 witness must be the one `dense_system.evaluated_lift` lifts from the same
-nullspace vector of M, whole. Infeasible layouts are skipped. The per-cell kernel
-(m_t and 1/m_t(omega_k)) is cleared before every verdict at p = 97 and kept warm
-across the verdicts at p = 2^31 - 1, so both cold and reused cells are checked.
+nullspace vector of M, whole. Each verdict must also be that of the layout's affine
+image, every point x moved to 5x + 11 (`dense_system.affine_image`). Infeasible layouts
+are skipped. The per-cell kernel (m_t and 1/m_t(omega_k)) is cleared before every
+layout at p = 97 and kept warm across the layouts at p = 2^31 - 1, so both cold and
+reused cells are checked.
 
     python tests/rank_grid.py
 
@@ -33,7 +35,7 @@ from shardlab import (  # noqa: E402
 from shardlab.field_poly import echelon, nullspace_vector  # noqa: E402
 from shardlab.threshold_analysis import _cell  # noqa: E402
 from dense_system import (  # noqa: E402
-    evaluated_lift, restricted_system, restricted_verdict,
+    affine_image, evaluated_lift, restricted_system, restricted_verdict,
 )
 
 
@@ -82,6 +84,10 @@ def main() -> int:
                 elif not report.unique_Z and report.witness != evaluated_witness(sys_m):
                     differences.append(((v, beta_prime, d, K, beta), N, p))
                     print(f"witness differs at {where} from the evaluated lift")
+                elif (moved := verdict(unique_decodability(build_system(
+                        affine_image(params, 5, 11))), z_width)) != mine:
+                    differences.append(((v, beta_prime, d, K, beta), N, p))
+                    print(f"differs at {where} from x -> 5x + 11: {moved[:3]} vs {mine[:3]}")
     print(f"{checked} verdicts, {len(differences)} differences, "
           f"{time.perf_counter() - started:.1f} s")
     return 1 if differences else 0

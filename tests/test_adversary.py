@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from shardlab import (
     AdversaryConfig,
     EncodingParams,
-    InfeasiblePartition,
     Polynomial,
     Simulation,
     VersionAssignment,
@@ -16,7 +15,6 @@ from shardlab import (
     forge_versions,
     run_epoch,
 )
-from shardlab.adversary import balanced_cells
 from shardlab.lcc import all_version_tuples
 from shardlab.polyshard_sim import history_power_check
 
@@ -124,12 +122,11 @@ class TestAssignVersions:
 
     @given(nodes=node_lists, **tuple_spaces)
     def test_balanced_matches_the_enumeration_oracle(self, nodes, v, width):
-        # the oracle is the round robin of balanced_cells over the listed tuples, the
-        # split proof_params makes of its points
+        # the oracle is the round robin over the listed tuples, the split proof_params
+        # makes of its points: tuple t takes every len(tuples)-th node from the t-th on
         cfg = config({100 + i for i in range(width)}, producers=range(1, width + 1), v=v)
         tuples = all_version_tuples(v, width)
-        expected = {node: t for t, cell in zip(tuples, balanced_cells(nodes, len(tuples)))
-                    for node in cell}
+        expected = {node: t for i, t in enumerate(tuples) for node in nodes[i::len(tuples)]}
         assert assign_versions(nodes, cfg).node_tuples == expected
 
     @given(nodes=node_lists, seed=st.integers(0, 2**32), **tuple_spaces)
@@ -154,11 +151,6 @@ class TestAssignVersions:
         drawn = assign_versions(nodes, cfg, rng=rng).node_tuples
         assert sorted(drawn) == nodes
         assert all(len(t) == 40 and set(t) <= {1, 2} for t in drawn.values())
-
-    def test_infeasible_cap(self):
-        with pytest.raises(InfeasiblePartition, match="9 points cannot be spread over 2 cells"):
-            balanced_cells(list(range(1, 10)), 2, cap=4)
-        assert balanced_cells(list(range(1, 9)), 2, cap=4) == [[1, 3, 5, 7], [2, 4, 6, 8]]
 
     def test_random_strategy(self, rng):
         cfg = config({9}, producers=(1,), v=3, assignment_strategy="random")

@@ -128,6 +128,14 @@ class TestProposeBlocks:
                 accepted += 1
         assert accepted == 0
 
+    @pytest.mark.parametrize("shards, bad", [({7}, 7), ({0}, 0), ({-1, 2}, -1), ({3, 6, 9}, 6)])
+    def test_invalid_proposer_shard_outside_1_to_K_rejected(self, field, shards, bad):
+        # no chain proposes for shard 7 of K=5, so ignoring it would pass an honest epoch
+        with pytest.raises(ValueError, match=f"^invalid proposer shard {bad} out of range 1..5$"):
+            make_sim(field, K=5, N=20, invalid_proposer_shards=frozenset(shards))
+        assert make_sim(field, K=5, N=20,
+                        invalid_proposer_shards=frozenset({1, 5})).invalid_proposer_shards
+
 
 class TestRunEpoch:
     def test_garbage_within_tolerance(self, field):

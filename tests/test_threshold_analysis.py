@@ -44,8 +44,8 @@ from shardlab.polyshard_sim import power_check
 from shardlab.threshold_analysis import _assignments_below, _cell, _lift
 
 from dense_system import (
-    Matrix, _c_row_blocks, dense_system, evaluated_lift, matrix_rank, nullspace_basis,
-    restricted_lift, restricted_system, restricted_verdict, rref,
+    Matrix, _c_row_blocks, affine_image, dense_system, evaluated_lift, matrix_rank,
+    nullspace_basis, restricted_lift, restricted_system, restricted_verdict, rref,
 )
 
 
@@ -185,7 +185,7 @@ class TestUniqueDecodability:
         analysis = proof_params(2, 1, 2, 3, 1, 9, field)
         enc = EncodingParams(
             omegas=analysis.omegas,
-            alphas=tuple(a for cell in analysis.partition for a in cell), d=2,
+            alphas=tuple(field(a) for cell in analysis.partition for a in cell), d=2,
         )
         sys_m = build_system(analysis)
         D = dense_system(analysis).D
@@ -825,12 +825,13 @@ class TestProofParams:
         with pytest.raises(InfeasiblePartition):
             proof_params(2, 1, 2, 3, 1, 11, field)
 
-    def test_explicit_cells_validated(self, field):
-        alphas = [field(4 + i) for i in range(7)]
-        with pytest.raises(InfeasiblePartition):
-            proof_params(
-                2, 1, 2, 3, 1, 9, field, cells=[alphas[:5], alphas[5:]]
-            )
+    def test_infeasible_cap(self, field):
+        # 4 cells of at most d(K-1) = 4 points hold 16 retained points, not 17
+        with pytest.raises(InfeasiblePartition,
+                           match="^17 points cannot be spread over 4 cells of at most 4$"):
+            proof_params(2, 2, 2, 3, 2, 21, field)
+        assert proof_params(2, 2, 2, 3, 2, 20, field).partition == (
+            (4, 8, 12, 16), (5, 9, 13, 17), (6, 10, 14, 18), (7, 11, 15, 19))
 
     @pytest.mark.parametrize(
         "producers, n_omegas, field_name",
@@ -876,6 +877,81 @@ class TestProofParams:
         with pytest.raises(ValueError, match="^beta_prime must be at least 0, got -1$"):
             proof_params(2, -1, 2, 3, 1, 9, field)
 
-    def test_partition_size_checked(self, field):
-        with pytest.raises(ValueError, match="must hold N - 2[*]beta = 7 points"):
-            proof_params(2, 1, 2, 3, 1, 9, field, cells=((field(4),), (field(5),)))
+
+class TestLayoutPoints:
+    """`AnalysisParams` holds node points as residues of the field its shard points fix."""
+
+    @staticmethod
+    def layout(omegas, partition):
+        return AnalysisParams(d=2, beta=1, v=2, omegas=tuple(omegas), partition=partition,
+                              producers=(1,))
+
+    def test_elements_and_ints_give_the_same_residues(self, gf97):
+        cells = ((4, 6, 8, 10), (5, 7, 9))
+        as_elements = self.layout(map(gf97, (1, 2, 3)),
+                                  tuple(tuple(map(gf97, cell)) for cell in cells))
+        as_ints = self.layout(map(gf97, (1, 2, 3)), ((101, 6, 8, 10), (5, 7, -88)))
+        assert as_elements.partition == as_ints.partition == cells
+        assert as_elements == as_ints
+        assert all(type(x) is int for cell in as_ints.partition for x in cell)
+        assert build_system(as_elements) == build_system(as_ints)
+
+    @pytest.mark.parametrize("cells", [
+        pytest.param(lambda gf97, big: ((gf97(4), big(1000)), (gf97(5),)), id="1000-read-as-30"),
+        pytest.param(lambda gf97, big: ((gf97(4),), (big(101),)), id="101-beside-4"),
+    ])
+    def test_node_point_of_another_field_rejected(self, gf97, cells):
+        with pytest.raises(ValueError, match="different field"):
+            self.layout(map(gf97, (1, 2, 3)), cells(gf97, PrimeField(2**31 - 1)))
+
+    def test_node_points_distinct_as_residues(self, gf97):
+        with pytest.raises(ValueError, match="pairwise distinct"):
+            self.layout(map(gf97, (1, 2, 3)), ((gf97(4),), (101,)))
+
+    @pytest.mark.parametrize("omegas, message", [
+        pytest.param(lambda gf97, big: (1, 2, 3), "shard points", id="ints"),
+        pytest.param(lambda gf97, big: (gf97(1), 2, gf97(3)), "shard points", id="one-int"),
+        pytest.param(lambda gf97, big: (gf97(1), big(2), gf97(3)), "shard points",
+                     id="one-of-another-field"),
+        pytest.param(lambda gf97, big: (big(1), big(2), big(3)), "different field",
+                     id="node-points-of-another-field"),
+    ])
+    def test_shard_points_fix_the_field(self, gf97, omegas, message):
+        # the first shard point fixes the field; every shard point is an element of it
+        # and every node point an int or an element of it
+        with pytest.raises(ValueError, match=message):
+            self.layout(omegas(gf97, PrimeField(2**31 - 1)), ((gf97(4),), (gf97(5),)))
+
+
+# (v, beta', d, K, beta) of the rank tests' windows threshold - 8 .. threshold + 2
+AFFINE_CONFIGS = [(2, 1, 2, 3, 1), (3, 2, 2, 8, 1), (2, 2, 3, 6, 2), (3, 1, 2, 4, 1),
+                  (2, 1, 3, 4, 2)]
+
+
+def rank_verdict(params):
+    report = unique_decodability(build_system(params))
+    z_width = params.K - params.beta_prime
+    return (report.rank_D, report.rank_D_without_Z_columns, report.unique_Z,
+            None if report.unique_Z else report.zeta_block(z_width))
+
+
+class TestAffineInvariance:
+    """An affine change of points x -> a*x + b (a != 0) maps every polynomial of degree
+    below the block width to one of the same degree, so D's rank and the output block of
+    its first witness are unchanged."""
+
+    @pytest.mark.parametrize("p", [97, 2**31 - 1])
+    def test_rank_verdicts_keep_under_affine_maps(self, p):
+        field, compared = PrimeField(p), 0
+        for config in AFFINE_CONFIGS:
+            threshold = recovery_threshold(*config)
+            for N in range(max(2 * config[-1], threshold - 8), threshold + 3):
+                try:
+                    params = proof_params(*config, N, field)
+                except InfeasiblePartition:
+                    continue
+                verdict = rank_verdict(params)
+                for a, b in ((5, 11), (p - 1, 3), (2, 0)):
+                    assert rank_verdict(affine_image(params, a, b)) == verdict, (config, N, a, b)
+                    compared += 1
+        assert compared == 156
