@@ -6,8 +6,9 @@ several polynomials fails cleanly instead of producing a silent wrong answer.
 It runs on int residues: the interpolation runs on the cached `point_set` of the
 points heard, set up once per heard point set, products are Kronecker products,
 and the extended Euclidean algorithm steps on one packed int per polynomial
-(`field_poly.euclid_until`). A decode on heard points whose last two Gao decodes
-corrected the same errors skips the Euclid: it divides by their remembered locator.
+(`field_poly.euclid_until`). A word with at most max_errors nonzero heard values (an
+epoch of valid blocks broadcasts one) decodes to zero first. A decode on heard points whose
+last two Gao decodes corrected the same errors divides by their remembered locator.
 """
 
 from __future__ import annotations
@@ -112,6 +113,11 @@ def _failure(reason: str) -> DecodeOutcome:
     return DecodeOutcome(status=FAILURE, diagnostics=reason)
 
 
+def _recovered(field: PrimeField, poly: list[int], bad: frozenset[int], m: int) -> DecodeOutcome:
+    return DecodeOutcome(RECOVERED, Polynomial(field, poly), bad,
+                         f"{len(bad)} corrected among {m} present entries")
+
+
 @lru_cache(maxsize=16)
 def _seen_errors(xs: tuple[int, ...], p: int) -> list:
     """`rs_decode`'s memo for the heard points xs mod p, [S, L, L at every x]: the nodes S
@@ -131,6 +137,11 @@ def rs_decode(b: BroadcastSet, degree_bound: int, max_errors: int) -> DecodeOutc
     must be distinct, and that is checked first. Silent entries are then dropped
     (shortening), so max_errors counts among the heard ones, interpolated on the cached
     `point_set` of their points; `euclid_until` steps on packed ints and unpacks (r, t) once.
+
+    A word with at most max_errors nonzero heard values (a valid block's check reads 0)
+    returns zero, with those entries as the errors, before any point set is built: two
+    polynomials within the radius agree at m - 2 max_errors >= degree_bound + 1 points,
+    so zero is the one answer Gao and the memo could return.
 
     Persistent bad broadcasters leave the same errors on the same heard points epoch after
     epoch, so a memo per heard point set (16 of them, as `point_set` keeps) holds the
@@ -155,6 +166,8 @@ def rs_decode(b: BroadcastSet, degree_bound: int, max_errors: int) -> DecodeOutc
             f"{m} present evaluations, {needed} required for degree {degree_bound} "
             f"with {max_errors} errors"
         )
+    if m - ys.count(0) <= max_errors:  # the zero polynomial is within the radius
+        return _recovered(b.field, [], frozenset(b.nodes[i] for i, y in zip(heard, ys) if y), m)
     p = b.field.modulus
     form, seen = point_set(xs, p), _seen_errors(xs, p)
     positions, locator, values = seen
@@ -182,12 +195,7 @@ def rs_decode(b: BroadcastSet, degree_bound: int, max_errors: int) -> DecodeOutc
         locator = vanishing_polynomial([b.points[i] for i in heard if b.nodes[i] in bad],
                                        b.field).coeffs
         seen[1:] = locator, poly_values(locator, xs, p)
-    return DecodeOutcome(
-        status=RECOVERED,
-        poly=Polynomial(b.field, poly),
-        error_positions=bad,
-        diagnostics=f"{len(bad)} corrected among {m} present entries",
-    )
+    return _recovered(b.field, poly, bad, m)
 
 
 def recover_outputs(poly: Polynomial, params: EncodingParams) -> list[FieldElement]:

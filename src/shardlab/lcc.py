@@ -66,8 +66,14 @@ class EncodingParams:
     def __post_init__(self):
         if self.K < 1 or self.N < 1 or self.d < 1:
             raise ValueError("K, N and d must all be >= 1")
-        if any(x.field != self.field for x in self.omegas + self.alphas):
-            raise ValueError(f"every shard and node point must lie in omegas[0]'s {self.field}")
+        field = getattr(self.omegas[0], "field", None)
+        for kind, points in (("shard", self.omegas), ("node", self.alphas)):
+            for i, x in enumerate(points, 1):
+                if not isinstance(x, FieldElement):
+                    raise ValueError(f"{kind} point {i} ({x!r}) must be a field element")
+                if x.field != field:
+                    raise ValueError(f"{kind} point {i} ({x!r}): every shard and node point "
+                                     f"must lie in omegas[0]'s {field}")
         points = [x.value for x in self.omegas + self.alphas]
         if len(set(points)) != len(points):
             raise ValueError("shard and node evaluation points must be pairwise distinct")

@@ -36,6 +36,7 @@ EPOCH_ORACLE = "tests/test_polyshard_sim.py::TestEpochOracle"
 RUN_EPOCH = "tests/test_polyshard_sim.py::TestRunEpoch"
 RS_DECODE = "tests/test_decoder.py::TestRsDecode"
 MEMO = "tests/test_decoder.py::TestErrorLocatorMemo"
+ZERO_WORDS = "tests/test_decoder.py::TestZeroWords"
 ADVERSARY = "src/shardlab/adversary.py"
 ASSIGN = "tests/test_adversary.py::TestAssignVersions"
 TREE = "tests/test_field_poly.py::TestSubproductTree"
@@ -47,6 +48,15 @@ PROOF_PARAMS = "tests/test_threshold_analysis.py::TestProofParams"
 LAYOUT_POINTS = "tests/test_threshold_analysis.py::TestLayoutPoints"
 KERNEL = ("tests/test_threshold_analysis.py::TestCellKernel::"
           "test_matches_vanishing_polynomial_and_inverse_products")
+COUNT_CHECK = ("    if m < needed:\n"
+               "        raise InsufficientEvaluations(\n"
+               '            f"{m} present evaluations, {needed} required for degree '
+               '{degree_bound} "\n'
+               '            f"with {max_errors} errors"\n'
+               "        )\n")
+ZERO_EXIT = ("    if m - ys.count(0) <= max_errors:  # the zero polynomial is within the radius\n"
+             "        return _recovered(b.field, [], frozenset(b.nodes[i] for i, y in zip(heard, "
+             "ys) if y), m)\n")
 CHAIN_IDS = ("tests/test_polyshard_sim.py::TestDivergence::"
              "test_chain_ids_match_full_masked_histories[append_own_view]")
 
@@ -181,6 +191,18 @@ MUTANTS = (
            "            if rem:  # Q vanishes at every x_s, so L divides it\n"
            '                raise AssertionError("the error locator does not divide Q")\n', "",
            (MEMO,), equivalent=True),
+    Mutant("zero-exit-radius-one-too-wide", DECODER,
+           "if m - ys.count(0) <= max_errors:", "if m - ys.count(0) <= max_errors + 1:",
+           (ZERO_WORDS + "::test_same_outcome_as_berlekamp_welch",
+            ZERO_WORDS + "::test_every_sparse_word_over_gf7")),
+    Mutant("zero-exit-above-the-count-check", DECODER,
+           COUNT_CHECK + ZERO_EXIT, ZERO_EXIT + COUNT_CHECK,
+           (ZERO_WORDS + "::test_a_zero_word_too_short_for_the_budget_raises",)),
+    Mutant("zero-exit-positions-as-column-indices", DECODER,
+           "frozenset(b.nodes[i] for i, y in zip(heard, ys) if y)",
+           "frozenset(i for i, y in zip(heard, ys) if y)",
+           (ZERO_WORDS + "::test_same_outcome_as_berlekamp_welch",
+            ZERO_WORDS + "::test_every_sparse_word_over_gf7")),
     Mutant("recover-outputs-bound-raised-by-one", DECODER,
            "> params.composed_degree:", "> params.composed_degree + 1:",
            ("tests/test_decoder.py::TestRecoverOutputs::test_degree_guard",)),

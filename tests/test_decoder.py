@@ -6,6 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from rs_oracle import berlekamp_welch
+from zero_decode import sweep
 from shardlab import (
     AdversaryConfig,
     BroadcastEntry,
@@ -413,14 +414,15 @@ class TestErrorLocatorMemo:
 
     def test_third_decode_of_a_repeated_error_set_runs_no_euclid(self, field, rng, euclid_calls):
         # the locator depends on the positions only: other polynomials and other error
-        # values on the same positions, or on some of them, decode without the Euclid
+        # values on the same positions, or on some of them, decode without the Euclid; the
+        # zero words (i % 3 == 0) are within the radius of 0 and run no Euclid either
         S, words, live = {2, 5, 11}, [], []
         for i, errors in enumerate([S, S, S, S, {2, 11}, set(), S]):
             poly = Polynomial(field, [field.random(rng) for _ in range(self.D + 1)] if i % 3
                               else [])
             words.append(shifted_word(field, poly, errors))
             live.append(rs_decode(words[-1], self.D, 7))
-            assert len(euclid_calls) == min(i + 1, 2)
+            assert len(euclid_calls) == min(i, 2)
             assert live[-1].recovered and live[-1].poly == poly
             assert live[-1].error_positions == {j + 1 for j in errors}
         assert live == [cold_decode(b, self.D, 7) for b in words]
@@ -477,21 +479,86 @@ class TestErrorLocatorMemo:
         assert len(euclid_calls) == 4
 
 
+@st.composite
+def sparse_words(draw):
+    """A word over GF(7), GF(97) or 2^31 - 1 with k <= e + 1 nonzero heard values, at a
+    budget e from 0 to the radius, with up to two silent entries, as (b, d, e, k). Node
+    ids run from 1 and the points are any distinct residues."""
+    p = draw(st.sampled_from([7, 97, 2**31 - 1]))
+    d = draw(st.integers(0, 3))
+    n = draw(st.integers(d + 1, min(p, d + 12)))
+    silent = draw(st.integers(0, min(2, n - d - 1)))
+    e = draw(st.integers(0, (n - silent - d - 1) // 2))
+    k = draw(st.integers(0, min(e + 1, n - silent)))
+    xs = draw(st.lists(st.integers(0, p - 1), min_size=n, max_size=n, unique=True))
+    values = ([draw(st.integers(1, p - 1)) for _ in range(k)] + [0] * (n - silent - k)
+              + [None] * silent)
+    values = draw(st.permutations(values))
+    return BroadcastSet.from_columns(PrimeField(p), range(1, n + 1), xs, values), d, e, k
+
+
+class TestZeroWords:
+    D = 4  # on 20 points: radius 7
+
+    @given(case=sparse_words())
+    @settings(max_examples=400, deadline=None)
+    def test_same_outcome_as_berlekamp_welch(self, case):
+        # the exit is taken exactly when at most e values are nonzero: only then is no
+        # point set read
+        b, d, e, k = case
+        before = point_set.cache_info()
+        out = rs_decode(b, d, e)
+        after = point_set.cache_info()
+        assert (after.hits + after.misses == before.hits + before.misses) == (k <= e)
+        bw = berlekamp_welch(b, d, e)
+        assert (out.status, out.poly, out.error_positions, out.diagnostics) == (
+            bw.status, bw.poly, bw.error_positions, bw.diagnostics)
+        if k <= e:
+            assert out.recovered and out.poly.is_zero
+            assert out.error_positions == {n for n, y in zip(b.nodes, b.values) if y}
+
+    def test_every_sparse_word_over_gf7(self, gf7):
+        # m = 6, D = 1: every word with at most e + 1 nonzero values at each budget e up
+        # to the radius 2
+        results = [sweep(gf7, 6, 1, e) for e in range(3)]
+        assert sum(words for words, _ in results) == 5511
+        assert [diff for _, found in results for diff in found] == []
+
+    def test_a_zero_word_builds_no_point_set_and_runs_no_euclid(self, field, euclid_calls):
+        zero = Polynomial.zero(field)
+        point_set.cache_clear()
+        out = rs_decode(shifted_word(field, zero, {2, 5, 11}), self.D, 7)
+        assert out.recovered and out.poly == zero and out.error_positions == {3, 6, 12}
+        assert point_set.cache_info().misses == 0 and not euclid_calls
+        # one nonzero value more than the budget: Gao runs on a new point set
+        out = rs_decode(shifted_word(field, zero, range(8)), self.D, 7)
+        assert not out.recovered
+        assert point_set.cache_info().misses == 1 and len(euclid_calls) == 1
+
+    def test_a_zero_word_too_short_for_the_budget_raises(self, gf7):
+        b = broadcast_from([(gf7(x), gf7.zero) for x in range(1, 6)])
+        with pytest.raises(InsufficientEvaluations):
+            rs_decode(b, degree_bound=1, max_errors=2)
+
+
 class TestPointSetCache:
     @pytest.mark.parametrize("strategy", ["garbage", "silent"])
     def test_two_point_sets_for_every_epoch_and_seed(self, field, strategy):
         # four bad broadcasters at N=20, K=4, d=2 are within the radius: every epoch
-        # decodes, and a fixed silent set leaves the same heard points every epoch, so
-        # the heard points are set up once; the epochs build no coded polynomial, and
-        # the default layout's Lagrange matrix is in closed form, so the shard points
-        # are set up only when history_polys is first read
+        # decodes; shard 1's proposals are invalid, so the word is not within the radius
+        # of the zero polynomial and the decode reads its point set; a fixed silent set
+        # leaves the same heard points every epoch, so the heard points are set up once;
+        # the epochs build no coded polynomial, and the default layout's Lagrange matrix
+        # is in closed form, so the shard points are set up only when history_polys is
+        # first read
         params = EncodingParams.default(K=4, N=20, d=2, field=field)
         attack = AdversaryConfig(adversarial_nodes=frozenset({17, 18, 19, 20}),
                                  broadcast_strategy=strategy)
         point_set.cache_clear()
         recovered = 0
         for seed in (1, 2):
-            sim = Simulation(params, history_power_check(2, field(3)))
+            sim = Simulation(params, history_power_check(2, field(3)),
+                             invalid_proposer_shards=frozenset({1}))
             for epoch in range(4):
                 report = run_epoch(sim, attack, rng=seed * 100 + epoch)
                 recovered += report.statuses[1] == "recovered"

@@ -64,6 +64,14 @@ class TestParams:
         with pytest.raises(ValueError, match="different field"):
             build_coded_poly((gf97(1), gf7(1)), params)
 
+    def test_int_points_rejected(self, gf97):
+        # a ValueError names the point, as for AnalysisParams and BroadcastSet
+        for omegas, alphas, named in (((gf97(1), 2), (gf97(3),), r"shard point 2 \(2\)"),
+                                      ((1, 2), (gf97(3),), r"shard point 1 \(1\)"),
+                                      ((gf97(1), gf97(2)), (gf97(3), 4), r"node point 2 \(4\)")):
+            with pytest.raises(ValueError, match=named + " must be a field element"):
+                EncodingParams(omegas=omegas, alphas=alphas, d=2)
+
     def test_one_point_set(self, gf97):
         # every coded polynomial reads one cached point set, and so does the Lagrange matrix
         # of a layout off one progression; the default layout's matrix is in closed form

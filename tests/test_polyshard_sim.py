@@ -182,7 +182,8 @@ class TestRunEpoch:
 
     def test_garbage_epochs_agree_across_the_rows_cutoff(self, field, monkeypatch, request):
         # N=156 hears more points than _ROWS_UP_TO: the decode interpolates on the
-        # subproduct tree, and on packed quotient rows once the cutoff is raised above N
+        # subproduct tree, and on packed quotient rows once the cutoff is raised above N;
+        # shard 1's proposals are invalid, so the words are not zero decodes
         K, N = 26, 156
         beta = (N - 2 * (K - 1) - 1) // 2  # the correction boundary
         request.addfinalizer(point_set.cache_clear)
@@ -190,7 +191,7 @@ class TestRunEpoch:
         for cutoff in (field_poly._ROWS_UP_TO, N):
             monkeypatch.setattr(field_poly, "_ROWS_UP_TO", cutoff)
             point_set.cache_clear()
-            sim = make_sim(field, K=K, N=N)
+            sim = make_sim(field, K=K, N=N, invalid_proposer_shards=frozenset({1}))
             adversary = garbage_adversary(range(N - beta + 1, N + 1))
             reports = [run_epoch(sim, adversary, rng=seed).to_json_dict() for seed in range(3)]
             assert all(report["statuses"]["1"] == "recovered" for report in reports)
