@@ -22,7 +22,7 @@ import jsonschema
 from .adversary import AdversaryConfig
 from .field_poly import PrimeField, DEFAULT_MODULUS
 from .lcc import EncodingParams
-from .polyshard_sim import Simulation, history_power_check, run_epoch
+from .polyshard_sim import REPORT_SCHEMA, Simulation, history_power_check, run_epoch
 from .threshold_analysis import (
     SWEEP_CSV_HEADER,
     empirical_threshold,
@@ -187,7 +187,8 @@ def _simulation_scenario(config: dict, scenario: str, out_path: Path) -> None:
     )
 
     with out_path.open("w") as out:
-        out.write(json.dumps({"config": config}, sort_keys=True) + "\n")
+        header = {"config": config, "report_schema": REPORT_SCHEMA}
+        out.write(json.dumps(header, sort_keys=True) + "\n")
         for seed in seeds:
             sim = Simulation(enc, history_power_check(d, field(3)))
             for _ in range(epochs):
@@ -225,6 +226,21 @@ def _threshold_sweep(config: dict, out_path: Path, strict: bool) -> bool:
     return strict and any(row.unique_Z is None for row in rows)
 
 
+# CPython's default cap on int-to-decimal conversion; a fixed cap refuses the same grid
+# points on every interpreter, including one built without the cap
+_MAX_DIGITS = 4300
+_TOO_WIDE = 10**_MAX_DIGITS
+
+
+def _too_wide(v: int, beta_prime: int, d: int, K: int, beta: int) -> bool:
+    """True when a bound at this point has more than _MAX_DIGITS digits. With beta' <= K
+    both bounds are at most known_behavior_upper_bound, which is at least v^beta'; a power
+    v^beta' >= 2^(beta' (bitlen(v) - 1)) past the cap is refused before it is formed."""
+    if beta_prime * (v.bit_length() - 1) >= _TOO_WIDE.bit_length():
+        return True
+    return known_behavior_upper_bound(v, beta_prime, d, K, beta) >= _TOO_WIDE
+
+
 def _bound_table(config: dict, out_path: Path) -> None:
     params = config.get("params", {})
     defaults = (("v", 1), ("beta_prime", 1), ("d", 1), ("K", 2), ("beta", 0))
@@ -232,6 +248,10 @@ def _bound_table(config: dict, out_path: Path) -> None:
     # the schema bounds each key alone; beta_prime <= K ties two of them
     if any(beta_prime > K for _, beta_prime, _, K, _ in points):
         raise ConfigError("bound_table needs beta_prime <= K at every grid point")
+    for point in points:
+        if _too_wide(*point):
+            raise ConfigError(f"bound_table point (v, beta_prime, d, K, beta) = {point} has a "
+                              f"bound of more than {_MAX_DIGITS} digits")
     with out_path.open("w") as out:
         out.write("# config: " + json.dumps(config, sort_keys=True) + "\n")
         out.write("v,beta_prime,d,K,beta,recovery_threshold,known_behavior_upper_bound\n")

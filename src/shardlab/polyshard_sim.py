@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from operator import mul
 from typing import Callable, Sequence
 
@@ -26,6 +27,10 @@ from .decoder import (
 )
 from .field_poly import FieldElement, Polynomial, ResidueVector
 from .lcc import EncodingParams, build_coded_poly, compose_verification, encode_at_node
+
+# The version of `EpochReport.to_json_dict`'s line. Version 1 repeated the outcome per
+# node: a `statuses` map over all N nodes and an `accepted` map over the honest ones.
+REPORT_SCHEMA = 2
 
 
 @dataclass(frozen=True)
@@ -78,7 +83,10 @@ class ShardChain:
 
 @dataclass
 class EpochReport:
-    """Outcome of one epoch: decode statuses, accept bits, divergence, traffic.
+    """Outcome of one epoch, held once: every honest node decodes the same broadcast set,
+    so all share `status` and the accept bits `bits` (None unless the epoch decoded).
+    `adversarial` holds the sorted adversarial ids of nodes 1..`nodes`. `statuses` and
+    `accepted` map each node and each honest node to these, built on first read.
 
     recovered_values holds the decoded per-shard verification values (as plain
     residues) when the epoch decoded, for checking against direct evaluation.
@@ -87,21 +95,35 @@ class EpochReport:
     """
 
     epoch: int
-    statuses: dict[int, str]
-    accepted: dict[int, list[int] | None]
+    nodes: int
+    status: str
+    adversarial: tuple[int, ...]
+    bits: list[int] | None
     chain_divergence: int
     messages: dict[str, int]
     stalled: bool
     recovered_values: list[int] | None = None
     diagnostics: str = ""
 
+    @cached_property
+    def statuses(self) -> dict[int, str]:
+        statuses = dict.fromkeys(range(1, self.nodes + 1), self.status)
+        statuses.update(dict.fromkeys(self.adversarial, "adversarial"))
+        return statuses
+
+    @cached_property
+    def accepted(self) -> dict[int, list[int] | None]:
+        adversarial = set(self.adversarial)
+        return {n: self.bits for n in range(1, self.nodes + 1) if n not in adversarial}
+
     def to_json_dict(self) -> dict:
+        """The version-`REPORT_SCHEMA` JSON line, of size O(beta + K)."""
         return {
             "epoch": self.epoch,
-            "statuses": {str(n): s for n, s in self.statuses.items()},
-            "accepted": {
-                str(n): bits for n, bits in self.accepted.items()
-            },
+            "nodes": self.nodes,
+            "status": self.status,
+            "adversarial": list(self.adversarial),
+            "accepted": self.bits,
             "chain_divergence": self.chain_divergence,
             "messages": dict(self.messages),
             "stalled": self.stalled,
@@ -290,9 +312,6 @@ def run_epoch(
     if not stalled:
         _append_epoch(sim, canonical, mask, views, index, coded)
 
-    statuses = {n: "adversarial" if n in adv_nodes else outcome.status
-                for n in range(1, params.N + 1)}
-    accepted = dict.fromkeys(honest_ids, bits)
     messages = {
         "unicast": len(producers) * params.N,
         "broadcast": (params.K - len(producers)) * params.N
@@ -300,8 +319,10 @@ def run_epoch(
     }
     return EpochReport(
         epoch=t,
-        statuses=statuses,
-        accepted=accepted,
+        nodes=params.N,
+        status=outcome.status,
+        adversarial=tuple(sorted(adv_nodes)),
+        bits=bits,
         chain_divergence=sim.chain_divergence(),
         messages=messages,
         stalled=stalled,

@@ -6,6 +6,10 @@ decoded by Berlekamp-Welch (`rs_oracle.berlekamp_welch`). Coded polynomials are
 interpolated by the product formula too. The proposals, forged versions, version
 assignment and corrupted broadcasts come from the library's own functions, called in
 `run_epoch`'s order, so one seed draws the same random values in both.
+
+The oracle reports in the version-1 layout, one status per node and one list of accept
+bits per honest node. `expand_report` turns a version-2 line into that layout, so a
+library line compares with the oracle, and with the version-1 goldens, through it.
 """
 
 from __future__ import annotations
@@ -73,7 +77,8 @@ class OracleSimulation:
         return [self.coded_poly(blocks) for blocks in zip(*(c.history for c in self.chains))]
 
     def run_epoch(self, adversary=None, rng=0) -> dict:
-        """One epoch; returns `EpochReport.to_json_dict()` of the same epoch. A failed
+        """One epoch; returns the version-1 line of the same epoch, which
+        `expand_report(EpochReport.to_json_dict())` equals. A failed
         decode's diagnostics come from Berlekamp-Welch, which words some failures
         differently from the library's decoder."""
         if isinstance(rng, int):
@@ -162,3 +167,32 @@ class OracleSimulation:
             "recovered_values": recovered_values,
             "diagnostics": outcome.diagnostics,
         }
+
+
+def expand_report(line: dict) -> dict:
+    """A version-2 epoch line as the version-1 line it replaces: `status` repeated as
+    `statuses` over nodes 1..`nodes`, with "adversarial" for the listed ids, and the
+    `accepted` bits repeated for every honest node. Other keys (the CLI's `seed`) pass
+    through. Raises ValueError unless the ids are strictly increasing within 1..nodes."""
+    nodes, ids = line["nodes"], line["adversarial"]
+    if ids != sorted(set(ids)) or not all(1 <= n <= nodes for n in ids):
+        raise ValueError(f"adversarial ids {ids} are not sorted ids in 1..{nodes}")
+    expanded = {key: value for key, value in line.items()
+                if key not in ("nodes", "status", "adversarial", "accepted")}
+    adversarial = set(ids)
+    expanded["statuses"] = {str(n): "adversarial" if n in adversarial else line["status"]
+                            for n in range(1, nodes + 1)}
+    expanded["accepted"] = {str(n): line["accepted"] for n in range(1, nodes + 1)
+                            if n not in adversarial}
+    return expanded
+
+
+def v1_report(report) -> dict:
+    """The version-1 line of an `EpochReport`, built from its `statuses` and `accepted`
+    mappings, as `to_json_dict` wrote it before version 2."""
+    line = report.to_json_dict()
+    for key in ("nodes", "status", "adversarial"):
+        del line[key]
+    line["statuses"] = {str(n): s for n, s in report.statuses.items()}
+    line["accepted"] = {str(n): bits for n, bits in report.accepted.items()}
+    return line

@@ -57,6 +57,8 @@ COUNT_CHECK = ("    if m < needed:\n"
 ZERO_EXIT = ("    if m - ys.count(0) <= max_errors:  # the zero polynomial is within the radius\n"
              "        return _recovered(b.field, [], frozenset(b.nodes[i] for i, y in zip(heard, "
              "ys) if y), m)\n")
+REPORT_LINES = "tests/test_polyshard_sim.py::TestReportLines"
+EPOCH_JSONL = "tests/test_golden.py::test_epoch_jsonl"
 CHAIN_IDS = ("tests/test_polyshard_sim.py::TestDivergence::"
              "test_chain_ids_match_full_masked_histories[append_own_view]")
 
@@ -282,6 +284,18 @@ MUTANTS = (
            "tuple(tuple(cell) for cell in self.partition)",
            (LAYOUT_POINTS + "::test_elements_and_ints_give_the_same_residues",
             LAYOUT_POINTS + "::test_node_point_of_another_field_rejected")),
+    Mutant("report-line-drops-an-adversarial-id", SIM,
+           '"adversarial": list(self.adversarial),', '"adversarial": list(self.adversarial)[1:],',
+           (REPORT_LINES, EPOCH_JSONL, EPOCH_ORACLE)),
+    Mutant("report-line-nodes-one-short", SIM,
+           '"nodes": self.nodes,', '"nodes": self.nodes - 1,',
+           (REPORT_LINES, EPOCH_JSONL, EPOCH_ORACLE)),
+    Mutant("accepted-map-keeps-adversarial-nodes", SIM,
+           "for n in range(1, self.nodes + 1) if n not in adversarial}",
+           "for n in range(1, self.nodes + 1)}", (REPORT_LINES,)),
+    Mutant("report-adversarial-ids-unsorted", SIM,
+           "adversarial=tuple(sorted(adv_nodes)),", "adversarial=tuple(adv_nodes),",
+           (REPORT_LINES, EPOCH_JSONL + "[discrepancy_attack]")),
     Mutant("config-validator-without-integral-floats", "src/shardlab/cli.py",
            "cls=_ConfigValidator", "cls=_Validator",
            ("tests/test_cli.py::TestConfigValidation::test_integral_floats_are_config_errors",)),

@@ -237,16 +237,16 @@ class TestNoAttackEquivalence:
         )
         for seed in range(5):
             sim = Simulation(params, fn)
-            attack = run_epoch(sim, cfg, rng=seed).to_json_dict()
+            attack = run_epoch(sim, cfg, rng=seed)
             sim = Simulation(params, fn)
-            plain = run_epoch(sim, None, rng=seed).to_json_dict()
-            assert attack["accepted"] == {
-                n: bits for n, bits in plain["accepted"].items() if int(n) <= 10
+            plain = run_epoch(sim, None, rng=seed)
+            assert attack.accepted == {
+                n: bits for n, bits in plain.accepted.items() if n <= 10
             }
-            assert attack["chain_divergence"] == plain["chain_divergence"] == 1
-            assert attack["stalled"] == plain["stalled"] is False
+            assert attack.chain_divergence == plain.chain_divergence == 1
+            assert attack.stalled == plain.stalled is False
             assert all(
                 status == "recovered"
-                for n, status in attack["statuses"].items()
-                if int(n) <= 10
+                for n, status in attack.statuses.items()
+                if n <= 10
             )

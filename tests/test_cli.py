@@ -116,6 +116,8 @@ class TestConfigValidation:
                          id="bound-table-negative-d-beta"),
             pytest.param("bound_table", {"beta_prime": [2, 4], "K": [3]},
                          id="bound-table-beta_prime-above-K"),
+            pytest.param("bound_table", {"v": 10, "beta_prime": 5000, "K": 5000, "d": 2},
+                         id="bound-table-bound-over-4300-digits"),
         ],
     )
     def test_bad_params_are_config_errors(self, tmp_path, scenario, params):
@@ -123,6 +125,15 @@ class TestConfigValidation:
         assert run(path, out_dir=tmp_path) == 2
         written = {p.name for p in tmp_path.iterdir()} - {path.name}
         assert not written
+
+    def test_bound_too_wide_to_print_names_its_point(self, tmp_path, capsys):
+        # every point is checked before the CSV is opened, so the rows of the points
+        # before it are not left behind
+        path, _ = write_config(tmp_path, scenario="bound_table",
+                               params={"v": [2, 10], "beta_prime": 5000, "K": 5000, "d": 2})
+        assert run(path, out_dir=tmp_path) == 2
+        assert {p.name for p in tmp_path.iterdir()} == {path.name}
+        assert "(10, 5000, 2, 5000, 0)" in capsys.readouterr().err
 
     def test_more_version_tuples_than_nodes(self, tmp_path, capsys, bounded_memory):
         # 2^30 version tuples, one cell each, for at most 3 nodes: refused before the
@@ -171,10 +182,13 @@ class TestSimulationScenarios:
         lines = (tmp_path / "honest_epoch.jsonl").read_text().splitlines()
         header = json.loads(lines[0])
         assert header["config"]["scenario"] == "honest_epoch"
+        assert header["report_schema"] == 2
         reports = [json.loads(line) for line in lines[1:]]
         assert len(reports) == 4  # two seeds, two epochs
         for report in reports:
-            assert set(report["statuses"].values()) == {"recovered"}
+            # every node is honest and recovered
+            assert report["nodes"] == 20 and report["adversarial"] == []
+            assert report["status"] == "recovered"
             assert report["chain_divergence"] == 1
 
     def test_discrepancy_attack_all_fail(self, tmp_path):
@@ -188,8 +202,8 @@ class TestSimulationScenarios:
         assert run(path, out_dir=tmp_path) == 0
         lines = (tmp_path / "discrepancy_attack.jsonl").read_text().splitlines()
         report = json.loads(lines[1])
-        honest = {n: s for n, s in report["statuses"].items() if s != "adversarial"}
-        assert set(honest.values()) == {"failure"}
+        assert report["nodes"] == 20 and report["adversarial"] == [19, 20]
+        assert report["status"] == "failure"  # the 18 honest nodes' shared status
 
     def test_thirty_captured_shards(self, tmp_path, bounded_memory):
         # gamma derives beta' = floor(60 * 50 / (0.5 * 200)) = 30, so 2^30 version tuples:
@@ -204,8 +218,8 @@ class TestSimulationScenarios:
         assert shard_capture(60, 0.5, 200, 50) == 30
         assert run(path, out_dir=tmp_path) == 0
         report = json.loads((tmp_path / "discrepancy_attack.jsonl").read_text().splitlines()[1])
-        honest = {n: s for n, s in report["statuses"].items() if s != "adversarial"}
-        assert len(honest) == 140 and set(honest.values()) == {"failure"}
+        assert report["nodes"] - len(report["adversarial"]) == 140
+        assert report["status"] == "failure"
 
     def test_garbage_attack_within_tolerance(self, tmp_path):
         path, _ = write_config(
@@ -219,8 +233,8 @@ class TestSimulationScenarios:
         report = json.loads(
             (tmp_path / "garbage_attack.jsonl").read_text().splitlines()[1]
         )
-        honest = {n: s for n, s in report["statuses"].items() if s != "adversarial"}
-        assert set(honest.values()) == {"recovered"}
+        assert report["nodes"] == 20 and report["adversarial"] == [17, 18, 19, 20]
+        assert report["status"] == "recovered"  # the 16 honest nodes' shared status
 
     def test_gamma_derives_captured_shards(self, tmp_path):
         # beta=10 of N=20 nodes at gamma=1/2 captures half the K=4 shards... and
@@ -234,6 +248,25 @@ class TestSimulationScenarios:
         )
         assert shard_capture(10, 0.5, 20, 4) == 4
         assert run(path, out_dir=tmp_path) == 0
+
+    def test_epoch_lines_stay_small_at_n1000(self, tmp_path):
+        # a line holds one status, the beta adversarial ids and one list of K accept
+        # bits; the version-1 line repeated them per node, 359 KB at these sizes
+        path, _ = write_config(
+            tmp_path,
+            scenario="garbage_attack",
+            params={"N": 1000, "K": 166, "d": 2, "beta": 334},
+            seeds=[1],
+            epochs=2,
+        )
+        assert run(path, out_dir=tmp_path) == 0
+        lines = (tmp_path / "garbage_attack.jsonl").read_bytes().splitlines()[1:]
+        assert len(lines) == 2
+        for line in lines:
+            assert len(line) < 4096
+            report = json.loads(line)
+            assert report["status"] == "recovered" and report["accepted"] == [1] * 166
+            assert report["adversarial"] == list(range(667, 1001))
 
     def test_byte_identical_reruns(self, tmp_path):
         path, _ = write_config(

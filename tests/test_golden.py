@@ -9,8 +9,11 @@ library, so they pin demos 01 and 02 across their rewrite onto
 `echelon`/`nullspace_vector`, `poly(x)` and `build_coded_poly`. The
 `garbage_attack` and `discrepancy_attack` JSON lines (2 seeds x 2 epochs each)
 were written by the Gauss-Jordan elimination before the echelon kernel
-replaced it. The CSV and the JSON lines are the output of
-`python -m shardlab --config CONFIG` with the configs below. `rs_decode_outcomes.jsonl` holds the Berlekamp-Welch decoder's
+replaced it, in the version-1 report layout (a status per node, accept bits per
+honest node); each CLI line must expand to its line there (`expand_report`), and
+the `.v2.jsonl` files pin the version-2 bytes the CLI writes now. The CSV and
+the JSON lines are the output of `python -m shardlab --config CONFIG` with the
+configs below. `rs_decode_outcomes.jsonl` holds the Berlekamp-Welch decoder's
 outcome (status, coefficients, error positions, diagnostics) on 200 seeded
 broadcast sets, written before Gao's decoder replaced it; every epoch now
 decodes through Gao's algorithm, so these files pin the two decoders' agreement
@@ -29,6 +32,7 @@ import pytest
 import shardlab
 from shardlab import BroadcastEntry, BroadcastSet, InsufficientEvaluations, PrimeField, rs_decode
 from shardlab.cli import run
+from epoch_oracle import expand_report
 
 ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = ROOT / "tests" / "golden"
@@ -61,17 +65,22 @@ def test_threshold_sweep_csv(tmp_path, capsys):
     [
         pytest.param({"scenario": "garbage_attack", "params": {"N": 20, "K": 5, "d": 2, "beta": 5},
                       "seeds": [3, 4], "epochs": 2},
-                     "garbage_attack_N20_K5_d2_beta5.jsonl", id="garbage_attack"),
+                     "garbage_attack_N20_K5_d2_beta5", id="garbage_attack"),
         pytest.param({"scenario": "discrepancy_attack",
                       "params": {"N": 16, "K": 4, "d": 2, "beta": 2, "beta_prime": 1, "v": 2},
                       "seeds": [5, 6], "epochs": 2},
-                     "discrepancy_attack_N16_K4_d2_beta2_bp1_v2.jsonl", id="discrepancy_attack"),
+                     "discrepancy_attack_N16_K4_d2_beta2_bp1_v2", id="discrepancy_attack"),
     ],
 )
 def test_epoch_jsonl(tmp_path, capsys, config, golden):
     assert run(config, out_dir=str(tmp_path)) == 0
     out = tmp_path / f"{config['scenario']}.jsonl"
-    assert out.read_bytes() == (GOLDEN / golden).read_bytes()
+    assert out.read_bytes() == (GOLDEN / f"{golden}.v2.jsonl").read_bytes()
+    header, *lines = map(json.loads, out.read_text().splitlines())
+    assert header.pop("report_schema") == 2
+    expanded = [header] + [expand_report(line) for line in lines]
+    text = "".join(json.dumps(line, sort_keys=True) + "\n" for line in expanded)
+    assert text == (GOLDEN / f"{golden}.jsonl").read_text()
 
 
 DECODE_FIELDS = (7, 13, 97, 2**31 - 1)

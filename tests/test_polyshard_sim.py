@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 
@@ -26,7 +27,7 @@ from shardlab import (
 from shardlab import field_poly, polyshard_sim
 from shardlab.field_poly import ResidueVector, point_set
 from shardlab.polyshard_sim import VerificationFn, history_power_check, power_check
-from epoch_oracle import OracleSimulation
+from epoch_oracle import OracleSimulation, expand_report, v1_report
 
 
 def make_sim(field, K=5, N=20, d=2, **kw):
@@ -194,7 +195,8 @@ class TestRunEpoch:
             sim = make_sim(field, K=K, N=N, invalid_proposer_shards=frozenset({1}))
             adversary = garbage_adversary(range(N - beta + 1, N + 1))
             reports = [run_epoch(sim, adversary, rng=seed).to_json_dict() for seed in range(3)]
-            assert all(report["statuses"]["1"] == "recovered" for report in reports)
+            assert all(report["status"] == "recovered" and 1 not in report["adversarial"]
+                       for report in reports)
             misses = point_set.cache_info().misses
             heard = point_set(tuple(alpha.value for alpha in sim.params.alphas), field.modulus)
             assert point_set.cache_info().misses == misses  # the decode's own point set
@@ -612,7 +614,7 @@ class TestEpochOracle:
         sim = Simulation(EncodingParams.default(K, N, d, field), fn, **config)
         oracle = OracleSimulation(K, N, d, field, fn, **config)
         for t, adversary in enumerate(epochs):
-            report = run_epoch(sim, adversary, rng=seed + t).to_json_dict()
+            report = expand_report(run_epoch(sim, adversary, rng=seed + t).to_json_dict())
             expected = oracle.run_epoch(adversary, rng=seed + t)
             if report["recovered_values"] is None:  # the two decoders word failures apart
                 report["diagnostics"] = expected["diagnostics"] = None
@@ -622,3 +624,40 @@ class TestEpochOracle:
                 tuple(x.value for x in column) for column in zip(*oracle.coded_chains.values())]
             assert sim.node_chains == list(oracle.node_chains.values())
             assert sim.chain_ids == oracle.chain_ids
+
+
+@st.composite
+def report_runs(draw):
+    """`epoch_runs`, where one epoch's adversary may hold all N nodes (no node honest)."""
+    field, K, N, d, fn, config, epochs, seed = draw(epoch_runs())
+    if draw(st.booleans()):
+        producers = draw(st.lists(st.integers(1, K), unique=True, max_size=K))
+        epochs[draw(st.integers(0, len(epochs) - 1))] = AdversaryConfig(
+            adversarial_nodes=frozenset(range(1, N + 1)), adversarial_producers=tuple(producers),
+            v=draw(st.integers(1, 3)),
+            broadcast_strategy=draw(st.sampled_from(["silent", "garbage", "honest_looking"])))
+    return field, K, N, d, fn, config, epochs, seed
+
+
+class TestReportLines:
+    @given(run=report_runs())
+    # every node adversarial and broadcasting a fit to version 1's view: the decode
+    # recovers, yet no node is honest, so version 1's `accepted` map is empty
+    @example(run=(GF97, 3, 8, 2, power_check(2),
+                  dict(invalid_proposer_shards=frozenset(), failure_policy="stall",
+                       accept_set=None),
+                  [AdversaryConfig(adversarial_nodes=frozenset(range(1, 9)),
+                                   adversarial_producers=(2,), v=2,
+                                   broadcast_strategy="honest_looking")],
+                  3))
+    @settings(max_examples=100, deadline=None)
+    def test_line_expands_to_the_mappings(self, run):
+        field, K, N, d, fn, config, epochs, seed = run
+        sim = Simulation(EncodingParams.default(K, N, d, field), fn, **config)
+        for t, adversary in enumerate(epochs):
+            report = run_epoch(sim, adversary, rng=seed + t)
+            line = json.loads(json.dumps(report.to_json_dict()))
+            assert expand_report(line) == v1_report(report)
+            assert line["adversarial"] == sorted(adversary.adversarial_nodes if adversary else ())
+            # derived once: every read returns the same mapping
+            assert report.statuses is report.statuses and report.accepted is report.accepted
