@@ -13,7 +13,17 @@ replaced it, in the version-1 report layout (a status per node, accept bits per
 honest node); each CLI line must expand to its line there (`expand_report`), and
 the `.v2.jsonl` files pin the version-2 bytes the CLI writes now. The CSV and
 the JSON lines are the output of `python -m shardlab --config CONFIG` with the
-configs below. `rs_decode_outcomes.jsonl` holds the Berlekamp-Welch decoder's
+configs below. `discrepancy_attack_N20_K5_d2_beta3_bp1_v1.v2.jsonl` is the
+output of
+
+    {"scenario": "discrepancy_attack", "params": {"N": 20, "K": 5, "d": 2, "beta": 3,
+     "beta_prime": 1, "v": 1}, "seeds": [1, 2], "epochs": 4}
+
+where, with v = 1, the one forged block is just an invalid proposal: all 8 epochs
+recover, correcting the same three broadcasters. It was written while `rs_decode`
+still divided a repeated error set by its remembered locator (6 of the 8 decodes),
+and pins those outcomes on Gao's decoder alone.
+`rs_decode_outcomes.jsonl` holds the Berlekamp-Welch decoder's
 outcome (status, coefficients, error positions, diagnostics) on 200 seeded
 broadcast sets, written before Gao's decoder replaced it; every epoch now
 decodes through Gao's algorithm, so these files pin the two decoders' agreement
@@ -81,6 +91,15 @@ def test_epoch_jsonl(tmp_path, capsys, config, golden):
     expanded = [header] + [expand_report(line) for line in lines]
     text = "".join(json.dumps(line, sort_keys=True) + "\n" for line in expanded)
     assert text == (GOLDEN / f"{golden}.jsonl").read_text()
+
+
+def test_repeated_error_set_jsonl(tmp_path, capsys):
+    config = {"scenario": "discrepancy_attack",
+              "params": {"N": 20, "K": 5, "d": 2, "beta": 3, "beta_prime": 1, "v": 1},
+              "seeds": [1, 2], "epochs": 4}
+    assert run(config, out_dir=str(tmp_path)) == 0
+    golden = GOLDEN / "discrepancy_attack_N20_K5_d2_beta3_bp1_v1.v2.jsonl"
+    assert (tmp_path / "discrepancy_attack.jsonl").read_bytes() == golden.read_bytes()
 
 
 DECODE_FIELDS = (7, 13, 97, 2**31 - 1)
