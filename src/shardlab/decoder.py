@@ -7,20 +7,19 @@ It runs on int residues: the interpolation runs on the cached `point_set` of the
 points heard, set up once per heard point set, products are Kronecker products,
 and the extended Euclidean algorithm steps on one packed int per polynomial
 (`field_poly.euclid_until`). A word with at most max_errors nonzero heard values (an
-epoch of valid blocks broadcasts one) decodes to zero first. A decode on heard points whose
-last two Gao decodes corrected the same errors divides by their remembered locator.
+epoch of valid blocks broadcasts one) decodes to zero first. A decode keeps no state
+between calls.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Container, Iterable, NamedTuple, Sequence
 
 from .adversary import VersionAssignment
 from .field_poly import (
     DuplicateAbscissa, FieldElement, Polynomial, PrimeField, euclid_until, point_set, poly_divmod,
-    poly_values, vanishing_polynomial,
+    poly_values,
 )
 from .lcc import EncodingParams
 
@@ -118,14 +117,6 @@ def _recovered(field: PrimeField, poly: list[int], bad: frozenset[int], m: int) 
                          f"{len(bad)} corrected among {m} present entries")
 
 
-@lru_cache(maxsize=16)
-def _seen_errors(xs: tuple[int, ...], p: int) -> list:
-    """`rs_decode`'s memo for the heard points xs mod p, [S, L, L at every x]: the nodes S
-    its last recovered Gao decode there corrected and, once a second one corrected the
-    same, the locator L = prod (z - x_s) of their points; else None."""
-    return [None, None, None]
-
-
 def rs_decode(b: BroadcastSet, degree_bound: int, max_errors: int) -> DecodeOutcome:
     """Decode a polynomial of degree <= degree_bound from b, tolerating max_errors.
 
@@ -141,18 +132,7 @@ def rs_decode(b: BroadcastSet, degree_bound: int, max_errors: int) -> DecodeOutc
     A word with at most max_errors nonzero heard values (a valid block's check reads 0)
     returns zero, with those entries as the errors, before any point set is built: two
     polynomials within the radius agree at m - 2 max_errors >= degree_bound + 1 points,
-    so zero is the one answer Gao and the memo could return.
-
-    Persistent bad broadcasters leave the same errors on the same heard points epoch after
-    epoch, so a memo per heard point set (16 of them, as `point_set` keeps) holds the
-    positions S of the errors the last recovered Gao decode there corrected. Once a second
-    Gao decode corrects the same S, it also holds their locator L = prod_S (z - x_s) and
-    L's value at every heard point. A decode on those points with |S| <= max_errors first
-    interpolates Q through y_j L(x_j) (Welch-Berlekamp's Q = P L with S as the errors). If
-    deg Q <= degree_bound + |S|, Q vanishes on S, so P = Q / L has degree <= degree_bound
-    and matches every heard entry outside S: it lies within the radius, and by uniqueness
-    it is the polynomial Gao would return, so the outcome cannot depend on the memo.
-    Otherwise Gao runs; a recovered Gao decode that corrects other positions replaces S.
+    so zero is the one answer Gao could return.
     """
     if degree_bound < 0 or max_errors < 0:
         raise ValueError("degree_bound and max_errors must be >= 0")
@@ -169,32 +149,16 @@ def rs_decode(b: BroadcastSet, degree_bound: int, max_errors: int) -> DecodeOutc
     if m - ys.count(0) <= max_errors:  # the zero polynomial is within the radius
         return _recovered(b.field, [], frozenset(b.nodes[i] for i, y in zip(heard, ys) if y), m)
     p = b.field.modulus
-    form, seen = point_set(xs, p), _seen_errors(xs, p)
-    positions, locator, values = seen
-    poly = None
-    if locator is not None and len(positions) <= max_errors:
-        q = form.interpolate([y * v % p for y, v in zip(ys, values)])
-        if len(q) <= degree_bound + 1 + len(positions):
-            poly, rem = poly_divmod(q, locator, p)
-            if rem:  # Q vanishes at every x_s, so L divides it
-                raise AssertionError("the error locator does not divide Q")
-    gao = poly is None
-    if gao:
-        r, t = euclid_until(form.master, form.interpolate(ys), degree_bound + 1 + max_errors, p)
-        if len(t) - 1 > max_errors or len(r) - (len(t) - 1) > degree_bound + 1:
-            return _failure("no error locator explains the broadcast values")
-        poly, rem = poly_divmod(r, t, p)
-        if rem:
-            return _failure("error locator does not divide the numerator")
+    form = point_set(xs, p)
+    r, t = euclid_until(form.master, form.interpolate(ys), degree_bound + 1 + max_errors, p)
+    if len(t) - 1 > max_errors or len(r) - (len(t) - 1) > degree_bound + 1:
+        return _failure("no error locator explains the broadcast values")
+    poly, rem = poly_divmod(r, t, p)
+    if rem:
+        return _failure("error locator does not divide the numerator")
     bad = frozenset(b.nodes[i] for i, y, z in zip(heard, ys, poly_values(poly, xs, p)) if y != z)
-    if len(bad) > max_errors:  # each disagreement is a root of t or in S: cannot happen
+    if len(bad) > max_errors:  # each disagreement is a root of t: cannot happen
         raise AssertionError(f"decoded polynomial disagrees with {len(bad)} entries")
-    if gao and bad != positions:
-        seen[:] = bad, None, None
-    elif gao and locator is None:
-        locator = vanishing_polynomial([b.points[i] for i in heard if b.nodes[i] in bad],
-                                       b.field).coeffs
-        seen[1:] = locator, poly_values(locator, xs, p)
     return _recovered(b.field, poly, bad, m)
 
 

@@ -341,7 +341,12 @@ def unique_decodability(sys: SystemMatrices) -> RankReport:
 
 def recovery_threshold(v: int, beta_prime: int, d: int, K: int, beta: int) -> int:
     """Minimum node count below which a worst-case version assignment defeats
-    every linear decoder of the honest outputs."""
+    every linear decoder of the honest outputs.
+
+    A claim about generic node points: over a small field a layout at or above it can
+    still be ambiguous. At (v, beta', d, K, beta) = (2, 1, 3, 4, 0) it is 17, and the
+    round-robin layout at N = 17 (cells of 9 and 8 nodes) is ambiguous over GF(31) and
+    GF(37) but unique over GF(29), GF(41), GF(97) and 2^31 - 1."""
     return v**beta_prime * (d - 1) * (K - 1) + v * beta_prime + K - beta_prime + 2 * beta
 
 

@@ -35,7 +35,6 @@ ECHELON = "tests/test_field_poly.py::TestPackedEchelon"
 EPOCH_ORACLE = "tests/test_polyshard_sim.py::TestEpochOracle"
 RUN_EPOCH = "tests/test_polyshard_sim.py::TestRunEpoch"
 RS_DECODE = "tests/test_decoder.py::TestRsDecode"
-MEMO = "tests/test_decoder.py::TestErrorLocatorMemo"
 ZERO_WORDS = "tests/test_decoder.py::TestZeroWords"
 ADVERSARY = "src/shardlab/adversary.py"
 ASSIGN = "tests/test_adversary.py::TestAssignVersions"
@@ -178,21 +177,11 @@ MUTANTS = (
            ("tests/test_decoder.py::TestGaoMatchesBerlekampWelch::test_same_outcome",)),
     Mutant("gao-remainder-check-dropped", DECODER, "    if rem:\n", "    if False:\n",
            (RS_DECODE + "::test_soundness_of_recovered",)),
-    Mutant("locator-degree-bound-one-too-high", DECODER,
-           "if len(q) <= degree_bound + 1 + len(positions):",
-           "if len(q) <= degree_bound + 2 + len(positions):",
-           (MEMO + "::test_a_word_of_degree_one_too_high_falls_back_to_gao",)),
-    Mutant("locator-budget-guard-dropped", DECODER,
-           "if locator is not None and len(positions) <= max_errors:",
-           "if locator is not None:", (MEMO + "::test_a_locator_beyond_the_budget_is_not_used",)),
-    Mutant("locator-memo-keyed-without-heard-points", DECODER,
-           "_seen_errors(xs, p)", "_seen_errors((), p)",
-           (MEMO + "::test_each_heard_point_set_has_its_own_memo",)),
-    # Q vanishes at every x_s, so the locator always divides it
-    Mutant("locator-division-check-dropped", DECODER,
-           "            if rem:  # Q vanishes at every x_s, so L divides it\n"
-           '                raise AssertionError("the error locator does not divide Q")\n', "",
-           (MEMO,), equivalent=True),
+    Mutant("gao-error-positions-as-column-indices", DECODER,
+           "frozenset(b.nodes[i] for i, y, z in zip(heard, ys, poly_values(",
+           "frozenset(i for i, y, z in zip(heard, ys, poly_values(",
+           (RS_DECODE + "::test_single_corruption",
+            "tests/test_decoder.py::TestGaoMatchesBerlekampWelch::test_same_outcome")),
     Mutant("zero-exit-radius-one-too-wide", DECODER,
            "if m - ys.count(0) <= max_errors:", "if m - ys.count(0) <= max_errors + 1:",
            (ZERO_WORDS + "::test_same_outcome_as_berlekamp_welch",

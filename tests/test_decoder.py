@@ -276,6 +276,22 @@ class TestRsDecode:
                          field.modulus)
         assert (form._rows is None) == (heard > field_poly._ROWS_UP_TO)
 
+    def test_a_word_of_degree_one_too_high_fails(self, field):
+        # three errors on a codeword of degree 4, twice, then the same three on a word of
+        # degree 5: on 20 points at radius 7 no polynomial of degree <= 4 explains it
+        S = {2, 5, 11}
+        for k in (5, 5):
+            out = rs_decode(shifted_word(field, Polynomial(field, [1] * k), S), 4, 7)
+            assert out.recovered and out.error_positions == {3, 6, 12}
+        assert not rs_decode(shifted_word(field, Polynomial(field, [1] * 6), S), 4, 7).recovered
+
+    def test_three_errors_at_a_budget_of_two_fail(self, field, rng):
+        # the errors Gao corrected at the full radius are past a budget of 2
+        poly = Polynomial(field, [field.random(rng) for _ in range(5)])
+        for e in (7, 7):
+            assert rs_decode(shifted_word(field, poly, {2, 5, 11}), 4, e).poly == poly
+        assert not rs_decode(shifted_word(field, poly, {2, 5, 11}), 4, 2).recovered
+
     def test_soundness_of_recovered(self, field, rng):
         # whatever comes back recovered disagrees with at most max_errors entries
         for _ in range(20):
@@ -345,8 +361,8 @@ def repeated_decodes(draw):
     errors come mostly from a pool of three sets, so that error sets repeat, grow and
     shrink. Now and then one or two entries are silent, which changes the heard set and
     lowers the radius. The budget e is the radius or one below a pool set's size, so that it
-    drops below a remembered error set. Node ids shift by one now and then, so equal
-    corrected node sets can lie on other points."""
+    drops below an earlier decode's error count. Node ids shift by one now and then, so
+    equal corrected node sets can lie on other points."""
     p = draw(st.sampled_from([7, 13, 97, 2**31 - 1]))
     d = draw(st.integers(0, 2))
     n = draw(st.integers(d + 3, min(p, d + 12)))
@@ -384,7 +400,7 @@ def shifted_word(field, poly, errors, silent=(), n=20):
 
 @pytest.fixture
 def euclid_calls(monkeypatch):
-    """A cleared locator memo, and the list of `euclid_until` calls rs_decode makes."""
+    """The list of `euclid_until` calls rs_decode makes."""
     calls = []
 
     def counted(*args):
@@ -392,91 +408,7 @@ def euclid_calls(monkeypatch):
         return field_poly.euclid_until(*args)
 
     monkeypatch.setattr(decoder, "euclid_until", counted)
-    decoder._seen_errors.cache_clear()
     return calls
-
-
-def cold_decode(b, d, e):
-    """rs_decode on a cleared locator memo."""
-    decoder._seen_errors.cache_clear()
-    return rs_decode(b, d, e)
-
-
-class TestErrorLocatorMemo:
-    D = 4  # on 20 points: radius 7
-
-    @given(decodes=repeated_decodes())
-    @settings(max_examples=200, deadline=None)
-    def test_same_outcome_as_with_a_cleared_memo(self, decodes):
-        decoder._seen_errors.cache_clear()
-        live = [rs_decode(*case) for case in decodes]
-        assert live == [cold_decode(*case) for case in decodes]
-
-    def test_third_decode_of_a_repeated_error_set_runs_no_euclid(self, field, rng, euclid_calls):
-        # the locator depends on the positions only: other polynomials and other error
-        # values on the same positions, or on some of them, decode without the Euclid; the
-        # zero words (i % 3 == 0) are within the radius of 0 and run no Euclid either
-        S, words, live = {2, 5, 11}, [], []
-        for i, errors in enumerate([S, S, S, S, {2, 11}, set(), S]):
-            poly = Polynomial(field, [field.random(rng) for _ in range(self.D + 1)] if i % 3
-                              else [])
-            words.append(shifted_word(field, poly, errors))
-            live.append(rs_decode(words[-1], self.D, 7))
-            assert len(euclid_calls) == min(i, 2)
-            assert live[-1].recovered and live[-1].poly == poly
-            assert live[-1].error_positions == {j + 1 for j in errors}
-        assert live == [cold_decode(b, self.D, 7) for b in words]
-
-    def test_moving_error_sets_never_build_a_locator(self, field, rng, euclid_calls,
-                                                      monkeypatch):
-        built = []
-        monkeypatch.setattr(decoder, "vanishing_polynomial", lambda *args: built.append(args)
-                            or field_poly.vanishing_polynomial(*args))
-        for i in range(6):
-            poly = Polynomial(field, [field.random(rng) for _ in range(self.D + 1)])
-            out = rs_decode(shifted_word(field, poly, {i, i + 7}), self.D, 7)
-            assert out.error_positions == {i + 1, i + 8}
-        assert len(euclid_calls) == 6 and not built
-
-    def test_a_miss_after_confirmation_falls_back_to_gao_and_forgets_the_old_set(
-            self, field, rng, euclid_calls):
-        S, T = {2, 5, 11}, {1, 7}
-        for errors, calls in [(S, 1), (S, 2), (T, 3), (S, 4), (S, 5), (S, 5)]:
-            poly = Polynomial(field, [field.random(rng) for _ in range(self.D + 1)])
-            out = rs_decode(shifted_word(field, poly, errors), self.D, 7)
-            assert out.poly == poly and out.error_positions == {j + 1 for j in errors}
-            assert len(euclid_calls) == calls
-
-    def test_a_word_of_degree_one_too_high_falls_back_to_gao(self, field, euclid_calls):
-        # Q = P L has degree D + 1 + |S| here: dividing would return a P of degree D + 1
-        S = {2, 5, 11}
-        for _ in range(2):
-            rs_decode(shifted_word(field, Polynomial(field, [1] * (self.D + 1)), S), self.D, 7)
-        b = shifted_word(field, Polynomial(field, [1] * (self.D + 2)), S)
-        out = rs_decode(b, self.D, 7)
-        assert len(euclid_calls) == 3 and not out.recovered
-        assert out == cold_decode(b, self.D, 7)
-
-    def test_a_locator_beyond_the_budget_is_not_used(self, field, rng, euclid_calls):
-        # |S| = 3 errors at a budget of 2 are past the radius, so Gao fails on them
-        S = {2, 5, 11}
-        poly = Polynomial(field, [field.random(rng) for _ in range(self.D + 1)])
-        for _ in range(2):
-            rs_decode(shifted_word(field, poly, S), self.D, 7)
-        out = rs_decode(shifted_word(field, poly, S), self.D, 2)
-        assert len(euclid_calls) == 3 and not out.recovered
-        assert out == cold_decode(shifted_word(field, poly, S), self.D, 2)
-
-    def test_each_heard_point_set_has_its_own_memo(self, field, rng, euclid_calls):
-        # a silent node makes another heard point set: its first decode runs the Euclid
-        S = {2, 5, 11}
-        poly = Polynomial(field, [field.random(rng) for _ in range(self.D + 1)])
-        for _ in range(2):
-            rs_decode(shifted_word(field, poly, S), self.D, 7)
-        for silent in ({19}, {8}):
-            out = rs_decode(shifted_word(field, poly, S, silent), self.D, 7)
-            assert out.poly == poly and out.error_positions == {3, 6, 12}
-        assert len(euclid_calls) == 4
 
 
 @st.composite
@@ -570,6 +502,18 @@ class TestPointSetCache:
         assert len(sim.history_polys) == len(sim.history_polys) == 5
         info = point_set.cache_info()
         assert (info.misses, info.hits) == (2, 11)
+
+    @given(decodes=repeated_decodes())
+    @settings(max_examples=200, deadline=None)
+    def test_same_outcome_as_after_clearing_the_point_sets(self, decodes):
+        # the point sets are the only state rs_decode reads: no history of decodes on the
+        # same points changes an outcome
+        live = [rs_decode(*case) for case in decodes]
+        cold = []
+        for case in decodes:
+            point_set.cache_clear()
+            cold.append(rs_decode(*case))
+        assert live == cold
 
 
 class TestRecoverOutputs:

@@ -801,6 +801,24 @@ class TestEmpiricalThreshold:
         assert lines[2].endswith(",true")
         assert lines[3] == "11,,,,infeasible"
 
+    @pytest.mark.parametrize("p, rank_D, unique", [
+        (29, 23, True), (31, 22, False), (37, 22, False), (41, 23, True), (97, 23, True),
+        (2**31 - 1, 23, True)])
+    def test_the_threshold_is_a_claim_about_generic_points(self, p, rank_D, unique):
+        # at N = recovery_threshold the round-robin layout is unique over most fields, but
+        # over GF(31) and GF(37) its points are special: a witness solves D there
+        field = PrimeField(p)
+        assert recovery_threshold(2, 1, 3, 4, 0) == 17
+        [row] = empirical_threshold(2, 1, 3, 4, 0, [17], field)
+        assert (row.partition_sizes, row.rank_D, row.unique_Z) == ((9, 8), rank_D, unique)
+        params = proof_params(2, 1, 3, 4, 0, 17, field)
+        sys_m = build_system(params)
+        report = unique_decodability(sys_m)
+        assert report.unique_Z is unique and (report.witness is None) is unique
+        if not unique:
+            assert not any(dense_system(params).D.mul_vec(report.witness))
+            assert any(x.value for x in report.zeta_block(sys_m.z_width))
+
     def test_every_ambiguous_row_is_certified(self, field, monkeypatch):
         # each ambiguous row rests on a lifted witness checked against the layout: with
         # 1/m_t(omega_k) of the other cell handed to the lift, the sweep raises
